@@ -20,8 +20,6 @@ from .quadrature import (
     QuadConfig,
     QuadratureResult,
     adaptive_gk,
-    gauss_chebyshev_first,
-    gauss_chebyshev_second,
     integrate_semi_infinite,
     tanh_sinh,
 )
@@ -31,9 +29,8 @@ from .transform import (
     PhiEvaluator,
     check_lemma1,
     check_transform_consistency,
+    motzkin_integrand,
     psi_difference,
-    transform_phi,
-    transform_simple,
 )
 
 __all__ = [
@@ -54,16 +51,13 @@ __all__ = [
     "check_lemma1",
     "check_transform_consistency",
     "evaluate_integrand",
-    "gauss_chebyshev_first",
-    "gauss_chebyshev_second",
     "get_representation",
     "integrate_semi_infinite",
     "list_representations",
     "motzkin",
+    "motzkin_integrand",
     "motzkin_oracle",
     "psi_difference",
     "tanh_sinh",
-    "transform_phi",
-    "transform_simple",
     "verify",
 ]

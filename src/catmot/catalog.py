@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .exact import ExactInteger, catalan, motzkin
-from .polys import horner, phi_diff_coeffs, psi_diff_float_coeffs
+from .polys import horner, phi_diff_coeffs, psi_difference_over_square
 from .quadrature import (
     _EPS,
     QuadConfig,
@@ -76,15 +76,27 @@ class Representation:
     family: Family
     n_min: int
     prefactor: Callable[[int], tuple[Fraction, int]]  # n -> (rational, pi power)
-    integrand: Callable[[int, float], float]
     domain: tuple[float, float]
     singularities: frozenset[Singularity]
     statement: str
     exactness_hint: Optional[ChebyshevHint] = None
     split_points: tuple[float, ...] = ()
+    # exactly one of the two integrand forms is given; for an entry with a
+    # distance form, integrand(n, x) is derived from it
+    integrand: Optional[Callable[[int, float], float]] = None
     # endpoint-distance form of the integrand for entries that blow up at an
     # endpoint; receives (x - a, b - x) with the near distance exact
     distance_integrand: Optional[Callable[[int, float, float], float]] = None
+
+    def __post_init__(self):
+        if (self.integrand is None) == (self.distance_integrand is None):
+            raise ValueError(
+                f"{self.id}: give exactly one of integrand and distance_integrand"
+            )
+        if self.distance_integrand is not None:
+            a, b = self.domain
+            dist = self.distance_integrand
+            object.__setattr__(self, "integrand", lambda n, x: dist(n, x - a, b - x))
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -131,10 +143,6 @@ def _weights_13a(n: int) -> tuple[float, ...]:
     return tuple(float(d * 4**j) for j, d in enumerate(phi_diff_coeffs(n), start=1))
 
 
-def _eq2_integrand(n, x):
-    return x ** (2 * n) / math.sqrt((1.0 - x) * (1.0 + x))
-
-
 def _eq2_distance(n, da, db):
     s = da if da <= db else db
     return (1.0 - s) ** (2 * n) / math.sqrt(da * db)
@@ -144,16 +152,8 @@ def _eq3_integrand(n, x):
     return math.cos(x) ** (2 * n)
 
 
-def _eq4_integrand(n, x):
-    return x**n / math.sqrt(x * (1.0 - x))
-
-
 def _eq4_distance(n, da, db):
     return da**n / math.sqrt(da * db)
-
-
-def _eq5_integrand(n, x):
-    return x**n * math.sqrt(4.0 - x) / math.sqrt(x)
 
 
 def _eq5_distance(n, da, db):
@@ -185,26 +185,13 @@ def _eq10_integrand(n, x):
     return x ** (2 * n) * math.sqrt((2.0 - x) * (2.0 + x))
 
 
-def _conc1_integrand(n, x):
-    return x ** (2 * n + 2) / math.sqrt((1.0 - x) * (1.0 + x))
-
-
 def _conc1_distance(n, da, db):
     s = da if da <= db else db
     return (1.0 - s) ** (2 * n + 2) / math.sqrt(da * db)
 
 
-def _conc2_integrand(n, x):
-    return x**n * (2.0 * x - 1.0) / math.sqrt(x * (1.0 - x))
-
-
 def _conc2_distance(n, da, db):
     return da**n * (2.0 * da - 1.0) / math.sqrt(da * db)
-
-
-def _12a_integrand(n, x):
-    u = math.sqrt(x)
-    return ((1.0 + u) ** n + (1.0 - u) ** n) * math.sqrt(4.0 - x) / u
 
 
 def _12a_distance(n, da, db):
@@ -239,22 +226,13 @@ def _12f_integrand(n, x):
     return (1.0 + x) ** n * math.sqrt((2.0 - x) * (2.0 + x))
 
 
-def _13a_integrand(n, x):
-    return horner(_weights_13a(n), x) / math.sqrt(x * (1.0 - x))
-
-
 def _13a_distance(n, da, db):
     return horner(_weights_13a(n), da) / math.sqrt(da * db)
 
 
-def _13b_integrand(n, x):
-    # (psi_{n+2} - psi_{n+1})/x^2 evaluated without forming the 0/0 ratio
-    return 4.0 * horner(psi_diff_float_coeffs(n), 2.0 * x) / math.sqrt((1.0 - x) * (1.0 + x))
-
-
 def _13b_distance(n, da, db):
     x = da - 1.0 if da <= db else 1.0 - db
-    return 4.0 * horner(psi_diff_float_coeffs(n), 2.0 * x) / math.sqrt(da * db)
+    return psi_difference_over_square(n, x) / math.sqrt(da * db)
 
 
 def _ceil_half_plus_one(n: int) -> int:
@@ -267,7 +245,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.CATALAN,
         n_min=0,
         prefactor=lambda n: (Fraction(4**n, n + 1), -1),
-        integrand=_eq2_integrand,
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{-1}^{1} x^(2n)/sqrt(1-x^2) dx",
@@ -289,7 +266,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.CATALAN,
         n_min=0,
         prefactor=lambda n: (Fraction(4**n, n + 1), -1),
-        integrand=_eq4_integrand,
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{1} x^n/sqrt(x-x^2) dx",
@@ -300,7 +276,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.CATALAN,
         n_min=0,
         prefactor=lambda n: (Fraction(1, 2), -1),
-        integrand=_eq5_integrand,
         domain=(0.0, 4.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 1/(2 pi) int_{0}^{4} x^n sqrt((4-x)/x) dx",
@@ -366,7 +341,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.CATALAN,
         n_min=0,
         prefactor=lambda n: (Fraction(2 ** (2 * n + 1), 2 * n + 1), -1),
-        integrand=_conc1_integrand,
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 2^(2n+1)/((2n+1) pi) int_{-1}^{1} x^(2n+2)/sqrt(1-x^2) dx",
@@ -378,7 +352,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.CATALAN,
         n_min=1,  # the prefactor divides by n
         prefactor=lambda n: (Fraction(4**n, n), -1),
-        integrand=_conc2_integrand,
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/(n pi) int_{0}^{1} (2x^(n+1)-x^n)/sqrt(x-x^2) dx  (n >= 1)",
@@ -389,7 +362,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.MOTZKIN,
         n_min=0,
         prefactor=lambda n: (Fraction(1, 4), -1),
-        integrand=_12a_integrand,
         domain=(0.0, 4.0),
         singularities=_ENDPOINT_TAGS,
         statement="M(n) = 1/(4 pi) int_{0}^{4} ((1+sqrt(x))^n+(1-sqrt(x))^n) sqrt((4-x)/x) dx",
@@ -462,7 +434,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.MOTZKIN,
         n_min=0,
         prefactor=lambda n: (Fraction(1, 4), -1),
-        integrand=_13a_integrand,
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,  # behaves like 1/sqrt(x) at 0: integrable, not removable
         statement=(
@@ -476,7 +447,6 @@ _CATALOG: tuple[Representation, ...] = (
         family=Family.MOTZKIN,
         n_min=0,
         prefactor=lambda n: (Fraction(1, 2), -1),
-        integrand=_13b_integrand,
         domain=(-1.0, 1.0),
         singularities=frozenset(
             {

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import __version__
@@ -34,10 +33,9 @@ from .exact import catalan, motzkin
 from .report import Report
 from .transform import (
     PAIRS,
-    POINTWISE_TOLERANCE,
     VALUE_ONLY_TOLERANCE,
     ComparisonMode,
-    check_lemma1,
+    _lemma1_holds,
     get_form,
     integrate_transform,
     lemma1_sides,
@@ -171,6 +169,8 @@ def _parse_n_range(raw: str) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     explicit_range = args.n_range is not None
     lo, hi = _parse_n_range(args.n_range if explicit_range else "0..20")
     if hi > settings.n_max:
@@ -190,6 +190,9 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
         (rep, n) for rep in reps for n in range(max(lo, rep.n_min), hi + 1)
     ]
     if args.jobs > 1:
+        # imported here: concurrent.futures costs start-up time on every command
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(lambda t: verify(t[0], t[1], cfg, args.tol), tasks))
     else:
@@ -233,7 +236,7 @@ def cmd_transform(args: argparse.Namespace, settings: Settings) -> int:
         return EXIT_OK if dev <= VALUE_ONLY_TOLERANCE else EXIT_CHECK_FAILED
     motzkin_id, mode = pairing
     dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, args.check_points)
-    limit = POINTWISE_TOLERANCE if mode is ComparisonMode.POINTWISE else VALUE_ONLY_TOLERANCE
+    limit = mode.tolerance
     what = (
         f"max deviation over {args.check_points} interior points"
         if mode is ComparisonMode.POINTWISE
@@ -246,13 +249,9 @@ def cmd_transform(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def cmd_lemma1(args: argparse.Namespace, settings: Settings) -> int:
-    if args.r < 0 or args.s < 0:
-        raise ValueError("r and s must be nonnegative")
-    if not args.a > 0.0:
-        raise ValueError("a must be positive")
     left, right = lemma1_sides(args.r, args.s, args.a)
     sign = 1 if args.r % 2 == 0 else -1
-    ok = check_lemma1(args.r, args.s, args.a, args.tol)
+    ok = _lemma1_holds(args.r, left, right, args.tol)
     print(f"int over (0, a/2)   : {left!r}")
     print(f"int over (a/2, a)   : {right!r}")
     print(f"sign factor (-1)^r  : {sign:+d}")
@@ -290,7 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"catmot {args.command}: error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:
         print(f"catmot {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
@@ -43,17 +43,14 @@ class QuadConfig:
     rule_override: Optional[str] = None
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be nonnegative and finite")
         if self.max_levels < 3:
             raise ValueError("max_levels must be at least 3")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-
-    def with_overrides(self, **kwargs) -> "QuadConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -104,48 +101,20 @@ def chebyshev_sum_second(h: Callable[[float], float], n_nodes: int) -> float:
     return total / (n_nodes + 1)
 
 
-def gauss_chebyshev_first(h: Callable[[float], float], n_nodes: int) -> QuadratureResult:
-    """N-point rule for integral of h(x)/sqrt(1-x^2) over (-1, 1)."""
-    value = math.pi * chebyshev_sum_first(h, n_nodes)
-    return QuadratureResult(
-        value=value,
-        error_estimate=4.0 * _EPS * abs(value),
-        evaluations=n_nodes,
-        rule=f"gauss-chebyshev-1[N={n_nodes}]",
-        converged=True,
-    )
-
-
-def gauss_chebyshev_second(h: Callable[[float], float], n_nodes: int) -> QuadratureResult:
-    """N-point rule for integral of h(x)*sqrt(1-x^2) over (-1, 1)."""
-    value = math.pi * chebyshev_sum_second(h, n_nodes)
-    return QuadratureResult(
-        value=value,
-        error_estimate=4.0 * _EPS * abs(value),
-        evaluations=n_nodes,
-        rule=f"gauss-chebyshev-2[N={n_nodes}]",
-        converged=True,
-    )
-
-
 # ---------------------------------------------------------------------------
-# tanh-sinh (double exponential) on a finite interval
+# double-exponential rules: tanh-sinh on (a, b), exp-sinh on (0, +inf)
 # ---------------------------------------------------------------------------
 #
-# Substituting x = mid + halfwidth*tanh((pi/2) sinh t) turns the integral
-# into a trapezoid sum over t whose terms decay double-exponentially.  Node
-# positions are stored as distances d = 1 - tanh((pi/2) sinh t) from the
-# interval ends, computed without cancellation, so endpoint neighborhoods
-# are resolved down to the last representable point and the integrand is
-# never evaluated exactly at a or b.
-
-_TS_TMAX = 6.2  # beyond this, d underflows for float64
-
-# level -> tuple of (d, w) for t > 0; level 0 holds t = 1, 2, ...,
-# level L >= 1 holds odd multiples of 2**-L
-_TS_TABLES: dict[int, tuple[tuple[float, float], ...]] = {}
-
-_TS_CENTER_WEIGHT = _HALF_PI  # at t = 0: x = mid, dx/dt = halfwidth * pi/2
+# Both substitute x = phi(t) with a map whose derivative decays
+# double-exponentially, which turns the integral into a trapezoid sum over
+# t.  Each refinement level halves the spacing in t; one driver runs the
+# level loop for both maps, fed by a per-node sampler.
+#
+# tanh-sinh uses x = mid + halfwidth*tanh((pi/2) sinh t).  Node positions
+# are stored as distances d = 1 - tanh((pi/2) sinh t) from the interval
+# ends, computed without cancellation, so endpoint neighborhoods are
+# resolved down to the last representable point and the integrand is never
+# evaluated exactly at a or b.  exp-sinh uses x = exp((pi/2) sinh t).
 
 
 def _ts_node(t: float) -> tuple[float, float]:
@@ -158,21 +127,92 @@ def _ts_node(t: float) -> tuple[float, float]:
     return d, w
 
 
-def _ts_table(level: int) -> tuple[tuple[float, float], ...]:
-    table = _TS_TABLES.get(level)
+def _es_node(t: float) -> tuple[float, float, float, float]:
+    u = _HALF_PI * math.sinh(t)
+    ch = _HALF_PI * math.cosh(t)
+    x_plus = math.exp(u)
+    x_minus = math.exp(-u)
+    return x_plus, ch * x_plus, x_minus, ch * x_minus
+
+
+# rule name -> (t beyond which the nodes are unusable in float64, node map):
+# the tanh-sinh distance d underflows after 6.2, exp((pi/2) sinh t)
+# overflows shortly after 6.8
+_DE_MAPS = {
+    "tanh-sinh": (6.2, _ts_node),
+    "exp-sinh": (6.8, _es_node),
+}
+
+# (rule name, level) -> node tuples for t > 0; level 0 holds t = 1, 2, ...,
+# level L >= 1 holds odd multiples of 2**-L
+_DE_TABLES: dict[tuple[str, int], tuple[tuple[float, ...], ...]] = {}
+
+
+def _de_table(kind: str, level: int) -> tuple[tuple[float, ...], ...]:
+    table = _DE_TABLES.get((kind, level))
     if table is None:
+        t_max, node = _DE_MAPS[kind]
         if level == 0:
-            ts = [float(k) for k in range(1, int(_TS_TMAX) + 1)]
+            ts = [float(k) for k in range(1, int(t_max) + 1)]
         else:
             h = 2.0 ** (-level)
             ts = []
             t = h
-            while t < _TS_TMAX:
+            while t < t_max:
                 ts.append(t)
                 t += 2.0 * h
-        table = tuple(_ts_node(t) for t in ts)
-        _TS_TABLES[level] = table
+        table = tuple(node(t) for t in ts)
+        _DE_TABLES[(kind, level)] = table
     return table
+
+
+def _de_levels(
+    kind: str,
+    center: float,
+    scale: float,
+    term: Callable[..., Optional[tuple[float, float]]],
+    cfg: QuadConfig,
+) -> tuple[float, float, int, bool]:
+    """Level-doubling trapezoid sums over the ``kind`` node tables.
+
+    ``center`` is the weighted t = 0 term, ``scale`` the Jacobian factor
+    kept out of the sum, and ``term(*node)`` returns the weighted
+    ``(hi, lo)`` pair of one node, or None past the last usable node.
+    Returns (value, error estimate, last level, converged).
+    """
+    raw = center  # running trapezoid sum, spacing folded in later
+    comp = 0.0  # Kahan compensation keeps the refinement plateau at a few ulps
+    prev_weighted = None
+    weighted = raw  # h = 1 at level 0
+    level = 0
+    err = math.inf
+    for level in range(cfg.max_levels + 1):
+        spacing = 2.0 ** (-level)
+        quiet = 0
+        for node in _de_table(kind, level):
+            pair = term(*node)
+            if pair is None:
+                break
+            hi, lo = pair
+            y = (hi + lo) - comp
+            t = raw + y
+            comp = (t - raw) - y
+            raw = t
+            # tail cutoff: terms decay double-exponentially once negligible
+            if max(abs(hi), abs(lo)) <= 0.25 * _EPS * abs(raw):
+                quiet += 1
+                if quiet >= 2:
+                    break
+            else:
+                quiet = 0
+        weighted = spacing * raw
+        if prev_weighted is not None:
+            err = abs(weighted - prev_weighted) * scale
+            # two refinements minimum guards against accidental level-0/1 agreement
+            if level >= 2 and err <= _tolerance(cfg, weighted * scale):
+                return scale * weighted, err, level, True
+        prev_weighted = weighted
+    return scale * weighted, err, level, False
 
 
 def tanh_sinh(
@@ -197,112 +237,45 @@ def tanh_sinh(
     """
     if not (a < b) or math.isinf(a) or math.isinf(b):
         raise ValueError("tanh_sinh requires finite a < b")
-    mid = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
     width = b - a
-    evals = 0
-
-    def sample(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return h(x)
-
-    def sample_sing(da: float, db: float) -> float:
-        nonlocal evals
-        evals += 1
-        return singular(da, db)
+    evals = 1  # the center node
 
     if singular is None:
-        raw = _TS_CENTER_WEIGHT * sample(mid)  # running trapezoid sum, spacing folded in later
-    else:
-        raw = _TS_CENTER_WEIGHT * sample_sing(halfwidth, halfwidth)
-    comp = 0.0  # Kahan compensation keeps the refinement plateau at a few ulps
-    prev_weighted = None
-    weighted = raw  # h = 1 at level 0
-    level = 0
-    err = math.inf
-    for level in range(cfg.max_levels + 1):
-        spacing = 2.0 ** (-level)
-        quiet = 0
-        for d, w in _ts_table(level):
+        center = h(0.5 * (a + b))
+
+        def term(d: float, w: float) -> Optional[tuple[float, float]]:
+            nonlocal evals
             near = halfwidth * d
             if near == 0.0 or w == 0.0:
-                break
+                return None
+            x_hi = b - near
+            x_lo = a + near
+            hi = lo = 0.0
+            if x_hi != b:
+                evals += 1
+                hi = w * h(x_hi)
+            if x_lo != a:
+                evals += 1
+                lo = w * h(x_lo)
+            return hi, lo
+    else:
+        center = singular(halfwidth, halfwidth)
+
+        def term(d: float, w: float) -> Optional[tuple[float, float]]:
+            nonlocal evals
+            near = halfwidth * d
+            if near == 0.0 or w == 0.0:
+                return None
             far = width - near
-            if singular is not None:
-                hi = w * sample_sing(far, near)
-                lo = w * sample_sing(near, far)
-            else:
-                x_hi = b - near
-                x_lo = a + near
-                hi = w * sample(x_hi) if x_hi != b else 0.0
-                lo = w * sample(x_lo) if x_lo != a else 0.0
-            y = (hi + lo) - comp
-            t = raw + y
-            comp = (t - raw) - y
-            raw = t
-            # tail cutoff: terms decay double-exponentially once negligible
-            if max(abs(hi), abs(lo)) <= 0.25 * _EPS * abs(raw):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-        weighted = spacing * raw
-        if prev_weighted is not None:
-            err = abs(weighted - prev_weighted) * halfwidth
-            # two refinements minimum guards against accidental level-0/1 agreement
-            if level >= 2 and err <= _tolerance(cfg, weighted * halfwidth):
-                return QuadratureResult(
-                    value=halfwidth * weighted,
-                    error_estimate=err,
-                    evaluations=evals,
-                    rule=f"tanh-sinh[level={level}]",
-                    converged=True,
-                )
-        prev_weighted = weighted
-    return QuadratureResult(
-        value=halfwidth * weighted,
-        error_estimate=err,
-        evaluations=evals,
-        rule=f"tanh-sinh[level={level}]",
-        converged=False,
+            evals += 2
+            return w * singular(far, near), w * singular(near, far)
+
+    # at t = 0: x = mid, dx/dt = halfwidth * pi/2
+    value, err, level, converged = _de_levels(
+        "tanh-sinh", _HALF_PI * center, halfwidth, term, cfg
     )
-
-
-# ---------------------------------------------------------------------------
-# exp-sinh (double exponential) on (0, +inf)
-# ---------------------------------------------------------------------------
-
-_ES_TMAX = 6.8  # exp((pi/2) sinh t) overflows shortly after
-
-# level -> tuple of (x_plus, w_plus, x_minus, w_minus) for t > 0
-_ES_TABLES: dict[int, tuple[tuple[float, float, float, float], ...]] = {}
-
-
-def _es_node(t: float) -> tuple[float, float, float, float]:
-    u = _HALF_PI * math.sinh(t)
-    ch = _HALF_PI * math.cosh(t)
-    x_plus = math.exp(u)
-    x_minus = math.exp(-u)
-    return x_plus, ch * x_plus, x_minus, ch * x_minus
-
-
-def _es_table(level: int) -> tuple[tuple[float, float, float, float], ...]:
-    table = _ES_TABLES.get(level)
-    if table is None:
-        if level == 0:
-            ts = [float(k) for k in range(1, int(_ES_TMAX) + 1)]
-        else:
-            h = 2.0 ** (-level)
-            ts = []
-            t = h
-            while t < _ES_TMAX:
-                ts.append(t)
-                t += 2.0 * h
-        table = tuple(_es_node(t) for t in ts)
-        _ES_TABLES[level] = table
-    return table
+    return QuadratureResult(value, err, evals, f"tanh-sinh[level={level}]", converged)
 
 
 def integrate_semi_infinite(
@@ -315,54 +288,22 @@ def integrate_semi_infinite(
     integrable origin.  Same level-doubling convergence contract as
     :func:`tanh_sinh`.
     """
-    evals = 0
+    evals = 1  # the center node
 
-    def sample(x: float) -> float:
+    def term(x_plus: float, w_plus: float, x_minus: float, w_minus: float) -> tuple[float, float]:
         nonlocal evals
-        evals += 1
-        return h(x)
+        hi = lo = 0.0
+        if math.isfinite(x_plus) and math.isfinite(w_plus):
+            evals += 1
+            hi = w_plus * h(x_plus)
+        if x_minus > 0.0:
+            evals += 1
+            lo = w_minus * h(x_minus)
+        return hi, lo
 
-    raw = _HALF_PI * sample(1.0)  # t = 0 node: x = 1, weight pi/2
-    comp = 0.0
-    prev_weighted = None
-    weighted = raw
-    level = 0
-    err = math.inf
-    for level in range(cfg.max_levels + 1):
-        spacing = 2.0 ** (-level)
-        quiet = 0
-        for x_plus, w_plus, x_minus, w_minus in _es_table(level):
-            hi = w_plus * sample(x_plus) if math.isfinite(x_plus) and math.isfinite(w_plus) else 0.0
-            lo = w_minus * sample(x_minus) if x_minus > 0.0 else 0.0
-            y = (hi + lo) - comp
-            t = raw + y
-            comp = (t - raw) - y
-            raw = t
-            if max(abs(hi), abs(lo)) <= 0.25 * _EPS * abs(raw):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-        weighted = spacing * raw
-        if prev_weighted is not None:
-            err = abs(weighted - prev_weighted)
-            if level >= 2 and err <= _tolerance(cfg, weighted):
-                return QuadratureResult(
-                    value=weighted,
-                    error_estimate=err,
-                    evaluations=evals,
-                    rule=f"exp-sinh[level={level}]",
-                    converged=True,
-                )
-        prev_weighted = weighted
-    return QuadratureResult(
-        value=weighted,
-        error_estimate=err,
-        evaluations=evals,
-        rule=f"exp-sinh[level={level}]",
-        converged=False,
-    )
+    # t = 0 node: x = 1, weight pi/2
+    value, err, level, converged = _de_levels("exp-sinh", _HALF_PI * h(1.0), 1.0, term, cfg)
+    return QuadratureResult(value, err, evals, f"exp-sinh[level={level}]", converged)
 
 
 # ---------------------------------------------------------------------------

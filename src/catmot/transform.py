@@ -53,16 +53,16 @@ class CatalanForm:
     means the plain form (simple transform), True means the form carries a
     1/(n+1) prefactor (phi transform).
 
-    ``point_from_distances`` / ``g_distance`` optionally evaluate x and g
-    from full-precision endpoint distances, for weights that blow up at an
-    endpoint (same mechanism as the catalog's distance integrands).
+    ``g_distance`` optionally evaluates g from full-precision endpoint
+    distances, for weights that blow up at an endpoint (same mechanism as
+    the catalog's distance integrands); f is then evaluated at the point
+    measured from the nearer endpoint.
     """
 
     f: Callable[[float], float]
     g: Callable[[float], float]
     domain: tuple[float, float]
     has_inverse_n_plus_1: bool
-    point_from_distances: Optional[Callable[[float, float], float]] = None
     g_distance: Optional[Callable[[float, float], float]] = None
 
     @property
@@ -74,33 +74,29 @@ class ComparisonMode(Enum):
     POINTWISE = "pointwise"
     VALUE_ONLY = "value-only"
 
+    @property
+    def tolerance(self) -> float:
+        """Largest relative deviation that counts as agreement."""
+        if self is ComparisonMode.POINTWISE:
+            return POINTWISE_TOLERANCE
+        return VALUE_ONLY_TOLERANCE
 
-def transform_simple(form: CatalanForm) -> MotzkinIntegrand:
-    """Motzkin integrand (1/2)((1+f)^n + (1-f)^n) g for a plain form."""
-    if form.has_inverse_n_plus_1:
-        raise ValueError("form carries 1/(n+1); use transform_phi")
+
+def _kernel(form: CatalanForm) -> Callable[[int, float], float]:
+    """The transform kernel of the form's flavor, as a function of (n, f^2)."""
+    return phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
+
+
+def motzkin_integrand(form: CatalanForm) -> MotzkinIntegrand:
+    """Motzkin integrand of a form: (1/2)((1+f)^n + (1-f)^n) g for a plain
+    form, (phi_{n+2} - phi_{n+1})/f^2 * g for a form with 1/(n+1)."""
+    kernel = _kernel(form)
 
     def integrand(n: int, x: float) -> float:
         fx = form.f(x)
-        return half_power_sum(n, fx * fx) * form.g(x)
+        return kernel(n, fx * fx) * form.g(x)
 
     return integrand
-
-
-def transform_phi(form: CatalanForm) -> MotzkinIntegrand:
-    """Motzkin integrand (phi_{n+2} - phi_{n+1})/f^2 * g for a 1/(n+1) form."""
-    if not form.has_inverse_n_plus_1:
-        raise ValueError("form lacks the 1/(n+1) prefactor; use transform_simple")
-
-    def integrand(n: int, x: float) -> float:
-        fx = form.f(x)
-        return phi_diff_over_square(n, fx * fx) * form.g(x)
-
-    return integrand
-
-
-def _make_transform(form: CatalanForm) -> MotzkinIntegrand:
-    return transform_phi(form) if form.has_inverse_n_plus_1 else transform_simple(form)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,6 @@ FORMS: dict[str, CatalanForm] = {
         g=lambda x: 1.0 / (_PI * math.sqrt((1.0 - x) * (1.0 + x))),
         domain=(-1.0, 1.0),
         has_inverse_n_plus_1=True,
-        point_from_distances=lambda da, db: da - 1.0 if da <= db else 1.0 - db,
         g_distance=_sqrt_prod_weight(1.0 / _PI),
     ),
     # C(n) = 1/(n+1) int (2 cos x)^(2n) / pi dx on (0, pi)
@@ -137,7 +132,6 @@ FORMS: dict[str, CatalanForm] = {
         g=lambda x: 1.0 / (_PI * math.sqrt(x * (1.0 - x))),
         domain=(0.0, 1.0),
         has_inverse_n_plus_1=True,
-        point_from_distances=lambda da, db: da,
         g_distance=_sqrt_prod_weight(1.0 / _PI),
     ),
     # C(n) = int (sqrt(x))^(2n) * sqrt((4-x)/x)/(2 pi) dx on (0, 4)
@@ -146,7 +140,6 @@ FORMS: dict[str, CatalanForm] = {
         g=lambda x: math.sqrt(4.0 - x) / math.sqrt(x) / (2.0 * _PI),
         domain=(0.0, 4.0),
         has_inverse_n_plus_1=False,
-        point_from_distances=lambda da, db: da,
         g_distance=lambda da, db: math.sqrt(db) / math.sqrt(da) / (2.0 * _PI),
     ),
     # C(n) = int (2/sqrt(1+x^2))^(2n) * 4x^2/(pi (1+x^2)^2) dx on (0, inf)
@@ -220,17 +213,15 @@ def integrate_transform(catalan_id: str, n: int, cfg: QuadConfig = _TIGHT) -> fl
     """Integral of the transformed Motzkin integrand over the form's domain
     (should equal the exact Motzkin number)."""
     form = get_form(catalan_id)
-    integrand = _make_transform(form)
+    integrand = motzkin_integrand(form)
     if form.semi_infinite:
         return integrate_semi_infinite(lambda x: integrand(n, x), cfg).value
     lo, hi = form.domain
     if form.g_distance is not None:
-        kernel = (
-            phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
-        )
+        kernel = _kernel(form)
 
         def singular(da: float, db: float) -> float:
-            fx = form.f(form.point_from_distances(da, db))
+            fx = form.f(lo + da if da <= db else hi - db)
             return kernel(n, fx * fx) * form.g_distance(da, db)
 
         return tanh_sinh(None, lo, hi, cfg, singular=singular).value
@@ -257,7 +248,7 @@ def transform_deviation(
     or between integral values (value-only mode)."""
     form = get_form(catalan_id)
     rep = get_representation(motzkin_id)
-    integrand = _make_transform(form)
+    integrand = motzkin_integrand(form)
     if mode is ComparisonMode.POINTWISE:
         if check_points < 1:
             raise ValueError("need at least one sample point")
@@ -284,11 +275,7 @@ def check_transform_consistency(
 ) -> bool:
     """True when the generated integrand agrees with the catalog entry at
     the mode's tolerance (1e-12 pointwise, 1e-10 value-only)."""
-    dev = transform_deviation(catalan_id, motzkin_id, mode, n, check_points)
-    limit = (
-        POINTWISE_TOLERANCE if mode is ComparisonMode.POINTWISE else VALUE_ONLY_TOLERANCE
-    )
-    return dev <= limit
+    return transform_deviation(catalan_id, motzkin_id, mode, n, check_points) <= mode.tolerance
 
 
 def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:
@@ -300,13 +287,14 @@ def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:
     checked numerically, relative to the larger side (absolute when both
     sides are below tol).
     """
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative integers")
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    left, right = lemma1_sides(r, s, a)
+    return _lemma1_holds(r, left, right, tol)
+
+
+def _lemma1_holds(r: int, left: float, right: float, tol: float) -> bool:
+    """The comparison of :func:`check_lemma1` on precomputed sides."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    left, right = lemma1_sides(r, s, a)
     mirrored = right if r % 2 == 0 else -right
     scale = max(abs(left), abs(mirrored))
     if scale < tol:
@@ -316,6 +304,10 @@ def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:
 
 def lemma1_sides(r: int, s: int, a: float) -> tuple[float, float]:
     """The two half-range integrals of cos^r(pi x/a) sin^s(pi x/a)."""
+    if r < 0 or s < 0:
+        raise ValueError("r and s must be nonnegative integers")
+    if not a > 0.0:
+        raise ValueError("a must be positive")
 
     def integrand(x: float) -> float:
         theta = _PI * x / a
@@ -341,7 +333,6 @@ __all__ = [
     "integrate_transform",
     "lemma1_sides",
     "psi_difference",
+    "motzkin_integrand",
     "transform_deviation",
-    "transform_phi",
-    "transform_simple",
 ]

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from catmot.catalog import (
     Family,
+    Representation,
     Singularity,
     default_tolerance,
     evaluate_integrand,
@@ -122,23 +124,20 @@ def test_eq4_eq5_estimates_agree():
 def test_symmetrized_forms_match_two_term_average():
     # the one-sided integrands of mot.12e / mot.12f integrate to the same
     # value as the two-term average (1/2)((1+f)^n + (1-f)^n) g
-    from catmot.quadrature import gauss_chebyshev_second
+    from catmot.quadrature import chebyshev_sum_second
+
+    def integral(h, n_nodes):
+        return math.pi * chebyshev_sum_second(h, n_nodes)
 
     for n in (0, 1, 5, 10, 17):
-        one_sided = gauss_chebyshev_second(
-            lambda t: (1.0 + 2.0 * t) ** n, n + 2
-        ).value
-        averaged = gauss_chebyshev_second(
+        one_sided = integral(lambda t: (1.0 + 2.0 * t) ** n, n + 2)
+        averaged = integral(
             lambda t: 0.5 * ((1.0 + 2.0 * t) ** n + (1.0 - 2.0 * t) ** n), n + 2
-        ).value
+        )
         assert abs(one_sided - averaged) / abs(one_sided) <= 1e-12
 
-        one_sided = gauss_chebyshev_second(
-            lambda t: (1.0 + t) ** n, n + 2
-        ).value
-        averaged = gauss_chebyshev_second(
-            lambda t: 0.5 * ((1.0 + t) ** n + (1.0 - t) ** n), n + 2
-        ).value
+        one_sided = integral(lambda t: (1.0 + t) ** n, n + 2)
+        averaged = integral(lambda t: 0.5 * ((1.0 + t) ** n + (1.0 - t) ** n), n + 2)
         assert abs(one_sided - averaged) / abs(one_sided) <= 1e-12
 
 
@@ -223,3 +222,44 @@ def test_prefactors_well_defined():
             rational, pi_power = rep.prefactor(n)
             assert rational.denominator >= 1 and rational > 0
             assert pi_power in (0, -1)
+
+
+def test_sweep_evaluation_totals_per_rule():
+    # integrand evaluations of the default sweep (every entry, n <= 30), per
+    # rule; a change to any engine's node order or stopping rule moves these
+    totals: dict[str, int] = {}
+    for rep in list_representations():
+        for n in range(rep.n_min, 31):
+            row = verify(rep, n)
+            rule = row.rule.split("[", 1)[0]
+            totals[rule] = totals.get(rule, 0) + row.evaluations
+    assert totals == {
+        "gauss-kronrod": 31_860,
+        "tanh-sinh": 23_605,
+        "exp-sinh": 7_006,
+        "gauss-chebyshev-2": 1_534,
+        "gauss-chebyshev-1": 1_023,
+    }
+    assert sum(totals.values()) == 65_028
+
+
+def test_representation_takes_exactly_one_integrand_form():
+    base = dict(
+        id="test.entry",
+        family=Family.CATALAN,
+        n_min=0,
+        prefactor=lambda n: (Fraction(1), 0),
+        domain=(0.0, 1.0),
+        singularities=frozenset({Singularity.SMOOTH}),
+        statement="",
+    )
+    with pytest.raises(ValueError):
+        Representation(**base)
+    with pytest.raises(ValueError):
+        Representation(
+            **base,
+            integrand=lambda n, x: x,
+            distance_integrand=lambda n, da, db: da,
+        )
+    rep = Representation(**base, distance_integrand=lambda n, da, db: da * 10.0 + db)
+    assert rep.integrand(0, 0.25) == 0.25 * 10.0 + 0.75

@@ -141,6 +141,38 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--abs-tol", "nan")])
+def test_verify_non_finite_tolerance_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "inf")
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
+    assert code == 2
+    assert out == ""
+    assert "rel_tol" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exits_2(capsys, jobs):
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_verify_float_overflow_exits_2(capsys):
+    # the prefactor 4^600/601 does not fit a float
+    code, out, err = run(capsys, "verify", "cat.eq4", "--n-range", "600..600", "--n-max", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("catmot verify: error:")
+
+
 # -- transform -------------------------------------------------------------------
 
 def test_transform_simple_pairing(capsys):
@@ -190,6 +222,19 @@ def test_lemma1_odd_instance(capsys):
 def test_lemma1_invalid_a_exits_2(capsys):
     code, _, err = run(capsys, "lemma1", "0", "0", "--a", "-1.0")
     assert code == 2
+
+
+def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
+    import catmot.transform
+
+    calls = []
+    gk = catmot.transform.adaptive_gk
+    monkeypatch.setattr(
+        catmot.transform, "adaptive_gk", lambda *a: calls.append(a[1:3]) or gk(*a)
+    )
+    code, out, _ = run(capsys, "lemma1", "2", "1")
+    assert code == 0 and "OK" in out
+    assert calls == [(0.0, 0.5), (0.5, 1.0)]
 
 
 # -- report serialization ---------------------------------------------------------

@@ -13,9 +13,8 @@ from catmot.transform import (
     get_form,
     integrate_transform,
     lemma1_sides,
+    motzkin_integrand,
     transform_deviation,
-    transform_phi,
-    transform_simple,
 )
 
 _PI = math.pi
@@ -52,7 +51,7 @@ def test_forms_match_their_source_representations():
 
 def test_transform_simple_trivial_order():
     form = FORMS["cat.eq9"]
-    integrand = transform_simple(form)
+    integrand = motzkin_integrand(form)
     for x in (-0.6, 0.0, 0.4):
         assert integrand(0, x) == form.g(x)
 
@@ -60,7 +59,7 @@ def test_transform_simple_trivial_order():
 def test_transform_simple_hand_value():
     # f = 2x, g = (2/pi) sqrt(1-x^2), n = 1, x = 0.5:
     # (1/2)((1+1)^1 + 0^1) g = g = (2/pi) sqrt(0.75)
-    integrand = transform_simple(FORMS["cat.eq9"])
+    integrand = motzkin_integrand(FORMS["cat.eq9"])
     expected = 2.0 / _PI * math.sqrt(0.75)
     assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
 
@@ -68,7 +67,7 @@ def test_transform_simple_hand_value():
 def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
         form = FORMS[cid]
-        integrand = transform_phi(form)
+        integrand = motzkin_integrand(form)
         for x in (0.3, 0.62):
             assert integrand(0, x) == pytest.approx(form.g(x), rel=1e-15)
 
@@ -76,7 +75,7 @@ def test_transform_phi_trivial_order():
 def test_transform_phi_hand_value():
     # f = 2x, g = 1/(pi sqrt(1-x^2)), n = 1, x = 0.5: phi_3(1) - phi_2(1) = 1,
     # divided by f^2 = 1, so the integrand equals g = 1/(pi sqrt(0.75))
-    integrand = transform_phi(FORMS["cat.eq2"])
+    integrand = motzkin_integrand(FORMS["cat.eq2"])
     expected = 1.0 / (_PI * math.sqrt(0.75))
     assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
 
@@ -85,21 +84,14 @@ def test_transform_phi_value_at_interior_zero_of_f():
     # the difference polynomial in f^2 has leading coefficient 1, so the
     # integrand equals g exactly where f vanishes
     form = FORMS["cat.eq2"]  # f = 2x vanishes at x = 0
-    integrand = transform_phi(form)
+    integrand = motzkin_integrand(form)
     for n in (1, 6, 19):
         assert integrand(n, 0.0) == form.g(0.0)
     form = FORMS["cat.eq3"]  # f = 2 cos x vanishes at x = pi/2
-    integrand = transform_phi(form)
+    integrand = motzkin_integrand(form)
     x0 = _PI / 2.0
     for n in (2, 11):
         assert integrand(n, x0) == pytest.approx(form.g(x0), rel=1e-15)
-
-
-def test_flavor_preconditions():
-    with pytest.raises(ValueError):
-        transform_phi(FORMS["cat.eq6"])
-    with pytest.raises(ValueError):
-        transform_simple(FORMS["cat.eq2"])
 
 
 def test_unknown_ids_raise_lookup_errors():
