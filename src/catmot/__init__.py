@@ -10,12 +10,11 @@ from .catalog import (
     Representation,
     Singularity,
     VerificationRow,
-    evaluate_integrand,
     get_representation,
     list_representations,
     verify,
 )
-from .exact import ExactInteger, binomial, catalan, motzkin, motzkin_oracle
+from .exact import catalan, motzkin, motzkin_oracle
 from .quadrature import (
     QuadConfig,
     QuadratureResult,
@@ -36,7 +35,6 @@ from .transform import (
 __all__ = [
     "CatalanForm",
     "ComparisonMode",
-    "ExactInteger",
     "Family",
     "PhiEvaluator",
     "QuadConfig",
@@ -46,11 +44,9 @@ __all__ = [
     "VerificationRow",
     "__version__",
     "adaptive_gk",
-    "binomial",
     "catalan",
     "check_lemma1",
     "check_transform_consistency",
-    "evaluate_integrand",
     "get_representation",
     "integrate_semi_infinite",
     "list_representations",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .exact import ExactInteger, catalan, motzkin
+from .exact import catalan, motzkin
 from .polys import horner, phi_diff_coeffs, psi_difference_over_square
 from .quadrature import (
     _EPS,
@@ -107,7 +107,7 @@ class Representation:
             value *= _PI ** pi_power
         return value
 
-    def exact_value(self, n: int) -> ExactInteger:
+    def exact_value(self, n: int) -> int:
         return catalan(n) if self.family is Family.CATALAN else motzkin(n)
 
     @property
@@ -123,7 +123,7 @@ class Representation:
 class VerificationRow:
     rep_id: str
     n: int
-    exact: ExactInteger
+    exact: int
     estimate: float
     rel_err: float
     evaluations: int
@@ -480,16 +480,6 @@ def get_representation(rep_id: str) -> Representation:
         raise KeyError(
             f"unknown representation {rep_id!r}; valid ids: {', '.join(_BY_ID)}"
         ) from None
-
-
-def evaluate_integrand(rep: Representation, n: int, x: float) -> float:
-    """Integrand value at a point strictly inside the domain, n >= n_min."""
-    if n < rep.n_min:
-        raise ValueError(f"{rep.id} requires n >= {rep.n_min}, got {n}")
-    lo, hi = rep.domain
-    if not (lo < x < hi):
-        raise ValueError(f"x={x} is not strictly inside the domain ({lo}, {hi})")
-    return rep.integrand(n, x)
 
 
 # ---------------------------------------------------------------------------

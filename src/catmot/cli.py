@@ -48,15 +48,6 @@ EXIT_USAGE = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    cfg_group = common.add_argument_group("configuration")
-    cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
-    cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
-    cfg_group.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
-    cfg_group.add_argument("--abs-tol", type=float, dest="abs_tol", help="quadrature absolute floor")
-    cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh/exp-sinh level cap")
-    cfg_group.add_argument("--max-subdivisions", type=int, dest="max_subdivisions", help="adaptive subdivision cap")
-
     parser = argparse.ArgumentParser(
         prog="catmot",
         description="Catalan/Motzkin integral representation verifier",
@@ -64,11 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"catmot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", parents=[common], help="show the catalog")
+    p_list = sub.add_parser("list", help="show the catalog")
     p_list.add_argument("--family", choices=["catalan", "motzkin"])
     p_list.add_argument("--format", choices=["table", "json"], default="table")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify representations")
+    p_verify = sub.add_parser("verify", help="verify representations")
     p_verify.add_argument("selector", help="representation id or 'all'")
     p_verify.add_argument("--n-range", default=None, metavar="LO..HI",
                           help="inclusive n range (default 0..20)")
@@ -79,24 +70,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
+    cfg_group = p_verify.add_argument_group("configuration")
+    cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
+    cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
+    cfg_group.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
+    cfg_group.add_argument("--abs-tol", type=float, dest="abs_tol", help="quadrature absolute floor")
+    cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh/exp-sinh level cap")
+    cfg_group.add_argument("--max-subdivisions", type=int, dest="max_subdivisions", help="adaptive subdivision cap")
 
-    p_tr = sub.add_parser("transform", parents=[common],
-                          help="check a transform against its catalog pairing")
+    p_tr = sub.add_parser("transform", help="check a transform against its catalog pairing")
     p_tr.add_argument("catalan_id", help="registered Catalan form id, e.g. cat.eq5")
-    p_tr.add_argument("--mode", choices=["simple", "phi"], default=None,
-                      help="transform flavor (default: the form's own flavor)")
     p_tr.add_argument("--n", type=int, default=5)
     p_tr.add_argument("--check-points", type=int, default=64, dest="check_points")
 
-    p_lm = sub.add_parser("lemma1", parents=[common],
-                          help="check the half-range reflection identity")
+    p_lm = sub.add_parser("lemma1", help="check the half-range reflection identity")
     p_lm.add_argument("r", type=int)
     p_lm.add_argument("s", type=int)
     p_lm.add_argument("--a", type=float, default=1.0, help="period parameter (a > 0)")
     p_lm.add_argument("--tol", type=float, default=1e-10)
 
-    p_tab = sub.add_parser("table", parents=[common],
-                           help="print exact Catalan and Motzkin numbers")
+    p_tab = sub.add_parser("table", help="print exact Catalan and Motzkin numbers")
     p_tab.add_argument("n_max", type=int, nargs="?", default=20)
 
     return parser
@@ -104,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _settings_from_args(args: argparse.Namespace) -> Settings:
     flags = {
-        name: getattr(args, name, None)
+        name: getattr(args, name)
         for name in ("n_max", "rel_tol", "abs_tol", "max_levels", "max_subdivisions")
     }
-    return load_settings(config_path=getattr(args, "config", None), flag_overrides=flags)
+    return load_settings(config_path=args.config, flag_overrides=flags)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -128,7 +121,7 @@ def _domain_str(rep: Representation) -> str:
     return f"({format(lo, 'g')}, {hi_s})"
 
 
-def cmd_list(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     family = Family(args.family) if args.family else None
     reps = list_representations(family)
     if args.format == "json":
@@ -168,7 +161,8 @@ def _parse_n_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    settings = _settings_from_args(args)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     explicit_range = args.n_range is not None
@@ -213,14 +207,9 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def cmd_transform(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_transform(args: argparse.Namespace) -> int:
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    if args.mode is not None and args.mode != flavor:
-        raise ValueError(
-            f"{args.catalan_id} supports only the {flavor} transform"
-            + (" (it carries a 1/(n+1) prefactor)" if flavor == "phi" else "")
-        )
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     pairing = PAIRS.get(args.catalan_id)
@@ -248,7 +237,7 @@ def cmd_transform(args: argparse.Namespace, settings: Settings) -> int:
     return EXIT_OK if dev <= limit else EXIT_CHECK_FAILED
 
 
-def cmd_lemma1(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_lemma1(args: argparse.Namespace) -> int:
     left, right = lemma1_sides(args.r, args.s, args.a)
     sign = 1 if args.r % 2 == 0 else -1
     ok = _lemma1_holds(args.r, left, right, args.tol)
@@ -260,7 +249,7 @@ def cmd_lemma1(args: argparse.Namespace, settings: Settings) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_table(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise ValueError("n_max must be nonnegative")
     width = len(str(args.n_max))
@@ -283,8 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _settings_from_args(args)
-        return _COMMANDS[args.command](args, settings)
+        return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"catmot {args.command}: error: {message}", file=sys.stderr)

@@ -1,58 +1,37 @@
-"""Exact integer sequences: binomials, Catalan numbers, Motzkin numbers.
+"""Exact integer sequences: Catalan numbers and Motzkin numbers.
 
 Everything here is computed in arbitrary-precision integer arithmetic and
 serves as ground truth for the numerical verification of the integral
-representations in :mod:`catmot.catalog`.
+representations in :mod:`catmot.catalog`.  The functions keep no state.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-# Arbitrary-precision nonnegative integer count.  Python's int already is
-# one; the alias marks intent in signatures.
-ExactInteger = int
+import math
 
 
-def binomial(n: int, k: int) -> ExactInteger:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 for k > n.
-
-    Uses the multiplicative formula with an exact division at every step,
-    so intermediates never exceed the final value times (k+1).
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
-
-
-@lru_cache(maxsize=None)
-def catalan(n: int) -> ExactInteger:
+def catalan(n: int) -> int:
     """Catalan number C(2n, n) / (n + 1); the division is always exact."""
     if n < 0:
         raise ValueError("catalan requires a nonnegative argument")
-    central = binomial(2 * n, n)
-    quotient, remainder = divmod(central, n + 1)
+    quotient, remainder = divmod(math.comb(2 * n, n), n + 1)
     if remainder:
         raise ArithmeticError(f"(n+1) does not divide C(2n,n) at n={n}")
     return quotient
 
 
-@lru_cache(maxsize=None)
-def motzkin(n: int) -> ExactInteger:
-    """Motzkin number as the even-binomial sum over Catalan numbers:
-    sum over k of C(n, 2k) * catalan(k)."""
+def motzkin(n: int) -> int:
+    """Motzkin number via the three-term recurrence (OEIS A001006)
+    M(0) = M(1) = 1, (m+2) M(m) = (2m+1) M(m-1) + 3(m-1) M(m-2)."""
     if n < 0:
         raise ValueError("motzkin requires a nonnegative argument")
-    return sum(binomial(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
+    prev, cur = 1, 1
+    for m in range(2, n + 1):
+        prev, cur = cur, ((2 * m + 1) * cur + 3 * (m - 1) * prev) // (m + 2)
+    return cur
 
 
-def motzkin_oracle(n: int) -> ExactInteger:
+def motzkin_oracle(n: int) -> int:
     """Motzkin number via the integer convolution recurrence
     M(0) = 1, M(n+1) = M(n) + sum_{k<n} M(k) * M(n-1-k).
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-from .exact import binomial
+from math import comb
 
 
 def horner(coeffs: tuple[float, ...], s: float) -> float:
@@ -32,7 +31,7 @@ def horner(coeffs: tuple[float, ...], s: float) -> float:
 def even_binomial_coeffs(n: int) -> tuple[float, ...]:
     """Coefficients of (1/2)*((1+t)^n + (1-t)^n) as a polynomial in s = t^2:
     C(n, 0), C(n, 2), ..., C(n, 2*floor(n/2))."""
-    return tuple(float(binomial(n, 2 * j)) for j in range(n // 2 + 1))
+    return tuple(float(comb(n, 2 * j)) for j in range(n // 2 + 1))
 
 
 def half_power_sum(n: int, s: float) -> float:
@@ -53,7 +52,7 @@ class PhiEvaluator:
             raise ValueError("phi_m is defined for m >= 1")
         self.m = m
         self.coefficients: tuple[Fraction, ...] = tuple(
-            Fraction(2 * binomial(m, 2 * j), m) for j in range(1, m // 2 + 1)
+            Fraction(2 * comb(m, 2 * j), m) for j in range(1, m // 2 + 1)
         )
         self._float_coeffs = tuple(float(c) for c in self.coefficients)
 
@@ -73,8 +72,8 @@ def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     """
     top = (n + 2) // 2
     return tuple(
-        Fraction(2 * binomial(n + 2, 2 * j), n + 2)
-        - Fraction(2 * binomial(n + 1, 2 * j), n + 1)
+        Fraction(2 * comb(n + 2, 2 * j), n + 2)
+        - Fraction(2 * comb(n + 1, 2 * j), n + 1)
         for j in range(1, top + 1)
     )
 
@@ -104,7 +103,7 @@ def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     small x.
     """
     return tuple(
-        Fraction(binomial(n + 2, j), n + 2) - Fraction(binomial(n + 1, j), n + 1)
+        Fraction(comb(n + 2, j), n + 2) - Fraction(comb(n + 1, j), n + 1)
         for j in range(2, n + 3)
     )
 

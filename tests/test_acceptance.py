@@ -15,10 +15,11 @@ tests in test_polys.py (the stable path tracks the exact rational value to
 
 import math
 import time
+from math import comb as binomial
 
 from catmot.catalog import get_representation, verify
 from catmot.cli import main
-from catmot.exact import binomial, catalan, motzkin, motzkin_oracle
+from catmot.exact import catalan, motzkin, motzkin_oracle
 from catmot.polys import psi_difference
 from catmot.transform import PAIRS, check_lemma1, transform_deviation, ComparisonMode
 

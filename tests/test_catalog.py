@@ -8,7 +8,6 @@ from catmot.catalog import (
     Representation,
     Singularity,
     default_tolerance,
-    evaluate_integrand,
     get_representation,
     list_representations,
     verify,
@@ -65,23 +64,11 @@ def test_prefactors_are_exact_rationals():
 
 
 def test_integrand_point_values():
-    assert evaluate_integrand(get_representation("cat.eq10"), 0, 0.0) == 2.0
-    assert evaluate_integrand(get_representation("cat.eq7"), 1, 0.25) == pytest.approx(
-        2.0, rel=1e-15
-    )
-    assert evaluate_integrand(get_representation("mot.12f"), 2, 1.0) == pytest.approx(
+    assert get_representation("cat.eq10").integrand(0, 0.0) == 2.0
+    assert get_representation("cat.eq7").integrand(1, 0.25) == pytest.approx(2.0, rel=1e-15)
+    assert get_representation("mot.12f").integrand(2, 1.0) == pytest.approx(
         4.0 * math.sqrt(3.0), rel=1e-15
     )
-
-
-def test_integrand_precondition_errors():
-    rep = get_representation("cat.eq4")
-    with pytest.raises(ValueError):
-        evaluate_integrand(rep, 1, 0.0)  # endpoint
-    with pytest.raises(ValueError):
-        evaluate_integrand(rep, 1, 1.5)  # outside
-    with pytest.raises(ValueError):
-        evaluate_integrand(get_representation("cat.conc2"), 0, 0.5)  # n < n_min
 
 
 def test_verify_point_examples():

@@ -173,25 +173,34 @@ def test_verify_float_overflow_exits_2(capsys):
     assert err.startswith("catmot verify: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "3", "--n-max", "6"),
+    ("transform", "cat.eq5", "--rel-tol", "1e-3"),
+    ("lemma1", "2", "0", "--max-levels", "0"),
+    ("list", "--config", "catmot.cfg"),
+])
+def test_config_flags_only_on_verify(capsys, argv):
+    # only verify reads the layered config; elsewhere the flags are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- transform -------------------------------------------------------------------
 
 def test_transform_simple_pairing(capsys):
-    code, out, _ = run(capsys, "transform", "cat.eq5", "--mode", "simple", "--n", "8",
-                       "--check-points", "64")
+    code, out, _ = run(capsys, "transform", "cat.eq5", "--n", "8", "--check-points", "64")
     assert code == 0
+    assert "(simple transform)" in out
     assert "mot.12a" in out and "pointwise" in out
 
 
 def test_transform_phi_pairing(capsys):
-    code, out, _ = run(capsys, "transform", "cat.eq2", "--mode", "phi", "--n", "4")
+    code, out, _ = run(capsys, "transform", "cat.eq2", "--n", "4")
     assert code == 0
+    assert "(phi transform)" in out
     assert "mot.13b" in out and "value-only" in out
-
-
-def test_transform_flavor_mismatch_exits_2(capsys):
-    code, _, err = run(capsys, "transform", "cat.eq6", "--mode", "phi", "--n", "3")
-    assert code == 2
-    assert "simple" in err
 
 
 def test_transform_unpaired_form_checks_exact_value(capsys):

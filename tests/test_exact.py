@@ -1,44 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmot.exact import binomial, catalan, motzkin, motzkin_oracle
-
-
-def pascal_triangle(rows):
-    """Independent binomial oracle via the Pascal recurrence."""
-    tri = [[1]]
-    for n in range(1, rows + 1):
-        prev = tri[-1]
-        tri.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return tri
-
-
-def test_binomial_examples():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    assert binomial(30, 15) == 155117520
-
-
-def test_binomial_outside_range_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_matches_pascal_oracle():
-    tri = pascal_triangle(64)
-    for n in range(65):
-        for k in range(n + 1):
-            assert binomial(n, k) == tri[n][k]
-
-
-def test_pascal_identity_and_symmetry():
-    for n in range(1, 65):
-        for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-            assert binomial(n, k) == binomial(n, n - k)
+from catmot.exact import catalan, motzkin, motzkin_oracle
 
 
 def test_catalan_examples():
@@ -50,7 +16,7 @@ def test_catalan_examples():
 
 def test_catalan_divisibility():
     for n in range(65):
-        assert binomial(2 * n, n) % (n + 1) == 0
+        assert comb(2 * n, n) % (n + 1) == 0
 
 
 def test_motzkin_examples():
@@ -66,8 +32,17 @@ def test_motzkin_oracle_examples():
 
 
 def test_motzkin_sum_agrees_with_convolution_recurrence():
-    for n in range(65):
+    # motzkin(n) runs the three-term recurrence; check it against the
+    # even-binomial sum definition and against the convolution oracle
+    for n in range(301):
+        assert motzkin(n) == sum(comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
+    for n in range(121):
         assert motzkin(n) == motzkin_oracle(n)
+
+
+def test_catalan_ratio_identity():
+    for n in range(301):
+        assert (n + 2) * catalan(n + 1) == 2 * (2 * n + 1) * catalan(n)
 
 
 def test_float_conversion_is_exact_below_2_53():
@@ -94,8 +69,6 @@ def test_float_conversion_correctly_rounded_above_2_53():
 
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
         catalan(-1)
     with pytest.raises(ValueError):
         motzkin(-2)
@@ -103,21 +76,7 @@ def test_negative_arguments_rejected():
         motzkin_oracle(-1)
 
 
-@given(st.integers(0, 300), st.integers(0, 300))
-@settings(max_examples=200, deadline=None)
-def test_symmetry_property(n, k):
-    if k <= n:
-        assert binomial(n, k) == binomial(n, n - k)
-
-
-@given(st.integers(1, 300), st.integers(1, 300))
-@settings(max_examples=200, deadline=None)
-def test_pascal_property(n, k):
-    if k <= n:
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
 @given(st.integers(0, 200))
 @settings(max_examples=100, deadline=None)
 def test_divisibility_property(n):
-    assert binomial(2 * n, n) % (n + 1) == 0
+    assert comb(2 * n, n) % (n + 1) == 0

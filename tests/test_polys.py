@@ -1,8 +1,8 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from catmot.exact import binomial
 from catmot.polys import (
     PhiEvaluator,
     half_power_sum,
@@ -42,7 +42,7 @@ def test_phi_small_orders():
 def test_phi_coefficients_are_exact_rationals():
     phi = PhiEvaluator(7)
     assert phi.coefficients == tuple(
-        Fraction(2 * binomial(7, 2 * j), 7) for j in (1, 2, 3)
+        Fraction(2 * comb(7, 2 * j), 7) for j in (1, 2, 3)
     )
 
 
@@ -81,7 +81,7 @@ def test_psi_diff_linear_coefficient_dropped():
         assert coeffs[0] == Fraction(1, 2)
         assert all(c >= 0 for c in coeffs)
         # the dropped j = 1 coefficient really is zero
-        assert Fraction(binomial(n + 2, 1), n + 2) == Fraction(binomial(n + 1, 1), n + 1)
+        assert Fraction(comb(n + 2, 1), n + 2) == Fraction(comb(n + 1, 1), n + 1)
 
 
 def test_psi_difference_examples():

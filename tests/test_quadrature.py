@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from math import comb
 
 import pytest
 
-from catmot.exact import binomial, catalan, motzkin
+from catmot.exact import catalan, motzkin
 from catmot.quadrature import (
     QuadConfig,
     adaptive_gk,
@@ -40,7 +41,7 @@ def test_chebyshev_first_second_moment():
 
 def test_chebyshev_first_central_binomial_moment():
     # int x^20 / sqrt(1-x^2) = pi C(20,10) / 4^10
-    expected = math.pi * binomial(20, 10) / 4**10
+    expected = math.pi * comb(20, 10) / 4**10
     value = math.pi * chebyshev_sum_first(lambda x: x**20, 11)
     assert value == pytest.approx(expected, rel=1e-14)
 
