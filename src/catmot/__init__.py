@@ -15,6 +15,7 @@ from .catalog import (
     verify,
 )
 from .exact import catalan, motzkin, motzkin_oracle
+from .polys import psi_difference
 from .quadrature import (
     QuadConfig,
     QuadratureResult,
@@ -22,21 +23,12 @@ from .quadrature import (
     integrate_semi_infinite,
     tanh_sinh,
 )
-from .transform import (
-    CatalanForm,
-    ComparisonMode,
-    PhiEvaluator,
-    check_lemma1,
-    check_transform_consistency,
-    motzkin_integrand,
-    psi_difference,
-)
+from .transform import CatalanForm, ComparisonMode, check_lemma1, motzkin_integrand
 
 __all__ = [
     "CatalanForm",
     "ComparisonMode",
     "Family",
-    "PhiEvaluator",
     "QuadConfig",
     "QuadratureResult",
     "Representation",
@@ -46,7 +38,6 @@ __all__ = [
     "adaptive_gk",
     "catalan",
     "check_lemma1",
-    "check_transform_consistency",
     "get_representation",
     "integrate_semi_infinite",
     "list_representations",

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .exact import catalan, motzkin
-from .polys import horner, phi_diff_coeffs, psi_difference_over_square
+from .polys import phi_diff_over_square, psi_difference_over_square
 from .quadrature import (
     _EPS,
     QuadConfig,
@@ -136,13 +135,6 @@ class VerificationRow:
 # entry construction helpers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _weights_13a(n: int) -> tuple[float, ...]:
-    # (phi_{n+2} - phi_{n+1})(x) with f = 2 sqrt(x) is a polynomial in 4x;
-    # dividing by the leading x gives coefficients d_j * 4^j on x^(j-1)
-    return tuple(float(d * 4**j) for j, d in enumerate(phi_diff_coeffs(n), start=1))
-
-
 def _eq2_distance(n, da, db):
     s = da if da <= db else db
     return (1.0 - s) ** (2 * n) / math.sqrt(da * db)
@@ -227,7 +219,9 @@ def _12f_integrand(n, x):
 
 
 def _13a_distance(n, da, db):
-    return horner(_weights_13a(n), da) / math.sqrt(da * db)
+    # (phi_{n+2} - phi_{n+1})(2 sqrt(x)) / x == 4 * phi_diff_over_square(n, 4x);
+    # scaling by powers of two keeps every Horner step bitwise the same
+    return 4.0 * phi_diff_over_square(n, 4.0 * da) / math.sqrt(da * db)
 
 
 def _13b_distance(n, da, db):

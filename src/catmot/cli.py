@@ -29,11 +29,10 @@ from .catalog import (
     verify,
 )
 from .config import Settings, load_settings
-from .exact import catalan, motzkin
+from .exact import catalan, motzkin, motzkin_numbers
 from .report import Report
 from .transform import (
     PAIRS,
-    VALUE_ONLY_TOLERANCE,
     ComparisonMode,
     _lemma1_holds,
     get_form,
@@ -221,8 +220,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         print(f"paired entry : none; comparing the integral against exact M({args.n})")
         print(f"integral     : {value!r}")
         print(f"exact        : {exact!r}")
-        print(f"rel deviation: {dev:.3e} (threshold {VALUE_ONLY_TOLERANCE:g})")
-        return EXIT_OK if dev <= VALUE_ONLY_TOLERANCE else EXIT_CHECK_FAILED
+        limit = ComparisonMode.VALUE_ONLY.tolerance
+        print(f"rel deviation: {dev:.3e} (threshold {limit:g})")
+        return EXIT_OK if dev <= limit else EXIT_CHECK_FAILED
     motzkin_id, mode = pairing
     dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, args.check_points)
     limit = mode.tolerance
@@ -254,8 +254,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("n_max must be nonnegative")
     width = len(str(args.n_max))
     print(f"{'n':>{width}}  {'catalan':>24}  {'motzkin':>24}")
-    for n in range(args.n_max + 1):
-        print(f"{n:>{width}}  {catalan(n):>24}  {motzkin(n):>24}")
+    for n, m in zip(range(args.n_max + 1), motzkin_numbers()):
+        print(f"{n:>{width}}  {catalan(n):>24}  {m:>24}")
     return EXIT_OK
 
 

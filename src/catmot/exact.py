@@ -2,12 +2,14 @@
 
 Everything here is computed in arbitrary-precision integer arithmetic and
 serves as ground truth for the numerical verification of the integral
-representations in :mod:`catmot.catalog`.  The functions keep no state.
+representations in :mod:`catmot.catalog`.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterator
 
 
 def catalan(n: int) -> int:
@@ -20,15 +22,20 @@ def catalan(n: int) -> int:
     return quotient
 
 
+def motzkin_numbers() -> Iterator[int]:
+    """M(0), M(1), M(2), ... by the three-term recurrence (OEIS A001006)
+    (m+2) M(m) = (2m+1) M(m-1) + 3(m-1) M(m-2), from M(0) = M(1) = 1."""
+    prev, cur = 0, 1  # the 3(m-1) factor drops prev at m = 1
+    for m in itertools.count(1):
+        yield cur
+        prev, cur = cur, ((2 * m + 1) * cur + 3 * (m - 1) * prev) // (m + 2)
+
+
 def motzkin(n: int) -> int:
-    """Motzkin number via the three-term recurrence (OEIS A001006)
-    M(0) = M(1) = 1, (m+2) M(m) = (2m+1) M(m-1) + 3(m-1) M(m-2)."""
+    """The n-th term of :func:`motzkin_numbers`."""
     if n < 0:
         raise ValueError("motzkin requires a nonnegative argument")
-    prev, cur = 1, 1
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m + 1) * cur + 3 * (m - 1) * prev) // (m + 2)
-    return cur
+    return next(itertools.islice(motzkin_numbers(), n, None))
 
 
 def motzkin_oracle(n: int) -> int:

@@ -27,16 +27,22 @@ def horner(coeffs: tuple[float, ...], s: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=None)
-def even_binomial_coeffs(n: int) -> tuple[float, ...]:
+@lru_cache(maxsize=128)
+def _float_coeffs(exact_builder, n: int) -> tuple[float, ...]:
+    """The exact coefficients ``exact_builder(n)``, each converted to float
+    once.  128 keys cover the mot.13a and mot.13b rows of a 50-wide n range."""
+    return tuple(float(c) for c in exact_builder(n))
+
+
+def even_binomial_coeffs(n: int) -> tuple[int, ...]:
     """Coefficients of (1/2)*((1+t)^n + (1-t)^n) as a polynomial in s = t^2:
     C(n, 0), C(n, 2), ..., C(n, 2*floor(n/2))."""
-    return tuple(float(comb(n, 2 * j)) for j in range(n // 2 + 1))
+    return tuple(comb(n, 2 * j) for j in range(n // 2 + 1))
 
 
 def half_power_sum(n: int, s: float) -> float:
     """(1/2)*((1+t)^n + (1-t)^n) as a function of s = t^2 (s >= 0)."""
-    return horner(even_binomial_coeffs(n), s)
+    return horner(_float_coeffs(even_binomial_coeffs, n), s)
 
 
 class PhiEvaluator:
@@ -62,7 +68,6 @@ class PhiEvaluator:
         return s * horner(self._float_coeffs, s)
 
 
-@lru_cache(maxsize=None)
 def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     """Exact coefficients d_j of phi_{n+2} - phi_{n+1} as a polynomial in
     s = t^2, j running from 1:  d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1).
@@ -78,22 +83,15 @@ def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def phi_ratio_coeffs(n: int) -> tuple[float, ...]:
-    """Float coefficients of (phi_{n+2}(t) - phi_{n+1}(t)) / t^2 in s = t^2."""
-    return tuple(float(d) for d in phi_diff_coeffs(n))
-
-
 def phi_diff_over_square(n: int, s: float) -> float:
     """(phi_{n+2} - phi_{n+1}) / t^2 evaluated at s = t^2.
 
     Continuous at s = 0 with value 1 (the d_1 coefficient), which is the
     analytic limit used when the transform's f vanishes.
     """
-    return horner(phi_ratio_coeffs(n), s)
+    return horner(_float_coeffs(phi_diff_coeffs, n), s)
 
 
-@lru_cache(maxsize=None)
 def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     """Exact coefficients e_j of psi_{n+2} - psi_{n+1} in u = 2x, for
     j = 2 .. n+2:  e_j = C(n+2,j)/(n+2) - C(n+1,j)/(n+1).
@@ -108,28 +106,16 @@ def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def psi_diff_float_coeffs(n: int) -> tuple[float, ...]:
-    return tuple(float(e) for e in psi_diff_coeffs(n))
-
-
 def psi_difference(n: int, x: float) -> float:
     """psi_{n+2}(x) - psi_{n+1}(x) with psi_m(x) = ((1+2x)^m - 1)/m,
     evaluated as u^2 * (e_2 + e_3 u + ...) with u = 2x."""
     if n < 0:
         raise ValueError("psi_difference requires n >= 0")
     u = 2.0 * x
-    return (u * u) * horner(psi_diff_float_coeffs(n), u)
+    return (u * u) * horner(_float_coeffs(psi_diff_coeffs, n), u)
 
 
 def psi_difference_over_square(n: int, x: float) -> float:
     """(psi_{n+2}(x) - psi_{n+1}(x)) / x^2, continuous at x = 0 (value 2)."""
     # u^2 / x^2 == 4 exactly in binary arithmetic, so divide it out up front
-    return 4.0 * horner(psi_diff_float_coeffs(n), 2.0 * x)
-
-
-def psi_difference_naive(n: int, x: float) -> float:
-    """Two-term closed form of the psi difference; kept only to demonstrate
-    its cancellation failure near x = 0."""
-    u = 1.0 + 2.0 * x
-    return (u ** (n + 2) - 1.0) / (n + 2) - (u ** (n + 1) - 1.0) / (n + 1)
+    return 4.0 * horner(_float_coeffs(psi_diff_coeffs, n), 2.0 * x)

@@ -80,29 +80,6 @@ class Report:
         }
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        obj = json.loads(text)
-        rows = tuple(
-            VerificationRow(
-                rep_id=r["rep_id"],
-                n=r["n"],
-                exact=int(r["exact"]),
-                estimate=r["estimate"],
-                rel_err=r["rel_err"],
-                evaluations=r["evaluations"],
-                rule=r["rule"],
-                passed=r["pass"],
-                converged=r["converged"],
-            )
-            for r in obj["rows"]
-        )
-        return cls(
-            tool_version=obj["tool_version"],
-            config_echo=dict(obj["config_echo"]),
-            rows=rows,
-        )
-
     # -- markdown ----------------------------------------------------------
 
     def to_markdown(self) -> str:

@@ -32,17 +32,10 @@ from typing import Callable, Optional
 
 from .catalog import get_representation, verify
 from .exact import motzkin
-from .polys import (
-    PhiEvaluator,
-    half_power_sum,
-    phi_diff_over_square,
-    psi_difference,
-)
+from .polys import half_power_sum, phi_diff_over_square
 from .quadrature import QuadConfig, adaptive_gk, integrate_semi_infinite, tanh_sinh
 
 _PI = math.pi
-
-MotzkinIntegrand = Callable[[int, float], float]
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,7 @@ class ComparisonMode(Enum):
     @property
     def tolerance(self) -> float:
         """Largest relative deviation that counts as agreement."""
-        if self is ComparisonMode.POINTWISE:
-            return POINTWISE_TOLERANCE
-        return VALUE_ONLY_TOLERANCE
+        return 1e-12 if self is ComparisonMode.POINTWISE else 1e-10
 
 
 def _kernel(form: CatalanForm) -> Callable[[int, float], float]:
@@ -87,7 +78,7 @@ def _kernel(form: CatalanForm) -> Callable[[int, float], float]:
     return phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
 
 
-def motzkin_integrand(form: CatalanForm) -> MotzkinIntegrand:
+def motzkin_integrand(form: CatalanForm) -> Callable[[int, float], float]:
     """Motzkin integrand of a form: (1/2)((1+f)^n + (1-f)^n) g for a plain
     form, (phi_{n+2} - phi_{n+1})/f^2 * g for a form with 1/(n+1)."""
     kernel = _kernel(form)
@@ -193,9 +184,6 @@ PAIRS: dict[str, tuple[str, ComparisonMode]] = {
     "cat.eq2": ("mot.13b", ComparisonMode.VALUE_ONLY),
 }
 
-POINTWISE_TOLERANCE = 1e-12
-VALUE_ONLY_TOLERANCE = 1e-10
-
 _TIGHT = QuadConfig(rel_tol=1e-12)
 
 
@@ -266,18 +254,6 @@ def transform_deviation(
     return abs(value_t - value_c) / max(abs(value_t), abs(value_c))
 
 
-def check_transform_consistency(
-    catalan_id: str,
-    motzkin_id: str,
-    mode: ComparisonMode,
-    n: int,
-    check_points: int = 64,
-) -> bool:
-    """True when the generated integrand agrees with the catalog entry at
-    the mode's tolerance (1e-12 pointwise, 1e-10 value-only)."""
-    return transform_deviation(catalan_id, motzkin_id, mode, n, check_points) <= mode.tolerance
-
-
 def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:
     """Half-range reflection identity for powers of cosine and sine:
 
@@ -324,15 +300,10 @@ __all__ = [
     "ComparisonMode",
     "FORMS",
     "PAIRS",
-    "PhiEvaluator",
-    "POINTWISE_TOLERANCE",
-    "VALUE_ONLY_TOLERANCE",
     "check_lemma1",
-    "check_transform_consistency",
     "get_form",
     "integrate_transform",
     "lemma1_sides",
-    "psi_difference",
     "motzkin_integrand",
     "transform_deviation",
 ]

@@ -1,0 +1,38 @@
+"""The public surface: every exported name resolves, and names removed as
+test-only or duplicate stay removed."""
+
+import catmot
+import catmot.catalog
+import catmot.polys
+import catmot.report
+import catmot.transform
+
+REMOVED = {
+    catmot: ("PhiEvaluator", "check_transform_consistency"),
+    catmot.transform: (
+        "PhiEvaluator",
+        "psi_difference",
+        "check_transform_consistency",
+        "POINTWISE_TOLERANCE",
+        "VALUE_ONLY_TOLERANCE",
+        "MotzkinIntegrand",
+    ),
+    catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
+    catmot.catalog: ("_weights_13a",),
+    catmot.report.Report: ("from_json",),
+}
+
+
+def test_exported_names_resolve():
+    for module in (catmot, catmot.transform):
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+
+
+def test_removed_names_stay_removed():
+    for owner, names in REMOVED.items():
+        exported = set(getattr(owner, "__all__", ()))
+        for name in names:
+            assert not hasattr(owner, name), (owner.__name__, name)
+            assert name not in exported, (owner.__name__, name)

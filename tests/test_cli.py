@@ -1,11 +1,13 @@
 import json
+from math import comb
 
 import pytest
 
 from catmot import __version__
-from catmot.catalog import get_representation, verify
+from catmot.catalog import VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
+from catmot.exact import motzkin_oracle
 from catmot.report import CSV_HEADER, Report
 
 
@@ -57,6 +59,18 @@ def test_table_large_values_stay_exact(capsys):
     code, out, _ = run(capsys, "table", "30")
     assert code == 0
     assert "3814986502092304" in out  # never a float rendering
+
+
+def test_table_rows_match_independent_sequences(capsys):
+    code, out, _ = run(capsys, "table", "300")
+    assert code == 0
+    rows = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
+    assert [n for n, _, _ in rows] == list(range(301))
+    cat = [comb(2 * n, n) // (n + 1) for n in range(301)]
+    for n, c, m in rows:
+        assert c == cat[n]
+        assert m == sum(comb(n, 2 * k) * cat[k] for k in range(n // 2 + 1)), n
+    assert rows[-1][2] == motzkin_oracle(300)
 
 
 # -- verify ----------------------------------------------------------------------
@@ -265,7 +279,24 @@ def _small_report():
 
 def test_report_json_round_trip():
     report = _small_report()
-    assert Report.from_json(report.to_json()) == report
+    obj = json.loads(report.to_json())
+    assert obj["tool_version"] == report.tool_version
+    assert obj["config_echo"] == report.config_echo
+    assert obj["summary"] == report.summary
+    assert [
+        VerificationRow(
+            rep_id=r["rep_id"],
+            n=r["n"],
+            exact=int(r["exact"]),
+            estimate=r["estimate"],
+            rel_err=r["rel_err"],
+            evaluations=r["evaluations"],
+            rule=r["rule"],
+            passed=r["pass"],
+            converged=r["converged"],
+        )
+        for r in obj["rows"]
+    ] == list(report.rows)
 
 
 def test_report_rows_sorted_and_summary_consistent():

@@ -1,10 +1,12 @@
+import math
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmot.exact import catalan, motzkin, motzkin_oracle
+import catmot.exact
+from catmot.exact import catalan, motzkin, motzkin_numbers, motzkin_oracle
 
 
 def test_catalan_examples():
@@ -16,13 +18,23 @@ def test_catalan_examples():
 
 def test_catalan_divisibility():
     for n in range(65):
-        assert comb(2 * n, n) % (n + 1) == 0
+        assert (n + 1) * catalan(n) == comb(2 * n, n)
+
+
+def test_catalan_rejects_inexact_division(monkeypatch):
+    # catalan checks the remainder of C(2n, n) / (n + 1) instead of trusting it
+    true_comb = math.comb
+    monkeypatch.setattr(catmot.exact.math, "comb", lambda a, b: true_comb(a, b) + 1)
+    with pytest.raises(ArithmeticError):
+        catalan(1)
 
 
 def test_motzkin_examples():
     assert motzkin(0) == 1
     assert motzkin(4) == 9
     assert motzkin(10) == 2188
+    terms = motzkin_numbers()
+    assert [next(terms) for _ in range(11)] == [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
 
 
 def test_motzkin_oracle_examples():
@@ -79,4 +91,4 @@ def test_negative_arguments_rejected():
 @given(st.integers(0, 200))
 @settings(max_examples=100, deadline=None)
 def test_divisibility_property(n):
-    assert comb(2 * n, n) % (n + 1) == 0
+    assert (n + 1) * catalan(n) == comb(2 * n, n)

@@ -10,13 +10,18 @@ from catmot.polys import (
     phi_diff_over_square,
     psi_diff_coeffs,
     psi_difference,
-    psi_difference_naive,
     psi_difference_over_square,
 )
 
 
 def phi_direct(m, t):
     return ((1.0 + t) ** m + (1.0 - t) ** m - 2.0) / m
+
+
+def psi_difference_naive(n, x):
+    """Two-term closed form of the psi difference, which cancels near x = 0."""
+    u = 1.0 + 2.0 * x
+    return (u ** (n + 2) - 1.0) / (n + 2) - (u ** (n + 1) - 1.0) / (n + 1)
 
 
 def test_phi_matches_closed_form():
@@ -65,6 +70,15 @@ def test_phi_diff_over_square_matches_rationals():
         exact = sum(d * s**j for j, d in enumerate(phi_diff_coeffs(n), start=1)) / s
         got = phi_diff_over_square(n, float(s))
         assert got == pytest.approx(float(exact), rel=1e-14)
+
+
+def test_phi_diff_over_square_matches_closed_form():
+    # checked against phi_direct, not against the coefficients it is built from
+    for n in range(41):
+        for t in (0.25, 0.5, 1.0, 1.5):
+            direct = phi_direct(n + 2, t) - phi_direct(n + 1, t)
+            got = phi_diff_over_square(n, t * t) * t * t
+            assert abs(got - direct) <= 1e-12 * abs(direct), (n, t)
 
 
 def test_half_power_sum_matches_direct():

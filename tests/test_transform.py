@@ -9,7 +9,6 @@ from catmot.transform import (
     PAIRS,
     ComparisonMode,
     check_lemma1,
-    check_transform_consistency,
     get_form,
     integrate_transform,
     lemma1_sides,
@@ -110,15 +109,17 @@ def test_transform_integrals_reproduce_motzkin_numbers():
 
 
 def test_consistency_examples():
-    assert check_transform_consistency("cat.eq7", "mot.12c", ComparisonMode.POINTWISE, 5)
-    assert check_transform_consistency("cat.eq10", "mot.12f", ComparisonMode.VALUE_ONLY, 7)
-    assert check_transform_consistency("cat.eq2", "mot.13b", ComparisonMode.VALUE_ONLY, 4)
+    pointwise, value_only = ComparisonMode.POINTWISE, ComparisonMode.VALUE_ONLY
+    assert (pointwise.tolerance, value_only.tolerance) == (1e-12, 1e-10)
+    assert transform_deviation("cat.eq7", "mot.12c", pointwise, 5) <= pointwise.tolerance
+    assert transform_deviation("cat.eq10", "mot.12f", value_only, 7) <= value_only.tolerance
+    assert transform_deviation("cat.eq2", "mot.13b", value_only, 4) <= value_only.tolerance
 
 
 def test_consistency_all_pairs():
     for cid, (mid, mode) in PAIRS.items():
         for n in (0, 1, 5, 10, 20):
-            assert check_transform_consistency(cid, mid, mode, n), (cid, mid, n)
+            assert transform_deviation(cid, mid, mode, n) <= mode.tolerance, (cid, mid, n)
 
 
 def test_pointwise_requires_samples():
