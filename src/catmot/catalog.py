@@ -15,10 +15,9 @@ prefactor reproduces the exact Catalan or Motzkin number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exact import catalan, motzkin
 from .polys import phi_diff_over_square, psi_difference_over_square
@@ -54,8 +53,7 @@ _ENDPOINT_TAGS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ChebyshevHint:
+class ChebyshevHint(NamedTuple):
     """Marks an integrand as polynomial x Chebyshev weight after an affine
     rescale of the domain onto (-1, 1).
 
@@ -69,8 +67,7 @@ class ChebyshevHint:
     nodes: Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class Representation:
+class _RepresentationFields(NamedTuple):
     id: str
     family: Family
     n_min: int
@@ -87,7 +84,12 @@ class Representation:
     # endpoint; receives (x - a, b - x) with the near distance exact
     distance_integrand: Optional[Callable[[int, float, float], float]] = None
 
-    def __post_init__(self):
+
+class Representation(_RepresentationFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.integrand is None) == (self.distance_integrand is None):
             raise ValueError(
                 f"{self.id}: give exactly one of integrand and distance_integrand"
@@ -95,7 +97,15 @@ class Representation:
         if self.distance_integrand is not None:
             a, b = self.domain
             dist = self.distance_integrand
-            object.__setattr__(self, "integrand", lambda n, x: dist(n, x - a, b - x))
+            # the inherited _replace builds its copy without calling __new__
+            self = _RepresentationFields._replace(
+                self, integrand=lambda n, x: dist(n, x - a, b - x)
+            )
+        return self
+
+    def _replace(self, **changes) -> Representation:
+        # validated like a new entry: a distance-form entry copies with integrand=None
+        return type(self)(*super()._replace(**changes))
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -118,8 +128,7 @@ class Representation:
         return bool(self.singularities & _ENDPOINT_TAGS)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     rep_id: str
     n: int
     exact: int
@@ -529,14 +538,8 @@ def _integrate(rep: Representation, n: int, cfg: QuadConfig) -> tuple[float, Qua
         if pi_power != -1:
             raise AssertionError("exactness hints assume a 1/pi prefactor")
         estimate = float(rational) * raw
-        result = QuadratureResult(
-            value=raw,
-            error_estimate=4.0 * _EPS * abs(raw),
-            evaluations=n_nodes,
-            rule=f"gauss-chebyshev-{hint.kind}[N={n_nodes}]",
-            converged=True,
-        )
-        return estimate, result
+        rule = f"gauss-chebyshev-{hint.kind}[N={n_nodes}]"
+        return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, rule, True)
     if rule == _RULE_EXP_SINH:
         result = integrate_semi_infinite(lambda x: rep.integrand(n, x), cfg)
     elif rule == _RULE_TANH_SINH:
@@ -567,12 +570,15 @@ def verify(
 
     The quadrature rule comes from cfg.rule_override or, by default, from
     the entry's singularity tags and exactness hint.  ``tol`` defaults to
-    the singularity-class tolerance.
+    the singularity-class tolerance; a given one must be positive and
+    finite.
     """
     if n < rep.n_min:
         raise ValueError(f"{rep.id} requires n >= {rep.n_min}, got {n}")
     if tol is None:
         tol = default_tolerance(rep)
+    elif not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     estimate, result = _integrate(rep, n, cfg)
     exact = rep.exact_value(n)
     rel_err = abs(estimate - float(exact)) / float(exact)

@@ -14,7 +14,6 @@ non-convergence, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
@@ -29,7 +28,7 @@ from .catalog import (
     verify,
 )
 from .config import Settings, load_settings
-from .exact import catalan, motzkin, motzkin_numbers
+from .exact import catalan_numbers, motzkin, motzkin_numbers
 from .report import Report
 from .transform import (
     PAIRS,
@@ -124,6 +123,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     family = Family(args.family) if args.family else None
     reps = list_representations(family)
     if args.format == "json":
+        import json  # only this format needs it: not imported on every start-up
         payload = [
             {
                 "id": rep.id,
@@ -254,8 +254,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError("n_max must be nonnegative")
     width = len(str(args.n_max))
     print(f"{'n':>{width}}  {'catalan':>24}  {'motzkin':>24}")
-    for n, m in zip(range(args.n_max + 1), motzkin_numbers()):
-        print(f"{n:>{width}}  {catalan(n):>24}  {m:>24}")
+    for n, c, m in zip(range(args.n_max + 1), catalan_numbers(), motzkin_numbers()):
+        print(f"{n:>{width}}  {c:>24}  {m:>24}")
     return EXIT_OK
 
 

@@ -9,16 +9,14 @@ reproduced from its output alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .quadrature import QuadConfig
 
 ENV_PREFIX = "CATMOT_"
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(NamedTuple):
     n_max: int = 30
     rel_tol: float = 1e-11
     abs_tol: float = 1e-300
@@ -27,26 +25,22 @@ class Settings:
 
     def quad_config(self, rule_override: Optional[str] = None) -> QuadConfig:
         return QuadConfig(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_levels=self.max_levels,
-            max_subdivisions=self.max_subdivisions,
-            rule_override=rule_override,
+            self.rel_tol, self.abs_tol, self.max_levels, self.max_subdivisions, rule_override
         )
 
     def echo(self) -> dict[str, str]:
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
+        return {name: str(value) for name, value in zip(self._fields, self)}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Settings)}
+# every default is an int or a float, and values parse to that type
+_FIELD_TYPES = {name: type(value) for name, value in Settings._field_defaults.items()}
 
 
 def _parse_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    kind = _FIELD_TYPES[key]
     try:
-        return int(raw) if kind == "int" else float(raw)
+        return _FIELD_TYPES[key](raw)
     except ValueError:
         raise ValueError(f"bad value for config key {key!r}: {raw!r}") from None
 

@@ -22,6 +22,17 @@ def catalan(n: int) -> int:
     return quotient
 
 
+def catalan_numbers() -> Iterator[int]:
+    """C(0), C(1), C(2), ... by the ratio recurrence (n+2) C(n+1) =
+    2(2n+1) C(n) from C(0) = 1, independent of :func:`catalan`."""
+    c = 1
+    for n in itertools.count():
+        yield c
+        c, remainder = divmod(2 * (2 * n + 1) * c, n + 2)
+        if remainder:
+            raise ArithmeticError(f"(n+2) does not divide 2(2n+1)C(n) at n={n}")
+
+
 def motzkin_numbers() -> Iterator[int]:
     """M(0), M(1), M(2), ... by the three-term recurrence (OEIS A001006)
     (m+2) M(m) = (2m+1) M(m-1) + 3(m-1) M(m-2), from M(0) = M(1) = 1."""

@@ -19,30 +19,34 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tuning knobs shared by all adaptive rules.
-
-    Convergence everywhere means: error_estimate <= max(rel_tol * |value|,
-    abs_tol).  The defaults suit integrands whose values span many orders of
-    magnitude, which is the normal case here.
-    """
-
+class _QuadConfigFields(NamedTuple):
     rel_tol: float = 1e-11
     abs_tol: float = 1e-300
     max_levels: int = 12
     max_subdivisions: int = 2000
     rule_override: Optional[str] = None
 
-    def __post_init__(self):
+
+class QuadConfig(_QuadConfigFields):
+    """Tuning knobs shared by all adaptive rules.
+
+    Convergence everywhere means: error_estimate <= max(rel_tol * |value|,
+    abs_tol).  The defaults suit integrands whose values span many orders of
+    magnitude, which is the normal case here.  Every instance is validated,
+    copies made with ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
         if not 0.0 <= self.abs_tol < math.inf:
@@ -51,10 +55,14 @@ class QuadConfig:
             raise ValueError("max_levels must be at least 3")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+        return self
+
+    def _replace(self, **changes) -> QuadConfig:
+        # the inherited _replace builds its copy without calling __new__
+        return type(self)(*super()._replace(**changes))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
@@ -143,27 +151,11 @@ _DE_MAPS = {
     "exp-sinh": (6.8, _es_node),
 }
 
-# (rule name, level) -> node tuples for t > 0; level 0 holds t = 1, 2, ...,
-# level L >= 1 holds odd multiples of 2**-L
-_DE_TABLES: dict[tuple[str, int], tuple[tuple[float, ...], ...]] = {}
-
-
-def _de_table(kind: str, level: int) -> tuple[tuple[float, ...], ...]:
-    table = _DE_TABLES.get((kind, level))
-    if table is None:
-        t_max, node = _DE_MAPS[kind]
-        if level == 0:
-            ts = [float(k) for k in range(1, int(t_max) + 1)]
-        else:
-            h = 2.0 ** (-level)
-            ts = []
-            t = h
-            while t < t_max:
-                ts.append(t)
-                t += 2.0 * h
-        table = tuple(node(t) for t in ts)
-        _DE_TABLES[(kind, level)] = table
-    return table
+# (rule name, level) -> {i: node at the level's i-th t > 0}, with t = i + 1
+# at level 0 and t = (2i + 1) 2**-L at level L; a node is stored when a level
+# loop first reaches it.  A node is a pure function of (rule, level, i):
+# threads that race to fill a slot store equal values under the same key.
+_DE_TABLES: dict[tuple[str, int], dict[int, tuple[float, ...]]] = {}
 
 
 def _de_levels(
@@ -186,10 +178,18 @@ def _de_levels(
     weighted = raw  # h = 1 at level 0
     level = 0
     err = math.inf
+    t_max, node_map = _DE_MAPS[kind]
     for level in range(cfg.max_levels + 1):
         spacing = 2.0 ** (-level)
+        table = _DE_TABLES.setdefault((kind, level), {})
+        # the count of t < t_max; (2i + 1) * spacing < t_max above level 0
+        size = int(t_max) if level == 0 else math.ceil((t_max / spacing - 1.0) / 2.0)
         quiet = 0
-        for node in _de_table(kind, level):
+        for i in range(size):
+            node = table.get(i)
+            if node is None:
+                # every such t is a dyadic below 8, so exact in float64
+                node = table[i] = node_map(i + 1.0 if level == 0 else (2 * i + 1) * spacing)
             pair = term(*node)
             if pair is None:
                 break
@@ -449,10 +449,5 @@ def adaptive_gk(
     for _, _, val, err in intervals:
         value += val
         error += err
-    return QuadratureResult(
-        value=value,
-        error_estimate=error,
-        evaluations=evals,
-        rule=f"gauss-kronrod[intervals={len(intervals)}]",
-        converged=error <= _tolerance(cfg, value),
-    )
+    rule = f"gauss-kronrod[intervals={len(intervals)}]"
+    return QuadratureResult(value, error, evals, rule, error <= _tolerance(cfg, value))

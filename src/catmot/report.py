@@ -7,9 +7,6 @@ precision, and floats are emitted with enough digits to round-trip.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .catalog import VerificationRow
 
 CSV_HEADER = "rep_id,n,exact,estimate,rel_err,evaluations,rule,pass"
@@ -19,16 +16,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-@dataclass(frozen=True)
 class Report:
-    tool_version: str
-    config_echo: dict[str, str]
-    rows: tuple[VerificationRow, ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "rows", tuple(sorted(self.rows, key=lambda r: (r.rep_id, r.n)))
-        )
+    def __init__(self, tool_version: str, config_echo: dict[str, str],
+                 rows: tuple[VerificationRow, ...] = ()):
+        self.tool_version = tool_version
+        self.config_echo = config_echo
+        self.rows = tuple(sorted(rows, key=lambda r: (r.rep_id, r.n)))
 
     @property
     def summary(self) -> dict[str, int]:
@@ -59,6 +52,7 @@ class Report:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> str:
+        import json  # only this format needs it: not imported on every start-up
         obj = {
             "tool_version": self.tool_version,
             "config_echo": self.config_echo,

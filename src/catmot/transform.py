@@ -26,9 +26,8 @@ was derived with an extra u = -x symmetrization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import get_representation, verify
 from .exact import motzkin
@@ -38,8 +37,7 @@ from .quadrature import QuadConfig, adaptive_gk, integrate_semi_infinite, tanh_s
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class CatalanForm:
+class CatalanForm(NamedTuple):
     """(f, g) factorization of a Catalan integral representation.
 
     ``has_inverse_n_plus_1`` tells which transform flavor applies: False
@@ -282,8 +280,8 @@ def lemma1_sides(r: int, s: int, a: float) -> tuple[float, float]:
     """The two half-range integrals of cos^r(pi x/a) sin^s(pi x/a)."""
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative integers")
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
 
     def integrand(x: float) -> float:
         theta = _PI * x / a

@@ -250,3 +250,13 @@ def test_representation_takes_exactly_one_integrand_form():
         )
     rep = Representation(**base, distance_integrand=lambda n, da, db: da * 10.0 + db)
     assert rep.integrand(0, 0.25) == 0.25 * 10.0 + 0.75
+    # copies are validated like new entries; a distance-form copy derives
+    # its integrand anew
+    plain = Representation(**base, integrand=lambda n, x: x)
+    assert plain._replace(n_min=2).n_min == 2
+    with pytest.raises(ValueError):
+        plain._replace(distance_integrand=lambda n, da, db: da)
+    with pytest.raises(ValueError):
+        rep._replace(n_min=2)
+    wider = rep._replace(integrand=None, domain=(0.0, 2.0))
+    assert wider.integrand(0, 0.25) == 0.25 * 10.0 + 1.75

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- start-up ------------------------------------------------------------------
+
+# every request is a fresh process: modules that only some commands need, or
+# that only class-building machinery needs, must not load on start-up
+STARTUP_CHECK = """
+import sys
+before = set(sys.modules)
+import catmot.cli
+print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+try:
+    catmot.cli.main(["--version"])
+except SystemExit:
+    pass
+print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+"""
+
+
+def test_startup_loads_no_dataclass_or_json_machinery():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHECK], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", f"catmot {__version__}", "[]"]
 
 
 # -- list ----------------------------------------------------------------------
@@ -171,6 +201,14 @@ def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
     assert "rel_tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_tol_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == "catmot verify: error: tol must be positive and finite\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_jobs_below_one_exits_2(capsys, jobs):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--jobs", jobs)
@@ -245,6 +283,14 @@ def test_lemma1_odd_instance(capsys):
 def test_lemma1_invalid_a_exits_2(capsys):
     code, _, err = run(capsys, "lemma1", "0", "0", "--a", "-1.0")
     assert code == 2
+
+
+@pytest.mark.parametrize("a", ["inf", "nan"])
+def test_lemma1_non_finite_a_exits_2(capsys, a):
+    code, out, err = run(capsys, "lemma1", "2", "0", "--a", a)
+    assert code == 2
+    assert out == ""
+    assert err == "catmot lemma1: error: a must be positive and finite\n"
 
 
 def test_lemma1_integrates_each_side_once(capsys, monkeypatch):

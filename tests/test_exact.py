@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catmot.exact
-from catmot.exact import catalan, motzkin, motzkin_numbers, motzkin_oracle
+from catmot.exact import catalan, catalan_numbers, motzkin, motzkin_numbers, motzkin_oracle
 
 
 def test_catalan_examples():
@@ -50,6 +50,21 @@ def test_motzkin_sum_agrees_with_convolution_recurrence():
         assert motzkin(n) == sum(comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
     for n in range(121):
         assert motzkin(n) == motzkin_oracle(n)
+
+
+def test_catalan_numbers_match_catalan():
+    # the stepped ratio recurrence against the binomial form
+    terms = catalan_numbers()
+    assert [next(terms) for _ in range(1001)] == [catalan(n) for n in range(1001)]
+
+
+def test_catalan_numbers_reject_inexact_division(monkeypatch):
+    # each step checks its remainder instead of trusting it
+    monkeypatch.setattr(catmot.exact, "divmod", lambda a, b: (a // b, 1), raising=False)
+    terms = catalan_numbers()
+    assert next(terms) == 1
+    with pytest.raises(ArithmeticError):
+        next(terms)
 
 
 def test_catalan_ratio_identity():

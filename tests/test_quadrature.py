@@ -1,6 +1,10 @@
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
+import threading
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -153,7 +157,7 @@ def test_tanh_sinh_level_refinement_never_hurts():
         errors = []
         for levels in range(3, 11):
             res = tanh_sinh(
-                None, a, b, replace(cfg_base, max_levels=levels),
+                None, a, b, cfg_base._replace(max_levels=levels),
                 singular=integrand,
             )
             errors.append(abs(res.value - exact))
@@ -300,3 +304,86 @@ def test_quad_config_validation():
             QuadConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             QuadConfig(abs_tol=bad)
+    # copies are validated like new configs
+    cfg = QuadConfig()
+    assert cfg._replace(max_levels=5) == QuadConfig(max_levels=5)
+    for bad in ({"max_levels": 2}, {"rel_tol": math.nan}):
+        with pytest.raises(ValueError):
+            cfg._replace(**bad)
+
+
+# -- double-exponential node tables ---------------------------------------------
+
+def test_lazy_de_nodes_match_eager_tables(monkeypatch):
+    # threads that start on empty tables walk every node of levels 0..12 (a
+    # growing term never goes quiet and never converges); however their
+    # fills interleave, each must see, bit for bit and in order, the tables
+    # the level loop used to build eagerly by stepping t += 2h
+    from catmot import quadrature
+
+    tables = {}
+    monkeypatch.setattr(quadrature, "_DE_TABLES", tables)
+    eager = {}
+    for kind, (t_max, node) in quadrature._DE_MAPS.items():
+        eager[kind] = [[node(float(k)) for k in range(1, int(t_max) + 1)]]
+        for level in range(1, 13):
+            h = 2.0 ** (-level)
+            ts, t = [], h
+            while t < t_max:
+                ts.append(t)
+                t += 2.0 * h
+            eager[kind].append([node(t) for t in ts])
+    cfg = QuadConfig(rel_tol=1e-300, abs_tol=0.0, max_levels=12)
+    walks = []
+
+    def walk(kind):
+        seen = []
+
+        def term(*nd):
+            seen.append(nd)
+            return float(len(seen)), 0.0
+
+        walks.append((kind, quadrature._de_levels(kind, 0.0, 1.0, term, cfg)[3], seen))
+
+    threads = [threading.Thread(target=walk, args=(kind,)) for kind in eager for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for kind in eager:
+        walk(kind)  # reads the filled tables back
+    assert len(walks) == len(threads) + len(eager)
+
+    def bits(nodes):
+        return [[v.hex() for v in nd] for nd in nodes]
+
+    expected = {kind: bits(nd for level in levels for nd in level) for kind, levels in eager.items()}
+    for kind, converged, seen in walks:
+        assert not converged
+        assert bits(seen) == expected[kind], kind
+    assert {key: len(table) for key, table in tables.items()} == {
+        (kind, level): len(nodes) for kind in eager for level, nodes in enumerate(eager[kind])
+    }
+
+
+def test_threads_filling_tables_give_identical_reports():
+    # fresh processes start with empty tables; at --jobs 4 worker threads
+    # fill the same level-12 slots at once
+    argv = ["verify", "all", "--n-range", "31..60", "--n-max", "100", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "catmot.cli", *argv, "--jobs", jobs],
+            capture_output=True, env=env, timeout=120,
+        )
+        for jobs in ("1", "4")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 1  # rows that fail today
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count(b"\n") == 1 + 19 * 30
