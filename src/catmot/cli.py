@@ -211,6 +211,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
     if args.n < 0:
         raise ValueError("n must be nonnegative")
+    if args.check_points < 1:
+        raise ValueError("--check-points must be at least 1")
     pairing = PAIRS.get(args.catalan_id)
     print(f"catalan form : {args.catalan_id} ({flavor} transform)")
     if pairing is None:
@@ -253,9 +255,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise ValueError("n_max must be nonnegative")
     width = len(str(args.n_max))
-    print(f"{'n':>{width}}  {'catalan':>24}  {'motzkin':>24}")
-    for n, c, m in zip(range(args.n_max + 1), catalan_numbers(), motzkin_numbers()):
-        print(f"{n:>{width}}  {c:>24}  {m:>24}")
+    lines = [f"{'n':>{width}}  {'catalan':>24}  {'motzkin':>24}\n"]
+    # the whole table is formatted before any of it is written, so a number
+    # past the int-to-str digit limit leaves no partial table behind
+    try:
+        for n, c, m in zip(range(args.n_max + 1), catalan_numbers(), motzkin_numbers()):
+            lines.append(f"{n:>{width}}  {c:>24}  {m:>24}\n")
+    except ValueError:
+        raise ValueError(
+            f"C({n}) has more than {sys.get_int_max_str_digits()} digits, the limit "
+            "for integer string conversion (PYTHONINTMAXSTRDIGITS raises it)"
+        ) from None
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

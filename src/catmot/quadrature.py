@@ -24,6 +24,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _HALF_PI = math.pi / 2.0
+# deepest double-exponential level: up to it, every node abscissa
+# t = (2i + 1) 2**-L below 8 has 2i + 1 < 2**53, so t is exact in float64
+_MAX_DE_LEVEL = 50
 
 
 class _QuadConfigFields(NamedTuple):
@@ -51,8 +54,8 @@ class QuadConfig(_QuadConfigFields):
             raise ValueError("rel_tol must be positive and finite")
         if not 0.0 <= self.abs_tol < math.inf:
             raise ValueError("abs_tol must be nonnegative and finite")
-        if self.max_levels < 3:
-            raise ValueError("max_levels must be at least 3")
+        if not 3 <= self.max_levels <= _MAX_DE_LEVEL:
+            raise ValueError(f"max_levels must be in 3..{_MAX_DE_LEVEL}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
         return self
@@ -188,7 +191,7 @@ def _de_levels(
         for i in range(size):
             node = table.get(i)
             if node is None:
-                # every such t is a dyadic below 8, so exact in float64
+                # every such t is a dyadic below 8, exact up to _MAX_DE_LEVEL
                 node = table[i] = node_map(i + 1.0 if level == 0 else (2 * i + 1) * spacing)
             pair = term(*node)
             if pair is None:

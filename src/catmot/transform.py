@@ -16,21 +16,22 @@ converted to float once), so they stay accurate where f vanishes; at a zero
 of f the phi kernel equals its analytic limit g(x) exactly, because the
 leading coefficient of the difference polynomial in f^2 is 1.
 
-A registration table pairs each eligible Catalan catalog entry with its
-(f, g) factorization, and consistency checks confirm that the generated
-integrands reproduce the Motzkin catalog entries, pointwise where the
-catalog entry is the direct transform output and in integral value where it
-was derived with an extra u = -x symmetrization.
+A registration table gives f and the flavor of each eligible Catalan
+catalog entry.  g, its endpoint-distance form and the domain come from the
+entry itself: g is the entry's prefactor times its integrand at n = 0,
+since f^0 = 1.  Consistency checks confirm that the generated integrands
+reproduce the Motzkin catalog entries, pointwise where the catalog entry is
+the direct transform output and in integral value where it was derived with
+an extra u = -x symmetrization.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
-from .catalog import get_representation, verify
-from .exact import motzkin
+from .catalog import Representation, get_representation, verify
 from .polys import half_power_sum, phi_diff_over_square
 from .quadrature import QuadConfig, adaptive_gk, integrate_semi_infinite, tanh_sinh
 
@@ -38,27 +39,20 @@ _PI = math.pi
 
 
 class CatalanForm(NamedTuple):
-    """(f, g) factorization of a Catalan integral representation.
+    """What a Catalan catalog entry does not state about its (f, g)
+    factorization: f, and the transform flavor.
 
-    ``has_inverse_n_plus_1`` tells which transform flavor applies: False
-    means the plain form (simple transform), True means the form carries a
-    1/(n+1) prefactor (phi transform).
-
-    ``g_distance`` optionally evaluates g from full-precision endpoint
-    distances, for weights that blow up at an endpoint (same mechanism as
-    the catalog's distance integrands); f is then evaluated at the point
-    measured from the nearer endpoint.
+    ``has_inverse_n_plus_1`` tells which flavor applies: False means the
+    plain form (simple transform), True means the form carries a 1/(n+1)
+    prefactor (phi transform).  Everything else comes from the entry
+    ``id``: its domain, and g, which is the entry's prefactor times its
+    integrand at n = 0 (f^0 = 1), in endpoint-distance form where the
+    entry has one.
     """
 
+    id: str
     f: Callable[[float], float]
-    g: Callable[[float], float]
-    domain: tuple[float, float]
     has_inverse_n_plus_1: bool
-    g_distance: Optional[Callable[[float, float], float]] = None
-
-    @property
-    def semi_infinite(self) -> bool:
-        return math.isinf(self.domain[1])
 
 
 class ComparisonMode(Enum):
@@ -80,92 +74,35 @@ def motzkin_integrand(form: CatalanForm) -> Callable[[int, float], float]:
     """Motzkin integrand of a form: (1/2)((1+f)^n + (1-f)^n) g for a plain
     form, (phi_{n+2} - phi_{n+1})/f^2 * g for a form with 1/(n+1)."""
     kernel = _kernel(form)
+    rep = get_representation(form.id)
+    g_scale = rep.prefactor_float(0)
 
     def integrand(n: int, x: float) -> float:
         fx = form.f(x)
-        return kernel(n, fx * fx) * form.g(x)
+        return kernel(n, fx * fx) * (g_scale * rep.integrand(0, x))
 
     return integrand
 
 
 # ---------------------------------------------------------------------------
-# registered forms, read off the source representations
+# registered forms: f^(2n) is the n-dependent factor of the source statement
 # ---------------------------------------------------------------------------
 
-def _sqrt_prod_weight(scale: float) -> Callable[[float, float], float]:
-    def g_distance(da: float, db: float) -> float:
-        return scale / math.sqrt(da * db)
-
-    return g_distance
-
-
 FORMS: dict[str, CatalanForm] = {
-    # C(n) = 1/(n+1) int (2x)^(2n) / (pi sqrt(1-x^2)) dx on (-1, 1)
-    "cat.eq2": CatalanForm(
-        f=lambda x: 2.0 * x,
-        g=lambda x: 1.0 / (_PI * math.sqrt((1.0 - x) * (1.0 + x))),
-        domain=(-1.0, 1.0),
-        has_inverse_n_plus_1=True,
-        g_distance=_sqrt_prod_weight(1.0 / _PI),
-    ),
-    # C(n) = 1/(n+1) int (2 cos x)^(2n) / pi dx on (0, pi)
-    "cat.eq3": CatalanForm(
-        f=lambda x: 2.0 * math.cos(x),
-        g=lambda x: 1.0 / _PI,
-        domain=(0.0, _PI),
-        has_inverse_n_plus_1=True,
-    ),
-    # C(n) = 1/(n+1) int (2 sqrt(x))^(2n) / (pi sqrt(x-x^2)) dx on (0, 1)
-    "cat.eq4": CatalanForm(
-        f=lambda x: 2.0 * math.sqrt(x),
-        g=lambda x: 1.0 / (_PI * math.sqrt(x * (1.0 - x))),
-        domain=(0.0, 1.0),
-        has_inverse_n_plus_1=True,
-        g_distance=_sqrt_prod_weight(1.0 / _PI),
-    ),
-    # C(n) = int (sqrt(x))^(2n) * sqrt((4-x)/x)/(2 pi) dx on (0, 4)
-    "cat.eq5": CatalanForm(
-        f=math.sqrt,
-        g=lambda x: math.sqrt(4.0 - x) / math.sqrt(x) / (2.0 * _PI),
-        domain=(0.0, 4.0),
-        has_inverse_n_plus_1=False,
-        g_distance=lambda da, db: math.sqrt(db) / math.sqrt(da) / (2.0 * _PI),
-    ),
-    # C(n) = int (2/sqrt(1+x^2))^(2n) * 4x^2/(pi (1+x^2)^2) dx on (0, inf)
-    "cat.eq6": CatalanForm(
-        f=lambda x: 2.0 * math.sqrt(1.0 / (1.0 + x * x)),
-        g=lambda x: 4.0 * (x / (1.0 + x * x)) ** 2 / _PI,
-        domain=(0.0, math.inf),
-        has_inverse_n_plus_1=False,
-    ),
-    # C(n) = int (2 cos(pi x))^(2n) * 2 sin(pi x)^2 dx on (0, 1)
-    "cat.eq7": CatalanForm(
-        f=lambda x: 2.0 * math.cos(_PI * x),
-        g=lambda x: 2.0 * math.sin(_PI * x) ** 2,
-        domain=(0.0, 1.0),
-        has_inverse_n_plus_1=False,
-    ),
-    # C(n) = int (2(1-x^2)/(1+x^2))^(2n) * 32x^2/(pi (1+x^2)^3) dx on (0, 1)
-    "cat.eq8": CatalanForm(
-        f=lambda x: 2.0 * (1.0 - x * x) / (1.0 + x * x),
-        g=lambda x: 32.0 * x * x / (_PI * (1.0 + x * x) ** 3),
-        domain=(0.0, 1.0),
-        has_inverse_n_plus_1=False,
-    ),
-    # C(n) = int (2x)^(2n) * 2 sqrt(1-x^2)/pi dx on (-1, 1)
-    "cat.eq9": CatalanForm(
-        f=lambda x: 2.0 * x,
-        g=lambda x: 2.0 * math.sqrt((1.0 - x) * (1.0 + x)) / _PI,
-        domain=(-1.0, 1.0),
-        has_inverse_n_plus_1=False,
-    ),
-    # C(n) = int x^(2n) * sqrt(4-x^2)/(2 pi) dx on (-2, 2)
-    "cat.eq10": CatalanForm(
-        f=lambda x: x,
-        g=lambda x: math.sqrt((2.0 - x) * (2.0 + x)) / (2.0 * _PI),
-        domain=(-2.0, 2.0),
-        has_inverse_n_plus_1=False,
-    ),
+    form.id: form
+    for form in (
+        CatalanForm("cat.eq2", lambda x: 2.0 * x, True),  # 4^n x^(2n)
+        CatalanForm("cat.eq3", lambda x: 2.0 * math.cos(x), True),  # 4^n cos(x)^(2n)
+        CatalanForm("cat.eq4", lambda x: 2.0 * math.sqrt(x), True),  # 4^n x^n
+        CatalanForm("cat.eq5", math.sqrt, False),  # x^n
+        # 2^(2n) / (1+x^2)^n
+        CatalanForm("cat.eq6", lambda x: 2.0 * math.sqrt(1.0 / (1.0 + x * x)), False),
+        CatalanForm("cat.eq7", lambda x: 2.0 * math.cos(_PI * x), False),  # (2 cos(pi x))^(2n)
+        # 2^(2n) (1-x^2)^(2n) / (1+x^2)^(2n)
+        CatalanForm("cat.eq8", lambda x: 2.0 * (1.0 - x * x) / (1.0 + x * x), False),
+        CatalanForm("cat.eq9", lambda x: 2.0 * x, False),  # 2^(2n) x^(2n)
+        CatalanForm("cat.eq10", lambda x: x, False),  # x^(2n)
+    )
 }
 
 # Motzkin catalog entry generated by each form, and how to compare against
@@ -196,29 +133,33 @@ def get_form(catalan_id: str) -> CatalanForm:
 
 
 def integrate_transform(catalan_id: str, n: int, cfg: QuadConfig = _TIGHT) -> float:
-    """Integral of the transformed Motzkin integrand over the form's domain
-    (should equal the exact Motzkin number)."""
+    """Integral of the transformed Motzkin integrand over the source entry's
+    domain (should equal the exact Motzkin number)."""
     form = get_form(catalan_id)
-    integrand = motzkin_integrand(form)
-    if form.semi_infinite:
-        return integrate_semi_infinite(lambda x: integrand(n, x), cfg).value
-    lo, hi = form.domain
-    if form.g_distance is not None:
+    source = get_representation(catalan_id)
+    lo, hi = source.domain
+    if source.distance_integrand is not None:
+        # g from full-precision endpoint distances, f at the point measured
+        # from the nearer endpoint
         kernel = _kernel(form)
+        g_scale = source.prefactor_float(0)
 
         def singular(da: float, db: float) -> float:
             fx = form.f(lo + da if da <= db else hi - db)
-            return kernel(n, fx * fx) * form.g_distance(da, db)
+            return kernel(n, fx * fx) * (g_scale * source.distance_integrand(0, da, db))
 
         return tanh_sinh(None, lo, hi, cfg, singular=singular).value
+    integrand = motzkin_integrand(form)
+    if source.semi_infinite:
+        return integrate_semi_infinite(lambda x: integrand(n, x), cfg).value
     return tanh_sinh(lambda x: integrand(n, x), lo, hi, cfg).value
 
 
-def _sample_points(domain: tuple[float, float], count: int) -> list[float]:
-    lo, hi = domain
-    if math.isinf(hi):
+def _sample_points(source: Representation, count: int) -> list[float]:
+    if source.semi_infinite:
         # map (0,1) midpoints through u/(1-u) to cover (0, inf)
         return [u / (1.0 - u) for u in ((i + 0.5) / count for i in range(count))]
+    lo, hi = source.domain
     return [lo + (hi - lo) * (i + 0.5) / count for i in range(count)]
 
 
@@ -240,7 +181,7 @@ def transform_deviation(
             raise ValueError("need at least one sample point")
         scale = rep.prefactor_float(n)
         worst = 0.0
-        for x in _sample_points(form.domain, check_points):
+        for x in _sample_points(get_representation(catalan_id), check_points):
             lhs = integrand(n, x)
             rhs = scale * rep.integrand(n, x)
             denom = max(abs(lhs), abs(rhs))

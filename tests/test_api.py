@@ -16,7 +16,10 @@ REMOVED = {
         "POINTWISE_TOLERANCE",
         "VALUE_ONLY_TOLERANCE",
         "MotzkinIntegrand",
+        "_sqrt_prod_weight",
     ),
+    # g, its distance form and the domain come from the source catalog entry
+    catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
     catmot.catalog: ("_weights_13a",),
     catmot.report.Report: ("from_json",),

@@ -103,6 +103,20 @@ def test_table_rows_match_independent_sequences(capsys):
     assert rows[-1][2] == motzkin_oracle(300)
 
 
+def test_table_past_the_digit_limit_prints_nothing(capsys):
+    # C(n) passes 640 digits near n = 1070: the table is refused whole,
+    # never cut off after the last row that still converts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table", "1200")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == ""
+    assert "640 digits" in err and len(err.splitlines()) == 1
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_single_entry_csv(capsys):
@@ -201,6 +215,14 @@ def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
     assert "rel_tol" in err
 
 
+def test_verify_max_levels_above_cap_exits_2(capsys):
+    # node abscissas of the double-exponential levels are exact only up to level 50
+    code, out, err = run(capsys, "verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "51")
+    assert code == 2
+    assert out == ""
+    assert "max_levels must be in 3..50" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_verify_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--tol", tol)
@@ -264,6 +286,18 @@ def test_transform_unpaired_form_checks_exact_value(capsys):
 def test_transform_unknown_form_exits_2(capsys):
     code, _, err = run(capsys, "transform", "cat.conc1")
     assert code == 2
+
+
+@pytest.mark.parametrize("catalan_id, points", [
+    ("cat.eq5", "0"),  # pointwise pair
+    ("cat.eq2", "0"),  # value-only pair
+    ("cat.eq3", "-5"),  # unpaired
+])
+def test_transform_check_points_below_one_exits_2(capsys, catalan_id, points):
+    code, out, err = run(capsys, "transform", catalan_id, "--check-points", points)
+    assert code == 2
+    assert out == ""
+    assert "--check-points must be at least 1" in err
 
 
 # -- lemma1 ----------------------------------------------------------------------

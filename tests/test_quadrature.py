@@ -293,8 +293,10 @@ def test_converged_respects_tolerance_contract():
 def test_quad_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_levels=2)
+    for bad in (2, 51):
+        with pytest.raises(ValueError, match=r"3\.\.50"):
+            QuadConfig(max_levels=bad)
+    assert QuadConfig(max_levels=50).max_levels == 50
     with pytest.raises(ValueError):
         QuadConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
@@ -307,7 +309,7 @@ def test_quad_config_validation():
     # copies are validated like new configs
     cfg = QuadConfig()
     assert cfg._replace(max_levels=5) == QuadConfig(max_levels=5)
-    for bad in ({"max_levels": 2}, {"rel_tol": math.nan}):
+    for bad in ({"max_levels": 2}, {"max_levels": 51}, {"rel_tol": math.nan}):
         with pytest.raises(ValueError):
             cfg._replace(**bad)
 

@@ -28,31 +28,47 @@ def test_registry_contents():
     assert phi_ids == {"cat.eq2", "cat.eq3", "cat.eq4"}
 
 
+def _g(cid, x):
+    # g of a form: its source entry at n = 0, where f^(2n) = 1
+    rep = get_representation(cid)
+    return rep.prefactor_float(0) * rep.integrand(0, x)
+
+
+def _interior_points(rep, fractions):
+    if rep.semi_infinite:
+        return [u / (1.0 - u) for u in fractions]
+    lo, hi = rep.domain
+    return [lo + (hi - lo) * t for t in fractions]
+
+
 def test_forms_match_their_source_representations():
-    # f(x)^(2n) g(x) must reproduce prefactor * integrand (times n+1 for the
-    # 1/(n+1) flavor) of the source catalog entry, pointwise
+    # the one registered fact, f: f(x)^(2n) g(x) must reproduce prefactor *
+    # integrand (times n+1 for the 1/(n+1) flavor) of the source entry
     for cid, form in FORMS.items():
+        assert form.id == cid
         rep = get_representation(cid)
-        lo, hi = form.domain
-        assert rep.domain == form.domain
-        xs = (
-            [u / (1.0 - u) for u in (0.15, 0.5, 0.85)]
-            if form.semi_infinite
-            else [lo + (hi - lo) * t for t in (0.15, 0.5, 0.85)]
-        )
         for n in (0, 3, 8):
             flavor_factor = n + 1 if form.has_inverse_n_plus_1 else 1
-            for x in xs:
-                lhs = form.f(x) ** (2 * n) * form.g(x)
+            for x in _interior_points(rep, (0.15, 0.5, 0.85)):
+                lhs = form.f(x) ** (2 * n) * _g(cid, x)
                 rhs = flavor_factor * rep.prefactor_float(n) * rep.integrand(n, x)
                 assert lhs == pytest.approx(rhs, rel=1e-12), (cid, n, x)
 
 
+def test_trivial_order_is_the_source_entry_at_n_0():
+    # both kernels are exactly 1 at n = 0, so the generated integrand is g
+    # as the catalog computes it, bit for bit
+    for cid, form in FORMS.items():
+        integrand = motzkin_integrand(form)
+        rep = get_representation(cid)
+        for x in _interior_points(rep, (0.01, 0.15, 0.3, 0.5, 0.62, 0.85, 0.99)):
+            assert integrand(0, x) == _g(cid, x), (cid, x)
+
+
 def test_transform_simple_trivial_order():
-    form = FORMS["cat.eq9"]
-    integrand = motzkin_integrand(form)
+    integrand = motzkin_integrand(FORMS["cat.eq9"])
     for x in (-0.6, 0.0, 0.4):
-        assert integrand(0, x) == form.g(x)
+        assert integrand(0, x) == _g("cat.eq9", x)
 
 
 def test_transform_simple_hand_value():
@@ -65,10 +81,9 @@ def test_transform_simple_hand_value():
 
 def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
-        form = FORMS[cid]
-        integrand = motzkin_integrand(form)
+        integrand = motzkin_integrand(FORMS[cid])
         for x in (0.3, 0.62):
-            assert integrand(0, x) == pytest.approx(form.g(x), rel=1e-15)
+            assert integrand(0, x) == pytest.approx(_g(cid, x), rel=1e-15)
 
 
 def test_transform_phi_hand_value():
@@ -82,15 +97,13 @@ def test_transform_phi_hand_value():
 def test_transform_phi_value_at_interior_zero_of_f():
     # the difference polynomial in f^2 has leading coefficient 1, so the
     # integrand equals g exactly where f vanishes
-    form = FORMS["cat.eq2"]  # f = 2x vanishes at x = 0
-    integrand = motzkin_integrand(form)
+    integrand = motzkin_integrand(FORMS["cat.eq2"])  # f = 2x vanishes at x = 0
     for n in (1, 6, 19):
-        assert integrand(n, 0.0) == form.g(0.0)
-    form = FORMS["cat.eq3"]  # f = 2 cos x vanishes at x = pi/2
-    integrand = motzkin_integrand(form)
+        assert integrand(n, 0.0) == _g("cat.eq2", 0.0)
+    integrand = motzkin_integrand(FORMS["cat.eq3"])  # f = 2 cos x vanishes at x = pi/2
     x0 = _PI / 2.0
     for n in (2, 11):
-        assert integrand(n, x0) == pytest.approx(form.g(x0), rel=1e-15)
+        assert integrand(n, x0) == pytest.approx(_g("cat.eq3", x0), rel=1e-15)
 
 
 def test_unknown_ids_raise_lookup_errors():
