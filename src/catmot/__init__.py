@@ -23,7 +23,7 @@ from .quadrature import (
     integrate_semi_infinite,
     tanh_sinh,
 )
-from .transform import CatalanForm, ComparisonMode, check_lemma1, motzkin_integrand
+from .transform import CatalanForm, ComparisonMode, check_lemma1, motzkin_representation
 
 __all__ = [
     "CatalanForm",
@@ -42,8 +42,8 @@ __all__ = [
     "integrate_semi_infinite",
     "list_representations",
     "motzkin",
-    "motzkin_integrand",
     "motzkin_oracle",
+    "motzkin_representation",
     "psi_difference",
     "tanh_sinh",
     "verify",

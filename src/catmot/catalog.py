@@ -504,8 +504,7 @@ def default_tolerance(rep: Representation) -> float:
     return 1e-11
 
 
-def _select_rule(rep: Representation, cfg: QuadConfig) -> str:
-    override = cfg.rule_override
+def _select_rule(rep: Representation, override: Optional[str]) -> str:
     if override is None:
         if rep.exactness_hint is not None:
             return _RULE_CHEBYSHEV
@@ -525,10 +524,12 @@ def _select_rule(rep: Representation, cfg: QuadConfig) -> str:
     return override
 
 
-def _integrate(rep: Representation, n: int, cfg: QuadConfig) -> tuple[float, QuadratureResult]:
+def _integrate(
+    rep: Representation, n: int, cfg: QuadConfig, override: Optional[str]
+) -> tuple[float, QuadratureResult]:
     """Estimate of prefactor * integral, plus the raw engine result."""
     rational, pi_power = rep.prefactor(n)
-    rule = _select_rule(rep, cfg)
+    rule = _select_rule(rep, override)
     if rule == _RULE_CHEBYSHEV:
         hint = rep.exactness_hint
         n_nodes = hint.nodes(n)
@@ -565,13 +566,14 @@ def verify(
     n: int,
     cfg: QuadConfig = QuadConfig(),
     tol: Optional[float] = None,
+    rule: Optional[str] = None,
 ) -> VerificationRow:
     """Numerically check one (representation, n) pair against the exact value.
 
-    The quadrature rule comes from cfg.rule_override or, by default, from
-    the entry's singularity tags and exactness hint.  ``tol`` defaults to
-    the singularity-class tolerance; a given one must be positive and
-    finite.
+    ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the rule
+    comes from the entry's singularity tags and exactness hint.  ``cfg``
+    holds the engine tolerances.  ``tol`` defaults to the singularity-class
+    tolerance; a given one must be positive and finite.
     """
     if n < rep.n_min:
         raise ValueError(f"{rep.id} requires n >= {rep.n_min}, got {n}")
@@ -579,10 +581,10 @@ def verify(
         tol = default_tolerance(rep)
     elif not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    estimate, result = _integrate(rep, n, cfg)
+    estimate, result = _integrate(rep, n, cfg, rule)
     exact = rep.exact_value(n)
     rel_err = abs(estimate - float(exact)) / float(exact)
-    rule = result.rule if result.converged else result.rule + "[non-converged]"
+    label = result.rule if result.converged else result.rule + "[non-converged]"
     return VerificationRow(
         rep_id=rep.id,
         n=n,
@@ -590,7 +592,7 @@ def verify(
         estimate=estimate,
         rel_err=rel_err,
         evaluations=result.evaluations,
-        rule=rule,
+        rule=label,
         passed=result.converged and rel_err <= tol,
         converged=result.converged,
     )

@@ -178,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{reps[0].id} requires n >= {reps[0].n_min}; requested range starts at {lo}"
             )
-    cfg = settings.quad_config(rule_override=args.rule)
+    cfg = settings.quad_config()
     tasks = [
         (rep, n) for rep in reps for n in range(max(lo, rep.n_min), hi + 1)
     ]
@@ -187,9 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda t: verify(t[0], t[1], cfg, args.tol), tasks))
+            rows = list(pool.map(lambda t: verify(*t, cfg, args.tol, args.rule), tasks))
     else:
-        rows = [verify(rep, n, cfg, args.tol) for rep, n in tasks]
+        rows = [verify(rep, n, cfg, args.tol, args.rule) for rep, n in tasks]
     echo = settings.echo()
     echo.update(
         {
@@ -209,33 +209,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    if args.n < 0:
-        raise ValueError("n must be nonnegative")
+    # past these n the kernel's float coefficients overflow: C(1030, 515) for simple
+    n_max = 1037 if form.has_inverse_n_plus_1 else 1029
+    if not 0 <= args.n <= n_max:
+        raise ValueError(f"--n must be in 0..{n_max}, where the {flavor} kernel fits a float")
     if args.check_points < 1:
         raise ValueError("--check-points must be at least 1")
     pairing = PAIRS.get(args.catalan_id)
-    print(f"catalan form : {args.catalan_id} ({flavor} transform)")
+    # formatted whole before any of it is written: a failure leaves no partial output
+    out = [f"catalan form : {args.catalan_id} ({flavor} transform)"]
     if pairing is None:
         value = integrate_transform(args.catalan_id, args.n)
         exact = float(motzkin(args.n))
         dev = abs(value - exact) / exact
-        print(f"paired entry : none; comparing the integral against exact M({args.n})")
-        print(f"integral     : {value!r}")
-        print(f"exact        : {exact!r}")
+        out.append(f"paired entry : none; comparing the integral against exact M({args.n})")
+        out.append(f"integral     : {value!r}")
+        out.append(f"exact        : {exact!r}")
         limit = ComparisonMode.VALUE_ONLY.tolerance
-        print(f"rel deviation: {dev:.3e} (threshold {limit:g})")
-        return EXIT_OK if dev <= limit else EXIT_CHECK_FAILED
-    motzkin_id, mode = pairing
-    dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, args.check_points)
-    limit = mode.tolerance
-    what = (
-        f"max deviation over {args.check_points} interior points"
-        if mode is ComparisonMode.POINTWISE
-        else "integral value deviation"
-    )
-    print(f"paired entry : {motzkin_id}")
-    print(f"mode         : {mode.value}, n={args.n}")
-    print(f"{what}: {dev:.3e} (threshold {limit:g})")
+        out.append(f"rel deviation: {dev:.3e} (threshold {limit:g})")
+    else:
+        motzkin_id, mode = pairing
+        dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, args.check_points)
+        limit = mode.tolerance
+        what = (
+            f"max deviation over {args.check_points} interior points"
+            if mode is ComparisonMode.POINTWISE
+            else "integral value deviation"
+        )
+        out.append(f"paired entry : {motzkin_id}")
+        out.append(f"mode         : {mode.value}, n={args.n}")
+        out.append(f"{what}: {dev:.3e} (threshold {limit:g})")
+    print("\n".join(out))
     return EXIT_OK if dev <= limit else EXIT_CHECK_FAILED
 
 
@@ -289,7 +293,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"catmot {args.command}: error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, OverflowError) as exc:
-        print(f"catmot {args.command}: error: {exc}", file=sys.stderr)
+        # str() of a float ** int overflow is the tuple (34, 'Numerical result ...')
+        message = f"float overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
+        print(f"catmot {args.command}: error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -23,10 +23,8 @@ class Settings(NamedTuple):
     max_levels: int = 12
     max_subdivisions: int = 2000
 
-    def quad_config(self, rule_override: Optional[str] = None) -> QuadConfig:
-        return QuadConfig(
-            self.rel_tol, self.abs_tol, self.max_levels, self.max_subdivisions, rule_override
-        )
+    def quad_config(self) -> QuadConfig:
+        return QuadConfig(self.rel_tol, self.abs_tol, self.max_levels, self.max_subdivisions)
 
     def echo(self) -> dict[str, str]:
         return {name: str(value) for name, value in zip(self._fields, self)}

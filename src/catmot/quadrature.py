@@ -34,11 +34,11 @@ class _QuadConfigFields(NamedTuple):
     abs_tol: float = 1e-300
     max_levels: int = 12
     max_subdivisions: int = 2000
-    rule_override: Optional[str] = None
 
 
 class QuadConfig(_QuadConfigFields):
-    """Tuning knobs shared by all adaptive rules.
+    """Engine tolerances and caps shared by all adaptive rules; which rule
+    runs is the caller's choice (``catalog.verify`` picks it per entry).
 
     Convergence everywhere means: error_estimate <= max(rel_tol * |value|,
     abs_tol).  The defaults suit integrands whose values span many orders of

@@ -17,23 +17,24 @@ of f the phi kernel equals its analytic limit g(x) exactly, because the
 leading coefficient of the difference polynomial in f^2 is 1.
 
 A registration table gives f and the flavor of each eligible Catalan
-catalog entry.  g, its endpoint-distance form and the domain come from the
-entry itself: g is the entry's prefactor times its integrand at n = 0,
-since f^0 = 1.  Consistency checks confirm that the generated integrands
-reproduce the Motzkin catalog entries, pointwise where the catalog entry is
-the direct transform output and in integral value where it was derived with
-an extra u = -x symmetrization.
+catalog entry.  A transform is a Motzkin entry derived from the source
+entry (g is its prefactor times its integrand at n = 0, since f^0 = 1) that
+``verify`` integrates with the catalog's rule.  Consistency checks confirm
+that the generated integrands reproduce the Motzkin catalog entries,
+pointwise where the catalog entry is the direct transform output and in
+integral value where it was derived with an extra u = -x symmetrization.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .catalog import Representation, get_representation, verify
+from .catalog import Family, Representation, get_representation, verify
 from .polys import half_power_sum, phi_diff_over_square
-from .quadrature import QuadConfig, adaptive_gk, integrate_semi_infinite, tanh_sinh
+from .quadrature import QuadConfig, adaptive_gk
 
 _PI = math.pi
 
@@ -44,10 +45,8 @@ class CatalanForm(NamedTuple):
 
     ``has_inverse_n_plus_1`` tells which flavor applies: False means the
     plain form (simple transform), True means the form carries a 1/(n+1)
-    prefactor (phi transform).  Everything else comes from the entry
-    ``id``: its domain, and g, which is the entry's prefactor times its
-    integrand at n = 0 (f^0 = 1), in endpoint-distance form where the
-    entry has one.
+    prefactor (phi transform).  Everything else comes from the catalog
+    entry ``id``.
     """
 
     id: str
@@ -65,23 +64,34 @@ class ComparisonMode(Enum):
         return 1e-12 if self is ComparisonMode.POINTWISE else 1e-10
 
 
-def _kernel(form: CatalanForm) -> Callable[[int, float], float]:
-    """The transform kernel of the form's flavor, as a function of (n, f^2)."""
-    return phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
-
-
-def motzkin_integrand(form: CatalanForm) -> Callable[[int, float], float]:
-    """Motzkin integrand of a form: (1/2)((1+f)^n + (1-f)^n) g for a plain
-    form, (phi_{n+2} - phi_{n+1})/f^2 * g for a form with 1/(n+1)."""
-    kernel = _kernel(form)
-    rep = get_representation(form.id)
-    g_scale = rep.prefactor_float(0)
+def motzkin_representation(form: CatalanForm) -> Representation:
+    """The transform of a form as a Motzkin entry with prefactor 1, whose
+    integrand takes the source entry's plain or endpoint-distance form.
+    Its id is not a catalog id."""
+    kernel = phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
+    source = get_representation(form.id)
+    g_scale = source.prefactor_float(0)
+    lo, hi = source.domain
 
     def integrand(n: int, x: float) -> float:
         fx = form.f(x)
-        return kernel(n, fx * fx) * (g_scale * rep.integrand(0, x))
+        return kernel(n, fx * fx) * (g_scale * source.integrand(0, x))
 
-    return integrand
+    def distance_integrand(n: int, da: float, db: float) -> float:
+        # g from full-precision endpoint distances, f at the point measured
+        # from the nearer endpoint
+        fx = form.f(lo + da if da <= db else hi - db)
+        return kernel(n, fx * fx) * (g_scale * source.distance_integrand(0, da, db))
+
+    by_distance = source.distance_integrand is not None
+    return source._replace(
+        id=f"{form.id}->motzkin",
+        family=Family.MOTZKIN,
+        prefactor=lambda n: (Fraction(1), 0),
+        exactness_hint=None, split_points=(),
+        integrand=None if by_distance else integrand,
+        distance_integrand=distance_integrand if by_distance else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +145,7 @@ def get_form(catalan_id: str) -> CatalanForm:
 def integrate_transform(catalan_id: str, n: int, cfg: QuadConfig = _TIGHT) -> float:
     """Integral of the transformed Motzkin integrand over the source entry's
     domain (should equal the exact Motzkin number)."""
-    form = get_form(catalan_id)
-    source = get_representation(catalan_id)
-    lo, hi = source.domain
-    if source.distance_integrand is not None:
-        # g from full-precision endpoint distances, f at the point measured
-        # from the nearer endpoint
-        kernel = _kernel(form)
-        g_scale = source.prefactor_float(0)
-
-        def singular(da: float, db: float) -> float:
-            fx = form.f(lo + da if da <= db else hi - db)
-            return kernel(n, fx * fx) * (g_scale * source.distance_integrand(0, da, db))
-
-        return tanh_sinh(None, lo, hi, cfg, singular=singular).value
-    integrand = motzkin_integrand(form)
-    if source.semi_infinite:
-        return integrate_semi_infinite(lambda x: integrand(n, x), cfg).value
-    return tanh_sinh(lambda x: integrand(n, x), lo, hi, cfg).value
+    return verify(motzkin_representation(get_form(catalan_id)), n, cfg).estimate
 
 
 def _sample_points(source: Representation, count: int) -> list[float]:
@@ -173,22 +166,21 @@ def transform_deviation(
     """Relative deviation between the transform of the registered form and
     the Motzkin catalog entry: maximum over sample points (pointwise mode)
     or between integral values (value-only mode)."""
-    form = get_form(catalan_id)
+    derived = motzkin_representation(get_form(catalan_id))
     rep = get_representation(motzkin_id)
-    integrand = motzkin_integrand(form)
     if mode is ComparisonMode.POINTWISE:
         if check_points < 1:
             raise ValueError("need at least one sample point")
         scale = rep.prefactor_float(n)
         worst = 0.0
-        for x in _sample_points(get_representation(catalan_id), check_points):
-            lhs = integrand(n, x)
+        for x in _sample_points(derived, check_points):
+            lhs = derived.integrand(n, x)
             rhs = scale * rep.integrand(n, x)
             denom = max(abs(lhs), abs(rhs))
             if denom > 0.0:
                 worst = max(worst, abs(lhs - rhs) / denom)
         return worst
-    value_t = integrate_transform(catalan_id, n)
+    value_t = verify(derived, n, _TIGHT).estimate
     value_c = verify(rep, n, _TIGHT).estimate
     return abs(value_t - value_c) / max(abs(value_t), abs(value_c))
 
@@ -243,6 +235,6 @@ __all__ = [
     "get_form",
     "integrate_transform",
     "lemma1_sides",
-    "motzkin_integrand",
+    "motzkin_representation",
     "transform_deviation",
 ]

@@ -8,7 +8,7 @@ import catmot.report
 import catmot.transform
 
 REMOVED = {
-    catmot: ("PhiEvaluator", "check_transform_consistency"),
+    catmot: ("PhiEvaluator", "check_transform_consistency", "motzkin_integrand"),
     catmot.transform: (
         "PhiEvaluator",
         "psi_difference",
@@ -17,12 +17,18 @@ REMOVED = {
         "VALUE_ONLY_TOLERANCE",
         "MotzkinIntegrand",
         "_sqrt_prod_weight",
+        # a transform is a derived catalog entry that verify integrates
+        "motzkin_integrand",
+        "tanh_sinh",
+        "integrate_semi_infinite",
     ),
     # g, its distance form and the domain come from the source catalog entry
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
     catmot.catalog: ("_weights_13a",),
     catmot.report.Report: ("from_json",),
+    # verify takes the rule; QuadConfig holds only engine tolerances
+    catmot.QuadConfig: ("rule_override",),
 }
 
 

@@ -13,7 +13,6 @@ from catmot.catalog import (
     verify,
 )
 from catmot.exact import catalan, motzkin
-from catmot.quadrature import QuadConfig
 
 ALL_IDS = [
     "cat.eq2", "cat.eq3", "cat.eq4", "cat.eq5", "cat.eq6", "cat.eq7",
@@ -146,18 +145,18 @@ def test_rule_auto_selection_via_rule_field():
 
 def test_rule_override_validation():
     with pytest.raises(ValueError):
-        verify(get_representation("cat.eq6"), 1, QuadConfig(rule_override="tanh-sinh"))
+        verify(get_representation("cat.eq6"), 1, rule="tanh-sinh")
     with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, QuadConfig(rule_override="chebyshev"))
+        verify(get_representation("cat.eq4"), 1, rule="chebyshev")
     with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, QuadConfig(rule_override="exp-sinh"))
+        verify(get_representation("cat.eq4"), 1, rule="exp-sinh")
     with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, QuadConfig(rule_override="simpson"))
+        verify(get_representation("cat.eq4"), 1, rule="simpson")
 
 
 def test_nonconvergence_is_flagged_not_raised():
     # forcing Gauss-Kronrod onto a 1/sqrt singularity cannot converge
-    row = verify(get_representation("cat.eq4"), 0, QuadConfig(rule_override="gauss-kronrod"))
+    row = verify(get_representation("cat.eq4"), 0, rule="gauss-kronrod")
     assert not row.converged
     assert not row.passed
     assert "non-converged" in row.rule

@@ -12,6 +12,7 @@ from catmot.catalog import VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
 from catmot.exact import motzkin_oracle
+from catmot.polys import even_binomial_coeffs, phi_diff_coeffs
 from catmot.report import CSV_HEADER, Report
 
 
@@ -239,12 +240,28 @@ def test_verify_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in err
 
 
-def test_verify_float_overflow_exits_2(capsys):
+@pytest.mark.parametrize("argv", [
     # the prefactor 4^600/601 does not fit a float
-    code, out, err = run(capsys, "verify", "cat.eq4", "--n-range", "600..600", "--n-max", "1000")
+    ("verify", "cat.eq4", "--n-range", "600..600", "--n-max", "1000"),
+    # 3^700 overflows a float ** int power
+    ("verify", "mot.12e", "--n-range", "700..700", "--n-max", "1000"),
+    ("transform", "cat.eq6", "--n", "700"),
+    # past the kernels' float range: refused before any coefficient is built
+    ("transform", "cat.eq9", "--n", "5000"),
+    ("transform", "cat.eq4", "--n", "2000"),
+], ids=[
+    "verify-cat.eq4-600",
+    "verify-mot.12e-700",
+    "transform-cat.eq6-700",
+    "transform-cat.eq9-5000",
+    "transform-cat.eq4-2000",
+])
+def test_verify_float_overflow_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("catmot verify: error:")
+    assert err.startswith(f"catmot {argv[0]}: error:")
+    assert err.count("\n") == 1 and "(34," not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +303,20 @@ def test_transform_unpaired_form_checks_exact_value(capsys):
 def test_transform_unknown_form_exits_2(capsys):
     code, _, err = run(capsys, "transform", "cat.conc1")
     assert code == 2
+
+
+@pytest.mark.parametrize("catalan_id, builder, n_max", [
+    ("cat.eq9", even_binomial_coeffs, 1029),
+    ("cat.eq4", phi_diff_coeffs, 1037),
+])
+def test_transform_n_limit_is_the_kernels_float_range(capsys, catalan_id, builder, n_max):
+    # n_max is the largest n whose kernel coefficients all convert to float
+    assert [float(c) for c in builder(n_max)]
+    with pytest.raises(OverflowError):
+        [float(c) for c in builder(n_max + 1)]
+    code, out, err = run(capsys, "transform", catalan_id, "--n", str(n_max + 1))
+    assert (code, out) == (2, "")
+    assert f"0..{n_max}" in err
 
 
 @pytest.mark.parametrize("catalan_id, points", [
@@ -343,17 +374,13 @@ def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
 # -- report serialization ---------------------------------------------------------
 
 def _small_report():
-    from catmot.quadrature import QuadConfig
-
     rows = [
         verify(get_representation(rid), n)
         for rid in ("cat.eq9", "mot.13b")
         for n in (0, 3)
     ]
     # include a non-converged row so serialization covers the failure shape
-    rows.append(
-        verify(get_representation("cat.eq4"), 0, QuadConfig(rule_override="gauss-kronrod"))
-    )
+    rows.append(verify(get_representation("cat.eq4"), 0, rule="gauss-kronrod"))
     return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
 
 

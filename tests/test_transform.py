@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from catmot.catalog import get_representation
+from catmot.catalog import get_representation, list_representations, verify
 from catmot.exact import motzkin
 from catmot.transform import (
     FORMS,
@@ -12,7 +12,7 @@ from catmot.transform import (
     get_form,
     integrate_transform,
     lemma1_sides,
-    motzkin_integrand,
+    motzkin_representation,
     transform_deviation,
 )
 
@@ -59,14 +59,14 @@ def test_trivial_order_is_the_source_entry_at_n_0():
     # both kernels are exactly 1 at n = 0, so the generated integrand is g
     # as the catalog computes it, bit for bit
     for cid, form in FORMS.items():
-        integrand = motzkin_integrand(form)
+        integrand = motzkin_representation(form).integrand
         rep = get_representation(cid)
         for x in _interior_points(rep, (0.01, 0.15, 0.3, 0.5, 0.62, 0.85, 0.99)):
             assert integrand(0, x) == _g(cid, x), (cid, x)
 
 
 def test_transform_simple_trivial_order():
-    integrand = motzkin_integrand(FORMS["cat.eq9"])
+    integrand = motzkin_representation(FORMS["cat.eq9"]).integrand
     for x in (-0.6, 0.0, 0.4):
         assert integrand(0, x) == _g("cat.eq9", x)
 
@@ -74,14 +74,14 @@ def test_transform_simple_trivial_order():
 def test_transform_simple_hand_value():
     # f = 2x, g = (2/pi) sqrt(1-x^2), n = 1, x = 0.5:
     # (1/2)((1+1)^1 + 0^1) g = g = (2/pi) sqrt(0.75)
-    integrand = motzkin_integrand(FORMS["cat.eq9"])
+    integrand = motzkin_representation(FORMS["cat.eq9"]).integrand
     expected = 2.0 / _PI * math.sqrt(0.75)
     assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
-        integrand = motzkin_integrand(FORMS[cid])
+        integrand = motzkin_representation(FORMS[cid]).integrand
         for x in (0.3, 0.62):
             assert integrand(0, x) == pytest.approx(_g(cid, x), rel=1e-15)
 
@@ -89,7 +89,7 @@ def test_transform_phi_trivial_order():
 def test_transform_phi_hand_value():
     # f = 2x, g = 1/(pi sqrt(1-x^2)), n = 1, x = 0.5: phi_3(1) - phi_2(1) = 1,
     # divided by f^2 = 1, so the integrand equals g = 1/(pi sqrt(0.75))
-    integrand = motzkin_integrand(FORMS["cat.eq2"])
+    integrand = motzkin_representation(FORMS["cat.eq2"]).integrand
     expected = 1.0 / (_PI * math.sqrt(0.75))
     assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
 
@@ -97,10 +97,12 @@ def test_transform_phi_hand_value():
 def test_transform_phi_value_at_interior_zero_of_f():
     # the difference polynomial in f^2 has leading coefficient 1, so the
     # integrand equals g exactly where f vanishes
-    integrand = motzkin_integrand(FORMS["cat.eq2"])  # f = 2x vanishes at x = 0
+    # f = 2x vanishes at x = 0
+    integrand = motzkin_representation(FORMS["cat.eq2"]).integrand
     for n in (1, 6, 19):
         assert integrand(n, 0.0) == _g("cat.eq2", 0.0)
-    integrand = motzkin_integrand(FORMS["cat.eq3"])  # f = 2 cos x vanishes at x = pi/2
+    # f = 2 cos x vanishes at x = pi/2
+    integrand = motzkin_representation(FORMS["cat.eq3"]).integrand
     x0 = _PI / 2.0
     for n in (2, 11):
         assert integrand(n, x0) == pytest.approx(_g("cat.eq3", x0), rel=1e-15)
@@ -115,10 +117,28 @@ def test_unknown_ids_raise_lookup_errors():
 
 def test_transform_integrals_reproduce_motzkin_numbers():
     for cid in FORMS:
-        for n in range(0, 21):
+        # cat.eq2 runs on tanh-sinh, whose tail cutoff fails it from n = 44
+        large = () if cid == "cat.eq2" else (47, 60, 65, 95, 100)
+        for n in (*range(0, 21), *large):
             value = integrate_transform(cid, n)
             exact = float(motzkin(n))
             assert abs(value - exact) / exact <= 1e-8, (cid, n)
+
+
+def test_transform_is_integrated_with_the_catalog_rule():
+    # the source's singularity tags pick the engine, as for an entry without
+    # an exactness hint; the derived entry stays out of the catalog
+    engines = {
+        "gauss-kronrod": ("cat.eq3", "cat.eq7", "cat.eq8", "cat.eq9", "cat.eq10"),
+        "tanh-sinh": ("cat.eq2", "cat.eq4", "cat.eq5"),
+        "exp-sinh": ("cat.eq6",),
+    }
+    catalog_ids = {rep.id for rep in list_representations()}
+    for engine, cids in engines.items():
+        for cid in cids:
+            derived = motzkin_representation(FORMS[cid])
+            assert derived.id not in catalog_ids, cid
+            assert verify(derived, 5).rule.startswith(engine), cid
 
 
 def test_consistency_examples():
