@@ -1,11 +1,11 @@
 """Catalog of integral representations of the Catalan and Motzkin numbers.
 
 Every entry is a self-describing descriptor: an exact-rational prefactor
-(times an optional 1/pi), the integrand, the integration domain, endpoint
-singularity tags that drive automatic rule selection, and — where the
-integrand is a polynomial against a Chebyshev weight — an exactness hint
-that makes an N-point Gauss-Chebyshev rule reproduce the value to machine
-precision.
+(times an optional 1/pi), one integrand, the integration domain, and
+endpoint singularity tags that drive automatic rule selection.  Where the
+substitution x = cos(theta) turns the integrand into a polynomial against
+a Chebyshev weight, the exactness hint is the node count of the
+Gauss-Chebyshev rule that integrates that same integrand exactly.
 
 The defining, testable contract of this module: for every entry and every
 valid n, integrating the integrand over the domain and applying the
@@ -53,20 +53,6 @@ _ENDPOINT_TAGS = frozenset(
 )
 
 
-class ChebyshevHint(NamedTuple):
-    """Marks an integrand as polynomial x Chebyshev weight after an affine
-    rescale of the domain onto (-1, 1).
-
-    ``poly(n, t)`` is that polynomial including the rescale Jacobian;
-    ``nodes(n)`` is the smallest node count whose Gauss rule is exact for
-    its degree.
-    """
-
-    kind: int  # 1 = weight 1/sqrt(1-t^2), 2 = weight sqrt(1-t^2)
-    poly: Callable[[int, float], float]
-    nodes: Callable[[int], int]
-
-
 class _RepresentationFields(NamedTuple):
     id: str
     family: Family
@@ -75,7 +61,9 @@ class _RepresentationFields(NamedTuple):
     domain: tuple[float, float]
     singularities: frozenset[Singularity]
     statement: str
-    exactness_hint: Optional[ChebyshevHint] = None
+    # n -> nodes of a Gauss-Chebyshev rule exact for the integrand after the
+    # map x = mid + halfwidth cos(theta); the tags give its kind
+    exactness_hint: Optional[Callable[[int], int]] = None
     split_points: tuple[float, ...] = ()
     # exactly one of the two integrand forms is given; for an entry with a
     # distance form, integrand(n, x) is derived from it
@@ -239,6 +227,9 @@ def _13b_distance(n, da, db):
 
 
 def _ceil_half_plus_one(n: int) -> int:
+    """Nodes for mot.12e and 12f's degree-n polynomial: the fewest exact for
+    even n, one more than the n//2 + 1 that suffice for odd n (the sweep's
+    pinned evaluation totals rest on this count)."""
     return (n + 1) // 2 + 1
 
 
@@ -251,7 +242,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{-1}^{1} x^(2n)/sqrt(1-x^2) dx",
-        exactness_hint=ChebyshevHint(1, lambda n, t: t ** (2 * n), lambda n: n + 1),
+        exactness_hint=lambda n: n + 1,
         distance_integrand=_eq2_distance,
     ),
     Representation(
@@ -323,7 +314,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+1)/pi int_{-1}^{1} x^(2n) sqrt(1-x^2) dx",
-        exactness_hint=ChebyshevHint(2, lambda n, t: t ** (2 * n), lambda n: n + 1),
+        exactness_hint=lambda n: n + 1,
     ),
     Representation(
         id="cat.eq10",
@@ -334,10 +325,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 1/(2 pi) int_{-2}^{2} x^(2n) sqrt(4-x^2) dx",
-        # affine map x = 2t: jacobian 2 times weight rescale 2
-        exactness_hint=ChebyshevHint(
-            2, lambda n, t: 4.0 * (2.0 * t) ** (2 * n), lambda n: n + 1
-        ),
+        exactness_hint=lambda n: n + 1,
     ),
     Representation(
         id="cat.conc1",
@@ -347,7 +335,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 2^(2n+1)/((2n+1) pi) int_{-1}^{1} x^(2n+2)/sqrt(1-x^2) dx",
-        exactness_hint=ChebyshevHint(1, lambda n, t: t ** (2 * n + 2), lambda n: n + 2),
+        exactness_hint=lambda n: n + 2,
         distance_integrand=_conc1_distance,
     ),
     Representation(
@@ -415,9 +403,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 2/pi int_{-1}^{1} (1+2x)^n sqrt(1-x^2) dx",
-        exactness_hint=ChebyshevHint(
-            2, lambda n, t: (1.0 + 2.0 * t) ** n, _ceil_half_plus_one
-        ),
+        exactness_hint=_ceil_half_plus_one,
     ),
     Representation(
         id="mot.12f",
@@ -428,9 +414,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 1/(2 pi) int_{-2}^{2} (1+x)^n sqrt(4-x^2) dx",
-        exactness_hint=ChebyshevHint(
-            2, lambda n, t: 4.0 * (1.0 + 2.0 * t) ** n, _ceil_half_plus_one
-        ),
+        exactness_hint=_ceil_half_plus_one,
     ),
     Representation(
         id="mot.13a",
@@ -530,21 +514,27 @@ def _integrate(
     """Estimate of prefactor * integral, plus the raw engine result."""
     rational, pi_power = rep.prefactor(n)
     rule = _select_rule(rep, override)
+    lo, hi = rep.domain
     if rule == _RULE_CHEBYSHEV:
-        hint = rep.exactness_hint
-        n_nodes = hint.nodes(n)
-        sum_fn = chebyshev_sum_first if hint.kind == 1 else chebyshev_sum_second
-        raw = sum_fn(lambda t: hint.poly(n, t), n_nodes)
+        # x = mid + hw t; dividing by the rule's weight in t, 1/sqrt(1-t^2) at
+        # singular endpoints, else sqrt(1-t^2), cancels the integrand's own root
+        kind = 1 if rep.endpoint_singular else 2
+        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+        def h(t: float) -> float:
+            fx = hw * rep.integrand(n, mid + hw * t)
+            weight = math.sqrt((1.0 - t) * (1.0 + t))
+            return fx * weight if kind == 1 else fx / weight
+        n_nodes = rep.exactness_hint(n)
+        raw = (chebyshev_sum_first if kind == 1 else chebyshev_sum_second)(h, n_nodes)
         # the rule supplies a factor pi that cancels the 1/pi prefactor exactly
         if pi_power != -1:
             raise AssertionError("exactness hints assume a 1/pi prefactor")
-        estimate = float(rational) * raw
-        rule = f"gauss-chebyshev-{hint.kind}[N={n_nodes}]"
-        return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, rule, True)
+        rule = f"gauss-chebyshev-{kind}[N={n_nodes}]"
+        return float(rational) * raw, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, rule, True)
     if rule == _RULE_EXP_SINH:
         result = integrate_semi_infinite(lambda x: rep.integrand(n, x), cfg)
     elif rule == _RULE_TANH_SINH:
-        lo, hi = rep.domain
         if rep.distance_integrand is not None:
             result = tanh_sinh(
                 None, lo, hi, cfg,
@@ -553,7 +543,6 @@ def _integrate(
         else:
             result = tanh_sinh(lambda x: rep.integrand(n, x), lo, hi, cfg)
     else:
-        lo, hi = rep.domain
         result = adaptive_gk(
             lambda x: rep.integrand(n, x), lo, hi, cfg, split_points=rep.split_points
         )

@@ -209,10 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    # past these n the kernel's float coefficients overflow: C(1030, 515) for simple
-    n_max = 1037 if form.has_inverse_n_plus_1 else 1029
-    if not 0 <= args.n <= n_max:
-        raise ValueError(f"--n must be in 0..{n_max}, where the {flavor} kernel fits a float")
+    if not 0 <= args.n <= form.n_max:
+        raise ValueError(f"--n must be in 0..{form.n_max}, where the {flavor} kernel fits a float")
     if args.check_points < 1:
         raise ValueError("--check-points must be at least 1")
     pairing = PAIRS.get(args.catalan_id)

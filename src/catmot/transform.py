@@ -53,6 +53,11 @@ class CatalanForm(NamedTuple):
     f: Callable[[float], float]
     has_inverse_n_plus_1: bool
 
+    @property
+    def n_max(self) -> int:
+        """Largest n whose kernel coefficients fit a float (C(1030, 515) does not)."""
+        return 1037 if self.has_inverse_n_plus_1 else 1029
+
 
 class ComparisonMode(Enum):
     POINTWISE = "pointwise"
@@ -142,10 +147,18 @@ def get_form(catalan_id: str) -> CatalanForm:
         ) from None
 
 
+def _derived_for(catalan_id: str, n: int) -> Representation:
+    """The transform of a form; refuses n past its kernel's float range up front."""
+    form = get_form(catalan_id)
+    if not 0 <= n <= form.n_max:
+        raise ValueError(f"n must be in 0..{form.n_max}, where the {catalan_id} kernel fits a float")
+    return motzkin_representation(form)
+
+
 def integrate_transform(catalan_id: str, n: int, cfg: QuadConfig = _TIGHT) -> float:
     """Integral of the transformed Motzkin integrand over the source entry's
     domain (should equal the exact Motzkin number)."""
-    return verify(motzkin_representation(get_form(catalan_id)), n, cfg).estimate
+    return verify(_derived_for(catalan_id, n), n, cfg).estimate
 
 
 def _sample_points(source: Representation, count: int) -> list[float]:
@@ -166,7 +179,7 @@ def transform_deviation(
     """Relative deviation between the transform of the registered form and
     the Motzkin catalog entry: maximum over sample points (pointwise mode)
     or between integral values (value-only mode)."""
-    derived = motzkin_representation(get_form(catalan_id))
+    derived = _derived_for(catalan_id, n)
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
         if check_points < 1:
@@ -200,8 +213,8 @@ def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:
 
 def _lemma1_holds(r: int, left: float, right: float, tol: float) -> bool:
     """The comparison of :func:`check_lemma1` on precomputed sides."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     mirrored = right if r % 2 == 0 else -right
     scale = max(abs(left), abs(mirrored))
     if scale < tol:

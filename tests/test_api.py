@@ -25,7 +25,8 @@ REMOVED = {
     # g, its distance form and the domain come from the source catalog entry
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
-    catmot.catalog: ("_weights_13a",),
+    # the Chebyshev rule integrates the entry's own integrand
+    catmot.catalog: ("_weights_13a", "ChebyshevHint"),
     catmot.report.Report: ("from_json",),
     # verify takes the rule; QuadConfig holds only engine tolerances
     catmot.QuadConfig: ("rule_override",),

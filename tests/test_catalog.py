@@ -33,7 +33,8 @@ def test_eq9_descriptor():
     rep = get_representation("cat.eq9")
     assert rep.domain == (-1.0, 1.0)
     assert rep.singularities == frozenset({Singularity.SMOOTH})
-    assert rep.exactness_hint is not None and rep.exactness_hint.kind == 2
+    assert rep.exactness_hint(7) == 8
+    assert verify(rep, 7).rule == "gauss-chebyshev-2[N=8]"
 
 
 def test_eq6_descriptor():
@@ -175,6 +176,24 @@ def test_chebyshev_exact_entries_at_minimal_nodes():
         row = verify(rep, n)
         assert row.evaluations == n + 2
         assert row.rel_err <= 1e-13, (n, row.rel_err)
+
+
+@pytest.mark.parametrize("rep_id", [
+    "cat.eq2", "cat.eq9", "cat.eq10", "cat.conc1", "mot.12e", "mot.12f",
+])
+def test_chebyshev_rule_integrates_the_stated_integrand(rep_id):
+    # a wrong integrand must fail the default check, not just the other rules
+    rep = get_representation(rep_id)
+    if rep.distance_integrand is not None:
+        dist = rep.distance_integrand
+        bad = rep._replace(integrand=None, distance_integrand=lambda n, da, db: 1.5 * dist(n, da, db))
+    else:
+        f = rep.integrand
+        bad = rep._replace(integrand=lambda n, x: 1.5 * f(n, x))
+    row = verify(bad, 5)
+    assert row.rule.startswith("gauss-chebyshev")
+    assert not row.passed
+    assert row.rel_err == pytest.approx(0.5, rel=1e-12)
 
 
 def test_full_default_sweep_passes():

@@ -358,6 +358,13 @@ def test_lemma1_non_finite_a_exits_2(capsys, a):
     assert err == "catmot lemma1: error: a must be positive and finite\n"
 
 
+def test_lemma1_infinite_tol_exits_2(capsys):
+    # an infinite tolerance would accept any two sides
+    code, out, err = run(capsys, "lemma1", "1", "0", "--tol", "inf")
+    assert (code, out) == (2, "")
+    assert err == "catmot lemma1: error: tol must be positive and finite\n"
+
+
 def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
     import catmot.transform
 

@@ -1,13 +1,17 @@
 """Guards for the benchmark tooling under perfbench/, which lies outside the
-test paths.  Only imports it; nothing there is changed or installed."""
+test paths (only imported; nothing there is changed or installed), and for
+the runtime's dependencies."""
 
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 from catmot.catalog import list_representations
 from catmot.transform import FORMS
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -31,3 +35,17 @@ def test_oracle_ids_follow_the_registry():
     oracle = _load("oracle")
     assert sorted(oracle.TRANSFORM_FORMS) == sorted(FORMS)
     assert oracle.CATALOG == {rep.id: rep.n_min for rep in list_representations()}
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "catmot").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "catmot" or top in sys.stdlib_module_names, (path.name, name)

@@ -160,6 +160,24 @@ def test_pointwise_requires_samples():
         transform_deviation("cat.eq5", "mot.12a", ComparisonMode.POINTWISE, 2, 0)
 
 
+@pytest.mark.parametrize("catalan_id, motzkin_id, n_max", [
+    ("cat.eq5", "mot.12a", 1029),  # simple kernel
+    ("cat.eq4", "mot.13a", 1037),  # phi kernel
+])
+def test_transform_refuses_n_past_the_kernels_float_range(monkeypatch, catalan_id, motzkin_id, n_max):
+    import catmot.polys
+
+    def no_coefficients(builder, n):
+        raise AssertionError(f"coefficients built for n={n}")
+
+    monkeypatch.setattr(catmot.polys, "_float_coeffs", no_coefficients)
+    for mode in ComparisonMode:
+        with pytest.raises(ValueError, match=f"0..{n_max}"):
+            transform_deviation(catalan_id, motzkin_id, mode, n_max + 1)
+    with pytest.raises(ValueError, match=f"0..{n_max}"):
+        integrate_transform(catalan_id, n_max + 1)
+
+
 # -- lemma 1 ------------------------------------------------------------------
 
 def test_lemma1_constant_case():
@@ -193,5 +211,6 @@ def test_lemma1_preconditions():
         check_lemma1(-1, 0, 1.0, 1e-10)
     with pytest.raises(ValueError):
         check_lemma1(0, 0, -1.0, 1e-10)
-    with pytest.raises(ValueError):
-        check_lemma1(0, 0, 1.0, 0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            check_lemma1(0, 0, 1.0, tol)
