@@ -2,7 +2,10 @@
 
 Every entry is a self-describing descriptor: an exact-rational prefactor
 (times an optional 1/pi), one integrand, the integration domain, and
-endpoint singularity tags that drive automatic rule selection.  Where the
+singularity tags that drive automatic rule selection.  The endpoint tags
+also say whether the integrand takes x or the endpoint distances
+(x - a, b - x), which keep full precision where it blows up; ``at(n)``
+gives it as a function of x either way.  Where the
 substitution x = cos(theta) turns the integrand into a polynomial against
 a Chebyshev weight, the exactness hint is the node count of the
 Gauss-Chebyshev rule that integrates that same integrand exactly.
@@ -53,11 +56,14 @@ _ENDPOINT_TAGS = frozenset(
 )
 
 
-class _RepresentationFields(NamedTuple):
+class Representation(NamedTuple):
     id: str
     family: Family
     n_min: int
     prefactor: Callable[[int], tuple[Fraction, int]]  # n -> (rational, pi power)
+    # f(n, x), or f(n, x - a, b - x) on an endpoint-singular entry, whose
+    # endpoint distances keep full precision where the integrand blows up
+    integrand: Callable[..., float]
     domain: tuple[float, float]
     singularities: frozenset[Singularity]
     statement: str
@@ -65,35 +71,14 @@ class _RepresentationFields(NamedTuple):
     # map x = mid + halfwidth cos(theta); the tags give its kind
     exactness_hint: Optional[Callable[[int], int]] = None
     split_points: tuple[float, ...] = ()
-    # exactly one of the two integrand forms is given; for an entry with a
-    # distance form, integrand(n, x) is derived from it
-    integrand: Optional[Callable[[int, float], float]] = None
-    # endpoint-distance form of the integrand for entries that blow up at an
-    # endpoint; receives (x - a, b - x) with the near distance exact
-    distance_integrand: Optional[Callable[[int, float, float], float]] = None
 
-
-class Representation(_RepresentationFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.integrand is None) == (self.distance_integrand is None):
-            raise ValueError(
-                f"{self.id}: give exactly one of integrand and distance_integrand"
-            )
-        if self.distance_integrand is not None:
+    def at(self, n: int) -> Callable[[float], float]:
+        """The integrand at n as a function of x."""
+        f = self.integrand
+        if self.endpoint_singular:
             a, b = self.domain
-            dist = self.distance_integrand
-            # the inherited _replace builds its copy without calling __new__
-            self = _RepresentationFields._replace(
-                self, integrand=lambda n, x: dist(n, x - a, b - x)
-            )
-        return self
-
-    def _replace(self, **changes) -> Representation:
-        # validated like a new entry: a distance-form entry copies with integrand=None
-        return type(self)(*super()._replace(**changes))
+            return lambda x: f(n, x - a, b - x)
+        return lambda x: f(n, x)
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -243,7 +228,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{-1}^{1} x^(2n)/sqrt(1-x^2) dx",
         exactness_hint=lambda n: n + 1,
-        distance_integrand=_eq2_distance,
+        integrand=_eq2_distance,
     ),
     Representation(
         id="cat.eq3",
@@ -263,7 +248,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{1} x^n/sqrt(x-x^2) dx",
-        distance_integrand=_eq4_distance,
+        integrand=_eq4_distance,
     ),
     Representation(
         id="cat.eq5",
@@ -273,7 +258,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 4.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 1/(2 pi) int_{0}^{4} x^n sqrt((4-x)/x) dx",
-        distance_integrand=_eq5_distance,
+        integrand=_eq5_distance,
     ),
     Representation(
         id="cat.eq6",
@@ -336,7 +321,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 2^(2n+1)/((2n+1) pi) int_{-1}^{1} x^(2n+2)/sqrt(1-x^2) dx",
         exactness_hint=lambda n: n + 2,
-        distance_integrand=_conc1_distance,
+        integrand=_conc1_distance,
     ),
     Representation(
         id="cat.conc2",
@@ -346,7 +331,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/(n pi) int_{0}^{1} (2x^(n+1)-x^n)/sqrt(x-x^2) dx  (n >= 1)",
-        distance_integrand=_conc2_distance,
+        integrand=_conc2_distance,
     ),
     Representation(
         id="mot.12a",
@@ -356,7 +341,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 4.0),
         singularities=_ENDPOINT_TAGS,
         statement="M(n) = 1/(4 pi) int_{0}^{4} ((1+sqrt(x))^n+(1-sqrt(x))^n) sqrt((4-x)/x) dx",
-        distance_integrand=_12a_distance,
+        integrand=_12a_distance,
     ),
     Representation(
         id="mot.12b",
@@ -427,7 +412,7 @@ _CATALOG: tuple[Representation, ...] = (
             "M(n) = 1/(4 pi) int_{0}^{1} (phi(n+2,x)-phi(n+1,x))/(x sqrt(x-x^2)) dx,"
             " phi(m,x) = ((1+2 sqrt(x))^m+(1-2 sqrt(x))^m-2)/m"
         ),
-        distance_integrand=_13a_distance,
+        integrand=_13a_distance,
     ),
     Representation(
         id="mot.13b",
@@ -446,7 +431,7 @@ _CATALOG: tuple[Representation, ...] = (
             "M(n) = 1/(2 pi) int_{-1}^{1} (psi(n+2,x)-psi(n+1,x))/(x^2 sqrt(1-x^2)) dx,"
             " psi(m,x) = ((1+2x)^m-1)/m"
         ),
-        distance_integrand=_13b_distance,
+        integrand=_13b_distance,
     ),
 )
 
@@ -520,9 +505,10 @@ def _integrate(
         # singular endpoints, else sqrt(1-t^2), cancels the integrand's own root
         kind = 1 if rep.endpoint_singular else 2
         mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        g = rep.at(n)
 
         def h(t: float) -> float:
-            fx = hw * rep.integrand(n, mid + hw * t)
+            fx = hw * g(mid + hw * t)
             weight = math.sqrt((1.0 - t) * (1.0 + t))
             return fx * weight if kind == 1 else fx / weight
         n_nodes = rep.exactness_hint(n)
@@ -533,19 +519,13 @@ def _integrate(
         rule = f"gauss-chebyshev-{kind}[N={n_nodes}]"
         return float(rational) * raw, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, rule, True)
     if rule == _RULE_EXP_SINH:
-        result = integrate_semi_infinite(lambda x: rep.integrand(n, x), cfg)
+        result = integrate_semi_infinite(rep.at(n), cfg)
+    elif rule == _RULE_TANH_SINH and rep.endpoint_singular:
+        result = tanh_sinh(None, lo, hi, cfg, singular=lambda da, db: rep.integrand(n, da, db))
     elif rule == _RULE_TANH_SINH:
-        if rep.distance_integrand is not None:
-            result = tanh_sinh(
-                None, lo, hi, cfg,
-                singular=lambda da, db: rep.distance_integrand(n, da, db),
-            )
-        else:
-            result = tanh_sinh(lambda x: rep.integrand(n, x), lo, hi, cfg)
+        result = tanh_sinh(rep.at(n), lo, hi, cfg)
     else:
-        result = adaptive_gk(
-            lambda x: rep.integrand(n, x), lo, hi, cfg, split_points=rep.split_points
-        )
+        result = adaptive_gk(rep.at(n), lo, hi, cfg, split_points=rep.split_points)
     estimate = rep.prefactor_float(n) * result.value
     return estimate, result
 

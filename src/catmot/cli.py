@@ -23,6 +23,7 @@ from .catalog import (
     Family,
     Representation,
     VALID_RULE_OVERRIDES,
+    _select_rule,
     get_representation,
     list_representations,
     verify,
@@ -94,10 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _settings_from_args(args: argparse.Namespace) -> Settings:
-    flags = {
-        name: getattr(args, name)
-        for name in ("n_max", "rel_tol", "abs_tol", "max_levels", "max_subdivisions")
-    }
+    flags = {name: getattr(args, name) for name in Settings._fields}
     return load_settings(config_path=args.config, flag_overrides=flags)
 
 
@@ -149,15 +147,15 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def _parse_n_range(raw: str) -> tuple[int, int]:
-    text = raw.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad n range {raw!r}")
-    return lo, hi
+    lo_s, sep, hi_s = raw.strip().partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+        if 0 <= lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ValueError(f"bad n range {raw!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -178,6 +176,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{reps[0].id} requires n >= {reps[0].n_min}; requested range starts at {lo}"
             )
+    for rep in reps:  # a forced rule an entry cannot take is refused before any row runs
+        _select_rule(rep, args.rule)
     cfg = settings.quad_config()
     tasks = [
         (rep, n) for rep in reps for n in range(max(lo, rep.n_min), hi + 1)

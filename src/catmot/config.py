@@ -14,17 +14,19 @@ from typing import Mapping, NamedTuple, Optional
 from .quadrature import QuadConfig
 
 ENV_PREFIX = "CATMOT_"
+_ENGINE_DEFAULTS = QuadConfig()
 
 
 class Settings(NamedTuple):
+    # n_max, then QuadConfig's fields under its names and defaults
     n_max: int = 30
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-300
-    max_levels: int = 12
-    max_subdivisions: int = 2000
+    rel_tol: float = _ENGINE_DEFAULTS.rel_tol
+    abs_tol: float = _ENGINE_DEFAULTS.abs_tol
+    max_levels: int = _ENGINE_DEFAULTS.max_levels
+    max_subdivisions: int = _ENGINE_DEFAULTS.max_subdivisions
 
     def quad_config(self) -> QuadConfig:
-        return QuadConfig(self.rel_tol, self.abs_tol, self.max_levels, self.max_subdivisions)
+        return QuadConfig(*self[1:])
 
     def echo(self) -> dict[str, str]:
         return {name: str(value) for name, value in zip(self._fields, self)}

@@ -9,11 +9,22 @@ from __future__ import annotations
 
 from .catalog import VerificationRow
 
-CSV_HEADER = "rep_id,n,exact,estimate,rel_err,evaluations,rule,pass"
+_COLUMNS = ("rep_id", "n", "exact", "estimate", "rel_err", "evaluations", "rule", "pass")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _md_line(cells: tuple[str, ...]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+def _cells(r: VerificationRow) -> tuple[str, ...]:
+    """One row's CSV and markdown cells, in _COLUMNS order."""
+    return (r.rep_id, str(r.n), str(r.exact), _fmt(r.estimate), _fmt(r.rel_err),
+            str(r.evaluations), r.rule, "true" if r.passed else "false")
 
 
 class Report:
@@ -42,11 +53,7 @@ class Report:
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.rep_id},{r.n},{r.exact},{_fmt(r.estimate)},{_fmt(r.rel_err)},"
-                f"{r.evaluations},{r.rule},{'true' if r.passed else 'false'}"
-            )
+        lines.extend(",".join(_cells(r)) for r in self.rows)
         return "\n".join(lines) + "\n"
 
     # -- JSON --------------------------------------------------------------
@@ -77,16 +84,8 @@ class Report:
     # -- markdown ----------------------------------------------------------
 
     def to_markdown(self) -> str:
-        lines = [
-            "| rep_id | n | exact | estimate | rel_err | evaluations | rule | pass |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"| {r.rep_id} | {r.n} | {r.exact} | {_fmt(r.estimate)} | "
-                f"{_fmt(r.rel_err)} | {r.evaluations} | {r.rule} | "
-                f"{'true' if r.passed else 'false'} |"
-            )
+        lines = [_md_line(_COLUMNS), _md_line(("---",) * len(_COLUMNS))]
+        lines.extend(_md_line(_cells(r)) for r in self.rows)
         s = self.summary
         lines.append("")
         lines.append(

@@ -71,31 +71,27 @@ class ComparisonMode(Enum):
 
 def motzkin_representation(form: CatalanForm) -> Representation:
     """The transform of a form as a Motzkin entry with prefactor 1, whose
-    integrand takes the source entry's plain or endpoint-distance form.
-    Its id is not a catalog id."""
+    integrand takes what the source entry's integrand takes: x, or the
+    endpoint distances.  Its id is not a catalog id."""
     kernel = phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
     source = get_representation(form.id)
     g_scale = source.prefactor_float(0)
     lo, hi = source.domain
+    if source.endpoint_singular:
+        def integrand(n: int, da: float, db: float) -> float:
+            # g from full-precision distances, f at the point they measure
+            fx = form.f(lo + da if da <= db else hi - db)
+            return kernel(n, fx * fx) * (g_scale * source.integrand(0, da, db))
+    else:
+        def integrand(n: int, x: float) -> float:
+            fx = form.f(x)
+            return kernel(n, fx * fx) * (g_scale * source.integrand(0, x))
 
-    def integrand(n: int, x: float) -> float:
-        fx = form.f(x)
-        return kernel(n, fx * fx) * (g_scale * source.integrand(0, x))
-
-    def distance_integrand(n: int, da: float, db: float) -> float:
-        # g from full-precision endpoint distances, f at the point measured
-        # from the nearer endpoint
-        fx = form.f(lo + da if da <= db else hi - db)
-        return kernel(n, fx * fx) * (g_scale * source.distance_integrand(0, da, db))
-
-    by_distance = source.distance_integrand is not None
     return source._replace(
         id=f"{form.id}->motzkin",
         family=Family.MOTZKIN,
         prefactor=lambda n: (Fraction(1), 0),
-        exactness_hint=None, split_points=(),
-        integrand=None if by_distance else integrand,
-        distance_integrand=distance_integrand if by_distance else None,
+        exactness_hint=None, split_points=(), integrand=integrand,
     )
 
 
@@ -185,10 +181,11 @@ def transform_deviation(
         if check_points < 1:
             raise ValueError("need at least one sample point")
         scale = rep.prefactor_float(n)
+        derived_at, rep_at = derived.at(n), rep.at(n)
         worst = 0.0
         for x in _sample_points(derived, check_points):
-            lhs = derived.integrand(n, x)
-            rhs = scale * rep.integrand(n, x)
+            lhs = derived_at(x)
+            rhs = scale * rep_at(x)
             denom = max(abs(lhs), abs(rhs))
             if denom > 0.0:
                 worst = max(worst, abs(lhs - rhs) / denom)

@@ -26,7 +26,10 @@ REMOVED = {
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
     # the Chebyshev rule integrates the entry's own integrand
-    catmot.catalog: ("_weights_13a", "ChebyshevHint"),
+    catmot.catalog: ("_weights_13a", "ChebyshevHint", "_RepresentationFields"),
+    # one integrand per entry; its endpoint tags say whether it takes x or
+    # the endpoint distances
+    catmot.catalog.Representation: ("distance_integrand",),
     catmot.report.Report: ("from_json",),
     # verify takes the rule; QuadConfig holds only engine tolerances
     catmot.QuadConfig: ("rule_override",),

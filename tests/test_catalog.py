@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from catmot.catalog import (
     verify,
 )
 from catmot.exact import catalan, motzkin
+from catmot.transform import FORMS, motzkin_representation
 
 ALL_IDS = [
     "cat.eq2", "cat.eq3", "cat.eq4", "cat.eq5", "cat.eq6", "cat.eq7",
@@ -96,7 +98,7 @@ def test_even_integrands():
         half = rep.domain[1]
         for n in (0, 1, 4):
             for x in (0.1 * half, 0.45 * half, 0.9 * half):
-                assert rep.integrand(n, x) == rep.integrand(n, -x)
+                assert rep.at(n)(x) == rep.at(n)(-x)
 
 
 def test_eq4_eq5_estimates_agree():
@@ -184,12 +186,8 @@ def test_chebyshev_exact_entries_at_minimal_nodes():
 def test_chebyshev_rule_integrates_the_stated_integrand(rep_id):
     # a wrong integrand must fail the default check, not just the other rules
     rep = get_representation(rep_id)
-    if rep.distance_integrand is not None:
-        dist = rep.distance_integrand
-        bad = rep._replace(integrand=None, distance_integrand=lambda n, da, db: 1.5 * dist(n, da, db))
-    else:
-        f = rep.integrand
-        bad = rep._replace(integrand=lambda n, x: 1.5 * f(n, x))
+    f = rep.integrand
+    bad = rep._replace(integrand=lambda n, *at: 1.5 * f(n, *at))
     row = verify(bad, 5)
     assert row.rule.startswith("gauss-chebyshev")
     assert not row.passed
@@ -217,7 +215,7 @@ def test_integrands_finite_inside_domain():
             xs = [lo + (hi - lo) * t for t in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6)]
         for n in (rep.n_min, rep.n_min + 5, 20):
             for x in xs:
-                value = rep.integrand(n, x)
+                value = rep.at(n)(x)
                 assert math.isfinite(value), (rep.id, n, x)
 
 
@@ -248,33 +246,41 @@ def test_sweep_evaluation_totals_per_rule():
     assert sum(totals.values()) == 65_028
 
 
-def test_representation_takes_exactly_one_integrand_form():
+def test_integrand_takes_endpoint_distances_exactly_on_endpoint_singular_entries():
+    entries = list_representations() + tuple(map(motzkin_representation, FORMS.values()))
+    assert len(entries) == 28
+    singular = [rep for rep in entries if rep.endpoint_singular]
+    assert len(singular) == 8 + 3  # three transforms have an endpoint-singular source
+    for rep in entries:
+        params = inspect.signature(rep.integrand).parameters.values()
+        positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert len(positional) == (3 if rep.endpoint_singular else 2), rep.id
+    for rep in singular:
+        a, b = rep.domain
+        for n in (rep.n_min, rep.n_min + 3):
+            for x in (a + (b - a) * t for t in (1e-9, 0.2, 0.5, 0.7, 1.0 - 1e-9)):
+                assert rep.at(n)(x) == rep.integrand(n, x - a, b - x), (rep.id, n, x)
+
+
+def test_at_reads_the_integrand_through_the_domain():
     base = dict(
         id="test.entry",
         family=Family.CATALAN,
         n_min=0,
         prefactor=lambda n: (Fraction(1), 0),
         domain=(0.0, 1.0),
-        singularities=frozenset({Singularity.SMOOTH}),
         statement="",
     )
-    with pytest.raises(ValueError):
-        Representation(**base)
-    with pytest.raises(ValueError):
-        Representation(
-            **base,
-            integrand=lambda n, x: x,
-            distance_integrand=lambda n, da, db: da,
-        )
-    rep = Representation(**base, distance_integrand=lambda n, da, db: da * 10.0 + db)
-    assert rep.integrand(0, 0.25) == 0.25 * 10.0 + 0.75
-    # copies are validated like new entries; a distance-form copy derives
-    # its integrand anew
-    plain = Representation(**base, integrand=lambda n, x: x)
-    assert plain._replace(n_min=2).n_min == 2
-    with pytest.raises(ValueError):
-        plain._replace(distance_integrand=lambda n, da, db: da)
-    with pytest.raises(ValueError):
-        rep._replace(n_min=2)
-    wider = rep._replace(integrand=None, domain=(0.0, 2.0))
-    assert wider.integrand(0, 0.25) == 0.25 * 10.0 + 1.75
+    plain = Representation(
+        **base, integrand=lambda n, x: n + x, singularities=frozenset({Singularity.SMOOTH})
+    )
+    assert plain.at(3)(0.25) == 3.25
+    rep = Representation(
+        **base,
+        integrand=lambda n, da, db: da * 10.0 + db,
+        singularities=frozenset({Singularity.LEFT_ENDPOINT_ALGEBRAIC}),
+    )
+    assert rep.at(0)(0.25) == 0.25 * 10.0 + 0.75
+    # the distances follow a copy's domain
+    wider = rep._replace(domain=(0.0, 2.0))
+    assert wider.at(0)(0.25) == 0.25 * 10.0 + 1.75

@@ -13,6 +13,7 @@ from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
 from catmot.exact import motzkin_oracle
 from catmot.polys import even_binomial_coeffs, phi_diff_coeffs
+from catmot.quadrature import QuadConfig
 from catmot.report import CSV_HEADER, Report
 
 
@@ -191,6 +192,33 @@ def test_verify_rule_override_flag(capsys):
     assert "tanh-sinh" in out
     code, _, err = run(capsys, "verify", "cat.eq6", "--n-range", "2..2", "--rule", "gauss-kronrod")
     assert code == 2
+
+
+def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
+    # cat.eq2..eq5 take Gauss-Kronrod, cat.eq6 does not: no engine may run first
+    import catmot.catalog
+
+    def engine_called(*args, **kwargs):
+        raise AssertionError("an engine ran before the rule was refused")
+
+    for name in ("adaptive_gk", "tanh_sinh", "integrate_semi_infinite",
+                 "chebyshev_sum_first", "chebyshev_sum_second"):
+        monkeypatch.setattr(catmot.catalog, name, engine_called)
+    code, out, err = run(capsys, "verify", "all", "--rule", "gauss-kronrod",
+                         "--n-range", "0..100", "--n-max", "100")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "catmot verify: error: cat.eq6 has an infinite domain; only exp-sinh applies"
+    )
+
+
+@pytest.mark.parametrize("raw", ["3..", "..5", "a..b", "3...5", "1e2", "5..3", ""])
+def test_verify_malformed_n_range_exits_2(capsys, raw):
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", raw)
+    assert code == 2
+    assert out == ""
+    assert err == f"catmot verify: error: bad n range {raw!r}\n"
 
 
 def test_verify_deterministic_output(capsys, tmp_path):
@@ -454,6 +482,11 @@ def test_config_precedence(tmp_path):
     assert s.rel_tol == 1e-7  # flag beats env
 
     assert load_settings(environ={}) == Settings()
+
+
+def test_settings_defaults_are_the_engine_defaults():
+    assert Settings().quad_config() == QuadConfig()
+    assert Settings._fields[1:] == QuadConfig._fields
 
 
 def test_config_rejects_unknown_keys(tmp_path):

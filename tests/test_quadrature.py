@@ -138,7 +138,7 @@ def test_tanh_sinh_level_refinement_never_hurts():
     n = 3
     cases.append(
         (
-            lambda da, db: rep.distance_integrand(n, da, db),
+            lambda da, db: rep.integrand(n, da, db),
             rep.domain,
             float(catalan(n)) / rep.prefactor_float(n),
         )
@@ -147,7 +147,7 @@ def test_tanh_sinh_level_refinement_never_hurts():
     m = 2
     cases.append(
         (
-            lambda da, db: rep5.distance_integrand(m, da, db),
+            lambda da, db: rep5.integrand(m, da, db),
             rep5.domain,
             float(catalan(m)) / rep5.prefactor_float(m),
         )

@@ -31,7 +31,7 @@ def test_registry_contents():
 def _g(cid, x):
     # g of a form: its source entry at n = 0, where f^(2n) = 1
     rep = get_representation(cid)
-    return rep.prefactor_float(0) * rep.integrand(0, x)
+    return rep.prefactor_float(0) * rep.at(0)(x)
 
 
 def _interior_points(rep, fractions):
@@ -51,7 +51,7 @@ def test_forms_match_their_source_representations():
             flavor_factor = n + 1 if form.has_inverse_n_plus_1 else 1
             for x in _interior_points(rep, (0.15, 0.5, 0.85)):
                 lhs = form.f(x) ** (2 * n) * _g(cid, x)
-                rhs = flavor_factor * rep.prefactor_float(n) * rep.integrand(n, x)
+                rhs = flavor_factor * rep.prefactor_float(n) * rep.at(n)(x)
                 assert lhs == pytest.approx(rhs, rel=1e-12), (cid, n, x)
 
 
@@ -59,10 +59,10 @@ def test_trivial_order_is_the_source_entry_at_n_0():
     # both kernels are exactly 1 at n = 0, so the generated integrand is g
     # as the catalog computes it, bit for bit
     for cid, form in FORMS.items():
-        integrand = motzkin_representation(form).integrand
+        integrand = motzkin_representation(form).at(0)
         rep = get_representation(cid)
         for x in _interior_points(rep, (0.01, 0.15, 0.3, 0.5, 0.62, 0.85, 0.99)):
-            assert integrand(0, x) == _g(cid, x), (cid, x)
+            assert integrand(x) == _g(cid, x), (cid, x)
 
 
 def test_transform_simple_trivial_order():
@@ -81,26 +81,26 @@ def test_transform_simple_hand_value():
 
 def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
-        integrand = motzkin_representation(FORMS[cid]).integrand
+        integrand = motzkin_representation(FORMS[cid]).at(0)
         for x in (0.3, 0.62):
-            assert integrand(0, x) == pytest.approx(_g(cid, x), rel=1e-15)
+            assert integrand(x) == pytest.approx(_g(cid, x), rel=1e-15)
 
 
 def test_transform_phi_hand_value():
     # f = 2x, g = 1/(pi sqrt(1-x^2)), n = 1, x = 0.5: phi_3(1) - phi_2(1) = 1,
     # divided by f^2 = 1, so the integrand equals g = 1/(pi sqrt(0.75))
-    integrand = motzkin_representation(FORMS["cat.eq2"]).integrand
+    integrand = motzkin_representation(FORMS["cat.eq2"]).at(1)
     expected = 1.0 / (_PI * math.sqrt(0.75))
-    assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
+    assert integrand(0.5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_transform_phi_value_at_interior_zero_of_f():
     # the difference polynomial in f^2 has leading coefficient 1, so the
     # integrand equals g exactly where f vanishes
     # f = 2x vanishes at x = 0
-    integrand = motzkin_representation(FORMS["cat.eq2"]).integrand
+    rep = motzkin_representation(FORMS["cat.eq2"])
     for n in (1, 6, 19):
-        assert integrand(n, 0.0) == _g("cat.eq2", 0.0)
+        assert rep.at(n)(0.0) == _g("cat.eq2", 0.0)
     # f = 2 cos x vanishes at x = pi/2
     integrand = motzkin_representation(FORMS["cat.eq3"]).integrand
     x0 = _PI / 2.0
