@@ -9,6 +9,7 @@ from .catalog import (
     Family,
     Representation,
     Singularity,
+    Substitution,
     VerificationRow,
     get_representation,
     list_representations,
@@ -33,6 +34,7 @@ __all__ = [
     "QuadratureResult",
     "Representation",
     "Singularity",
+    "Substitution",
     "VerificationRow",
     "__version__",
     "adaptive_gk",

@@ -1,14 +1,15 @@
 """Catalog of integral representations of the Catalan and Motzkin numbers.
 
 Every entry is a self-describing descriptor: an exact-rational prefactor
-(times an optional 1/pi), one integrand, the integration domain, and
-singularity tags that drive automatic rule selection.  The endpoint tags
-also say whether the integrand takes x or the endpoint distances
-(x - a, b - x), which keep full precision where it blows up; ``at(n)``
-gives it as a function of x either way.  Where the
-substitution x = cos(theta) turns the integrand into a polynomial against
-a Chebyshev weight, the exactness hint is the node count of the
-Gauss-Chebyshev rule that integrates that same integrand exactly.
+(times an optional 1/pi), one integrand, the integration domain,
+singularity tags that set the tolerance class and the engines a forced rule
+may use, and a substitution x(theta).  The endpoint tags also say whether
+the integrand takes x or the endpoint distances (x - a, b - x), which keep
+full precision where it blows up; ``at(n)`` gives it as a function of x
+either way.  Under the substitution, integrand times Jacobian is a
+polynomial in cos(theta) of known degree, on some entries times
+sin(theta)^2, which the default Gauss-Chebyshev rule in theta integrates
+exactly.
 
 The defining, testable contract of this module: for every entry and every
 valid n, integrating the integrand over the domain and applying the
@@ -36,6 +37,7 @@ from .quadrature import (
 )
 
 _PI = math.pi
+_HALF_PI = 0.5 * math.pi
 
 
 class Family(Enum):
@@ -56,6 +58,55 @@ _ENDPOINT_TAGS = frozenset(
 )
 
 
+class Substitution(NamedTuple):
+    """A change of variable x(theta) under which integrand times Jacobian is
+    P(cos theta), times sin(theta)^2 on kind 2, with deg P = degree(n)."""
+
+    # theta -> the integrand's arguments after n: (x,), or the endpoint
+    # distances (x - a, b - x) on an endpoint-singular entry
+    point: Callable[[float], tuple[float, ...]]
+    jacobian: Callable[[float], float]  # |dx/dtheta|
+    kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
+    degree: Callable[[int], int]
+    # theta in (0, pi/2) covers the domain; at_theta folds theta -> pi - theta
+    half: bool = False
+
+
+def _cosine(
+    domain: tuple[float, float], kind: int, degree: Callable[[int], int],
+    distances: bool = False, half: bool = False,
+) -> Substitution:
+    """x = mid + hw cos(m theta), m = 2 on a half map.  The endpoint distances
+    2 hw cos^2(m theta/2) and 2 hw sin^2(m theta/2) carry no 1 - cos
+    cancellation."""
+    lo, hi = domain
+    mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m = 2.0 if half else 1.0
+    if distances:
+        def point(t: float) -> tuple[float, ...]:
+            c, s = math.cos(0.5 * m * t), math.sin(0.5 * m * t)
+            return 2.0 * hw * c * c, 2.0 * hw * s * s
+    else:
+        def point(t: float) -> tuple[float, ...]:
+            return (mid + hw * math.cos(m * t),)
+    return Substitution(point, lambda t: m * hw * math.sin(m * t), kind, degree, half)
+
+
+def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]) -> Substitution:
+    """theta = pi (x - lo)/(hi - lo)."""
+    lo, hi = domain
+    scale = (hi - lo) / _PI
+    return Substitution(lambda t: (lo + scale * t,), lambda t: scale, kind, degree)
+
+
+def _tangent(m: float, kind: int, degree: Callable[[int], int]) -> Substitution:
+    """x = tan(m theta) on the half map theta in (0, pi/2)."""
+    def jacobian(t: float) -> float:
+        c = math.cos(m * t)
+        return m / (c * c)
+    return Substitution(lambda t: (math.tan(m * t),), jacobian, kind, degree, True)
+
+
 class Representation(NamedTuple):
     id: str
     family: Family
@@ -67,10 +118,8 @@ class Representation(NamedTuple):
     domain: tuple[float, float]
     singularities: frozenset[Singularity]
     statement: str
-    # n -> nodes of a Gauss-Chebyshev rule exact for the integrand after the
-    # map x = mid + halfwidth cos(theta); the tags give its kind
-    exactness_hint: Optional[Callable[[int], int]] = None
-    split_points: tuple[float, ...] = ()
+    substitution: Substitution
+    split_points: tuple[float, ...] = ()  # seeds of the adaptive subdivision
 
     def at(self, n: int) -> Callable[[float], float]:
         """The integrand at n as a function of x."""
@@ -79,6 +128,19 @@ class Representation(NamedTuple):
             a, b = self.domain
             return lambda x: f(n, x - a, b - x)
         return lambda x: f(n, x)
+
+    def at_theta(self, n: int) -> Callable[[float], float]:
+        """The integrand at n at the substitution's point times the Jacobian:
+        a function of theta whose integral over (0, pi) is the entry's.  A
+        half map folds theta -> pi - theta and halves the value."""
+        f, sub = self.integrand, self.substitution
+        point, jacobian = sub.point, sub.jacobian
+
+        def g(t: float) -> float:
+            return f(n, *point(t)) * jacobian(t)
+        if sub.half:
+            return lambda t: 0.5 * g(t if t <= _HALF_PI else _PI - t)
+        return g
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -211,13 +273,6 @@ def _13b_distance(n, da, db):
     return psi_difference_over_square(n, x) / math.sqrt(da * db)
 
 
-def _ceil_half_plus_one(n: int) -> int:
-    """Nodes for mot.12e and 12f's degree-n polynomial: the fewest exact for
-    even n, one more than the n//2 + 1 that suffice for odd n (the sweep's
-    pinned evaluation totals rest on this count)."""
-    return (n + 1) // 2 + 1
-
-
 _CATALOG: tuple[Representation, ...] = (
     Representation(
         id="cat.eq2",
@@ -227,8 +282,8 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{-1}^{1} x^(2n)/sqrt(1-x^2) dx",
-        exactness_hint=lambda n: n + 1,
         integrand=_eq2_distance,
+        substitution=_cosine((-1.0, 1.0), 1, lambda n: 2 * n, distances=True),
     ),
     Representation(
         id="cat.eq3",
@@ -239,6 +294,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, _PI),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{pi} cos(x)^(2n) dx",
+        substitution=_linear((0.0, _PI), 1, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq4",
@@ -249,6 +305,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{1} x^n/sqrt(x-x^2) dx",
         integrand=_eq4_distance,
+        substitution=_cosine((0.0, 1.0), 1, lambda n: n, distances=True),
     ),
     Representation(
         id="cat.eq5",
@@ -259,6 +316,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 1/(2 pi) int_{0}^{4} x^n sqrt((4-x)/x) dx",
         integrand=_eq5_distance,
+        substitution=_cosine((0.0, 4.0), 1, lambda n: n + 1, distances=True),
     ),
     Representation(
         id="cat.eq6",
@@ -269,6 +327,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, math.inf),
         singularities=frozenset({Singularity.SEMI_INFINITE}),
         statement="C(n) = 2^(2n+2)/pi int_{0}^{inf} x^2/(1+x^2)^(n+2) dx",
+        substitution=_tangent(1.0, 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq7",
@@ -279,6 +338,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = int_{0}^{1} (2 cos(pi x))^(2n) 2 sin(pi x)^2 dx",
+        substitution=_linear((0.0, 1.0), 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq8",
@@ -289,6 +349,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+5)/pi int_{0}^{1} x^2 (1-x^2)^(2n)/(1+x^2)^(2n+3) dx",
+        substitution=_tangent(0.5, 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq9",
@@ -299,7 +360,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+1)/pi int_{-1}^{1} x^(2n) sqrt(1-x^2) dx",
-        exactness_hint=lambda n: n + 1,
+        substitution=_cosine((-1.0, 1.0), 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq10",
@@ -310,7 +371,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 1/(2 pi) int_{-2}^{2} x^(2n) sqrt(4-x^2) dx",
-        exactness_hint=lambda n: n + 1,
+        substitution=_cosine((-2.0, 2.0), 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.conc1",
@@ -320,8 +381,8 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 2^(2n+1)/((2n+1) pi) int_{-1}^{1} x^(2n+2)/sqrt(1-x^2) dx",
-        exactness_hint=lambda n: n + 2,
         integrand=_conc1_distance,
+        substitution=_cosine((-1.0, 1.0), 1, lambda n: 2 * n + 2, distances=True),
     ),
     Representation(
         id="cat.conc2",
@@ -332,6 +393,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/(n pi) int_{0}^{1} (2x^(n+1)-x^n)/sqrt(x-x^2) dx  (n >= 1)",
         integrand=_conc2_distance,
+        substitution=_cosine((0.0, 1.0), 1, lambda n: n + 1, distances=True),
     ),
     Representation(
         id="mot.12a",
@@ -342,6 +404,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="M(n) = 1/(4 pi) int_{0}^{4} ((1+sqrt(x))^n+(1-sqrt(x))^n) sqrt((4-x)/x) dx",
         integrand=_12a_distance,
+        substitution=_cosine((0.0, 4.0), 2, lambda n: n, distances=True, half=True),
     ),
     Representation(
         id="mot.12b",
@@ -355,6 +418,7 @@ _CATALOG: tuple[Representation, ...] = (
             "M(n) = 2/pi int_{0}^{inf} ((1+2/sqrt(1+x^2))^n+(1-2/sqrt(1+x^2))^n)"
             " x^2/(1+x^2)^2 dx"
         ),
+        substitution=_tangent(1.0, 2, lambda n: n),
     ),
     Representation(
         id="mot.12c",
@@ -367,6 +431,7 @@ _CATALOG: tuple[Representation, ...] = (
         statement="M(n) = int_{0}^{1} ((1+2 cos(pi x))^n+(1-2 cos(pi x))^n) sin(pi x)^2 dx",
         # sign changes of 1 -/+ 2 cos(pi x) seed the adaptive subdivision
         split_points=(1.0 / 3.0, 2.0 / 3.0),
+        substitution=_linear((0.0, 1.0), 2, lambda n: n),
     ),
     Representation(
         id="mot.12d",
@@ -378,6 +443,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 16/pi int_{0}^{1} x^2 ((3-x^2)^n+(3x^2-1)^n)/(1+x^2)^(n+3) dx",
         split_points=(1.0 / math.sqrt(3.0),),  # zero of 3x^2-1
+        substitution=_tangent(0.5, 2, lambda n: n),
     ),
     Representation(
         id="mot.12e",
@@ -388,7 +454,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 2/pi int_{-1}^{1} (1+2x)^n sqrt(1-x^2) dx",
-        exactness_hint=_ceil_half_plus_one,
+        substitution=_cosine((-1.0, 1.0), 2, lambda n: n),
     ),
     Representation(
         id="mot.12f",
@@ -399,7 +465,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 1/(2 pi) int_{-2}^{2} (1+x)^n sqrt(4-x^2) dx",
-        exactness_hint=_ceil_half_plus_one,
+        substitution=_cosine((-2.0, 2.0), 2, lambda n: n),
     ),
     Representation(
         id="mot.13a",
@@ -413,6 +479,7 @@ _CATALOG: tuple[Representation, ...] = (
             " phi(m,x) = ((1+2 sqrt(x))^m+(1-2 sqrt(x))^m-2)/m"
         ),
         integrand=_13a_distance,
+        substitution=_cosine((0.0, 1.0), 1, lambda n: n, distances=True, half=True),
     ),
     Representation(
         id="mot.13b",
@@ -432,6 +499,7 @@ _CATALOG: tuple[Representation, ...] = (
             " psi(m,x) = ((1+2x)^m-1)/m"
         ),
         integrand=_13b_distance,
+        substitution=_cosine((-1.0, 1.0), 1, lambda n: n, distances=True),
     ),
 )
 
@@ -475,17 +543,11 @@ def default_tolerance(rep: Representation) -> float:
 
 def _select_rule(rep: Representation, override: Optional[str]) -> str:
     if override is None:
-        if rep.exactness_hint is not None:
-            return _RULE_CHEBYSHEV
-        if rep.semi_infinite:
-            return _RULE_EXP_SINH
-        if rep.endpoint_singular:
-            return _RULE_TANH_SINH
-        return _RULE_GK
+        return _RULE_CHEBYSHEV
     if override not in VALID_RULE_OVERRIDES:
         raise ValueError(f"unknown rule override {override!r}")
-    if override == _RULE_CHEBYSHEV and rep.exactness_hint is None:
-        raise ValueError(f"{rep.id} has no Chebyshev exactness hint")
+    if override == _RULE_CHEBYSHEV:
+        return override
     if rep.semi_infinite and override != _RULE_EXP_SINH:
         raise ValueError(f"{rep.id} has an infinite domain; only exp-sinh applies")
     if not rep.semi_infinite and override == _RULE_EXP_SINH:
@@ -497,27 +559,20 @@ def _integrate(
     rep: Representation, n: int, cfg: QuadConfig, override: Optional[str]
 ) -> tuple[float, QuadratureResult]:
     """Estimate of prefactor * integral, plus the raw engine result."""
-    rational, pi_power = rep.prefactor(n)
     rule = _select_rule(rep, override)
-    lo, hi = rep.domain
     if rule == _RULE_CHEBYSHEV:
-        # x = mid + hw t; dividing by the rule's weight in t, 1/sqrt(1-t^2) at
-        # singular endpoints, else sqrt(1-t^2), cancels the integrand's own root
-        kind = 1 if rep.endpoint_singular else 2
-        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        g = rep.at(n)
-
-        def h(t: float) -> float:
-            fx = hw * g(mid + hw * t)
-            weight = math.sqrt((1.0 - t) * (1.0 + t))
-            return fx * weight if kind == 1 else fx / weight
-        n_nodes = rep.exactness_hint(n)
-        raw = (chebyshev_sum_first if kind == 1 else chebyshev_sum_second)(h, n_nodes)
-        # the rule supplies a factor pi that cancels the 1/pi prefactor exactly
+        sub = rep.substitution
+        n_nodes = sub.degree(n) // 2 + 1
+        node_sum = chebyshev_sum_first if sub.kind == 1 else chebyshev_sum_second
+        raw = node_sum(rep.at_theta(n), n_nodes)  # integral / pi
+        # the rule's factor pi cancels a 1/pi prefactor and otherwise multiplies
+        rational, pi_power = rep.prefactor(n)
+        estimate = float(rational) * raw
         if pi_power != -1:
-            raise AssertionError("exactness hints assume a 1/pi prefactor")
-        rule = f"gauss-chebyshev-{kind}[N={n_nodes}]"
-        return float(rational) * raw, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, rule, True)
+            estimate *= _PI ** (pi_power + 1)
+        label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
+        return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, label, True)
+    lo, hi = rep.domain
     if rule == _RULE_EXP_SINH:
         result = integrate_semi_infinite(rep.at(n), cfg)
     elif rule == _RULE_TANH_SINH and rep.endpoint_singular:
@@ -539,8 +594,8 @@ def verify(
 ) -> VerificationRow:
     """Numerically check one (representation, n) pair against the exact value.
 
-    ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the rule
-    comes from the entry's singularity tags and exactness hint.  ``cfg``
+    ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the entry's
+    substitution runs the exact Gauss-Chebyshev rule in theta.  ``cfg``
     holds the engine tolerances.  ``tol`` defaults to the singularity-class
     tolerance; a given one must be positive and finite.
     """

@@ -3,8 +3,9 @@
 Four rules cover every integrand class that appears in the representation
 catalog:
 
-* Gauss-Chebyshev (first and second kind): N-point rules that are exact for
-  polynomial factors of degree <= 2N-1 against the corresponding weight.
+* Gauss-Chebyshev (first and second kind) in theta: N-node midpoint and
+  interior trapezoid sums over (0, pi), exact for P(cos theta), and for
+  P(cos theta) sin(theta)^2, when deg P <= 2N-1.
 * tanh-sinh: double-exponential transformation for finite intervals with
   integrable algebraic endpoint singularities.
 * exp-sinh: double-exponential transformation for (0, +inf).
@@ -81,34 +82,35 @@ def _tolerance(cfg: QuadConfig, value: float) -> float:
 # Gauss-Chebyshev rules
 # ---------------------------------------------------------------------------
 
-def chebyshev_sum_first(h: Callable[[float], float], n_nodes: int) -> float:
-    """(1/N) * sum h(x_k) at the first-kind nodes x_k = cos((2k-1)pi/(2N)).
+def chebyshev_sum_first(g: Callable[[float], float], n_nodes: int) -> float:
+    """(1/N) * sum g(theta_k) at the midpoint nodes theta_k = (2k-1)pi/(2N).
 
-    Multiplied by pi this is the N-point Gauss-Chebyshev approximation to
-    integral of h(x)/sqrt(1-x^2) over (-1, 1); keeping pi out lets callers
-    with a 1/pi prefactor cancel it analytically.
+    Multiplied by pi this is the N-point midpoint rule for the integral of
+    g over (0, pi), exact for g = P(cos theta) with deg P <= 2N-1: after
+    x = cos(theta) it is Gauss-Chebyshev of the first kind.  Keeping pi out
+    lets callers with a 1/pi prefactor cancel it analytically.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
     total = 0.0
     for k in range(1, n_nodes + 1):
-        total += h(math.cos((2 * k - 1) * math.pi / (2 * n_nodes)))
+        total += g((2 * k - 1) * math.pi / (2 * n_nodes))
     return total / n_nodes
 
 
-def chebyshev_sum_second(h: Callable[[float], float], n_nodes: int) -> float:
-    """(1/(N+1)) * sum sin^2(k pi/(N+1)) * h(cos(k pi/(N+1))).
+def chebyshev_sum_second(g: Callable[[float], float], n_nodes: int) -> float:
+    """(1/(N+1)) * sum g(theta_k) at the interior nodes theta_k = k pi/(N+1).
 
-    Multiplied by pi this approximates integral of h(x)*sqrt(1-x^2) over
-    (-1, 1), exactly so for polynomial h of degree <= 2N-1.
+    Multiplied by pi this is the trapezoid rule for the integral of g over
+    (0, pi) with g vanishing at both ends, exact for
+    g = P(cos theta) sin(theta)^2 with deg P <= 2N-1: after x = cos(theta)
+    it is Gauss-Chebyshev of the second kind.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
     total = 0.0
     for k in range(1, n_nodes + 1):
-        theta = k * math.pi / (n_nodes + 1)
-        s = math.sin(theta)
-        total += s * s * h(math.cos(theta))
+        total += g(k * math.pi / (n_nodes + 1))
     return total / (n_nodes + 1)
 
 

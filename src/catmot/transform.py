@@ -19,7 +19,7 @@ leading coefficient of the difference polynomial in f^2 is 1.
 A registration table gives f and the flavor of each eligible Catalan
 catalog entry.  A transform is a Motzkin entry derived from the source
 entry (g is its prefactor times its integrand at n = 0, since f^0 = 1) that
-``verify`` integrates with the catalog's rule.  Consistency checks confirm
+``verify`` integrates with the source's substitution in theta.  Consistency checks confirm
 that the generated integrands reproduce the Motzkin catalog entries,
 pointwise where the catalog entry is the direct transform output and in
 integral value where it was derived with an extra u = -x symmetrization.
@@ -87,11 +87,15 @@ def motzkin_representation(form: CatalanForm) -> Representation:
             fx = form.f(x)
             return kernel(n, fx * fx) * (g_scale * source.integrand(0, x))
 
+    # both kernels are polynomials of degree n // 2 in f^2, and f^(2k) g is
+    # the source's integrand at k: the source's substitution, at that degree
+    source_degree = source.substitution.degree
     return source._replace(
         id=f"{form.id}->motzkin",
         family=Family.MOTZKIN,
         prefactor=lambda n: (Fraction(1), 0),
-        exactness_hint=None, split_points=(), integrand=integrand,
+        split_points=(), integrand=integrand,
+        substitution=source.substitution._replace(degree=lambda n: source_degree(n // 2)),
     )
 
 
@@ -130,9 +134,6 @@ PAIRS: dict[str, tuple[str, ComparisonMode]] = {
     "cat.eq2": ("mot.13b", ComparisonMode.VALUE_ONLY),
 }
 
-_TIGHT = QuadConfig(rel_tol=1e-12)
-
-
 def get_form(catalan_id: str) -> CatalanForm:
     try:
         return FORMS[catalan_id]
@@ -151,10 +152,10 @@ def _derived_for(catalan_id: str, n: int) -> Representation:
     return motzkin_representation(form)
 
 
-def integrate_transform(catalan_id: str, n: int, cfg: QuadConfig = _TIGHT) -> float:
+def integrate_transform(catalan_id: str, n: int) -> float:
     """Integral of the transformed Motzkin integrand over the source entry's
     domain (should equal the exact Motzkin number)."""
-    return verify(_derived_for(catalan_id, n), n, cfg).estimate
+    return verify(_derived_for(catalan_id, n), n).estimate
 
 
 def _sample_points(source: Representation, count: int) -> list[float]:
@@ -174,7 +175,8 @@ def transform_deviation(
 ) -> float:
     """Relative deviation between the transform of the registered form and
     the Motzkin catalog entry: maximum over sample points (pointwise mode)
-    or between integral values (value-only mode)."""
+    or between integral values (value-only mode, inf when either integral
+    did not converge, since two wrong values may agree)."""
     derived = _derived_for(catalan_id, n)
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
@@ -190,9 +192,10 @@ def transform_deviation(
             if denom > 0.0:
                 worst = max(worst, abs(lhs - rhs) / denom)
         return worst
-    value_t = verify(derived, n, _TIGHT).estimate
-    value_c = verify(rep, n, _TIGHT).estimate
-    return abs(value_t - value_c) / max(abs(value_t), abs(value_c))
+    row_t, row_c = verify(derived, n), verify(rep, n)
+    if not (row_t.converged and row_c.converged):
+        return math.inf
+    return abs(row_t.estimate - row_c.estimate) / max(abs(row_t.estimate), abs(row_c.estimate))
 
 
 def check_lemma1(r: int, s: int, a: float, tol: float) -> bool:

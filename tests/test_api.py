@@ -25,11 +25,14 @@ REMOVED = {
     # g, its distance form and the domain come from the source catalog entry
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
-    # the Chebyshev rule integrates the entry's own integrand
-    catmot.catalog: ("_weights_13a", "ChebyshevHint", "_RepresentationFields"),
+    # the Chebyshev rule integrates the entry's own integrand, with the node
+    # count that the entry's substitution degree gives
+    catmot.catalog: (
+        "_weights_13a", "ChebyshevHint", "_RepresentationFields", "_ceil_half_plus_one",
+    ),
     # one integrand per entry; its endpoint tags say whether it takes x or
     # the endpoint distances
-    catmot.catalog.Representation: ("distance_integrand",),
+    catmot.catalog.Representation: ("distance_integrand", "exactness_hint"),
     catmot.report.Report: ("from_json",),
     # verify takes the rule; QuadConfig holds only engine tolerances
     catmot.QuadConfig: ("rule_override",),

@@ -8,6 +8,7 @@ from catmot.catalog import (
     Family,
     Representation,
     Singularity,
+    Substitution,
     default_tolerance,
     get_representation,
     list_representations,
@@ -15,6 +16,9 @@ from catmot.catalog import (
 )
 from catmot.exact import catalan, motzkin
 from catmot.transform import FORMS, motzkin_representation
+
+TRANSFORMS = {rep.id: rep for rep in map(motzkin_representation, FORMS.values())}
+ENTRIES = {**{rep.id: rep for rep in list_representations()}, **TRANSFORMS}
 
 ALL_IDS = [
     "cat.eq2", "cat.eq3", "cat.eq4", "cat.eq5", "cat.eq6", "cat.eq7",
@@ -35,7 +39,8 @@ def test_eq9_descriptor():
     rep = get_representation("cat.eq9")
     assert rep.domain == (-1.0, 1.0)
     assert rep.singularities == frozenset({Singularity.SMOOTH})
-    assert rep.exactness_hint(7) == 8
+    sub = rep.substitution
+    assert (sub.kind, sub.degree(7), sub.half) == (2, 14, False)
     assert verify(rep, 7).rule == "gauss-chebyshev-2[N=8]"
 
 
@@ -115,8 +120,8 @@ def test_symmetrized_forms_match_two_term_average():
     # value as the two-term average (1/2)((1+f)^n + (1-f)^n) g
     from catmot.quadrature import chebyshev_sum_second
 
-    def integral(h, n_nodes):
-        return math.pi * chebyshev_sum_second(h, n_nodes)
+    def integral(h, n_nodes):  # of h(x) sqrt(1 - x^2) over (-1, 1), x = cos(theta)
+        return math.pi * chebyshev_sum_second(lambda t: h(math.cos(t)) * math.sin(t) ** 2, n_nodes)
 
     for n in (0, 1, 5, 10, 17):
         one_sided = integral(lambda t: (1.0 + 2.0 * t) ** n, n + 2)
@@ -139,18 +144,25 @@ def test_default_tolerance_classes():
 
 
 def test_rule_auto_selection_via_rule_field():
+    # the default is the Gauss-Chebyshev rule in theta on every entry, with
+    # deg // 2 + 1 nodes of the substitution's kind
+    for rep in ENTRIES.values():
+        for n in (rep.n_min, 3, 8):
+            sub = rep.substitution
+            expected = f"gauss-chebyshev-{sub.kind}[N={sub.degree(n) // 2 + 1}]"
+            assert verify(rep, n).rule == expected, rep.id
     assert verify(get_representation("cat.eq2"), 3).rule.startswith("gauss-chebyshev-1")
     assert verify(get_representation("cat.eq9"), 3).rule.startswith("gauss-chebyshev-2")
-    assert verify(get_representation("cat.eq4"), 3).rule.startswith("tanh-sinh")
-    assert verify(get_representation("cat.eq6"), 3).rule.startswith("exp-sinh")
-    assert verify(get_representation("cat.eq3"), 3).rule.startswith("gauss-kronrod")
+    assert verify(get_representation("cat.eq6"), 3).rule.startswith("gauss-chebyshev-2")
 
 
 def test_rule_override_validation():
+    # the theta rule applies to every entry, the infinite domains included
+    for rid in ("cat.eq4", "cat.eq6", "mot.12b"):
+        row = verify(get_representation(rid), 1, rule="chebyshev")
+        assert row.rule.startswith("gauss-chebyshev") and row.passed, rid
     with pytest.raises(ValueError):
         verify(get_representation("cat.eq6"), 1, rule="tanh-sinh")
-    with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, rule="chebyshev")
     with pytest.raises(ValueError):
         verify(get_representation("cat.eq4"), 1, rule="exp-sinh")
     with pytest.raises(ValueError):
@@ -166,11 +178,12 @@ def test_nonconvergence_is_flagged_not_raised():
 
 
 def test_chebyshev_exact_entries_at_minimal_nodes():
+    # a degree-n polynomial needs n//2 + 1 nodes
     for rid in ("mot.12e", "mot.12f"):
         rep = get_representation(rid)
         for n in range(0, 26):
             row = verify(rep, n)
-            assert row.evaluations == (n + 1) // 2 + 1
+            assert row.evaluations == n // 2 + 1
             assert row.rel_err <= 1e-12, (rid, n, row.rel_err)
     # conc1's polynomial factor has degree 2n+2, so it needs n+2 nodes
     rep = get_representation("cat.conc1")
@@ -180,18 +193,59 @@ def test_chebyshev_exact_entries_at_minimal_nodes():
         assert row.rel_err <= 1e-13, (n, row.rel_err)
 
 
-@pytest.mark.parametrize("rep_id", [
-    "cat.eq2", "cat.eq9", "cat.eq10", "cat.conc1", "mot.12e", "mot.12f",
-])
+@pytest.mark.parametrize("rep_id", list(ENTRIES))
 def test_chebyshev_rule_integrates_the_stated_integrand(rep_id):
     # a wrong integrand must fail the default check, not just the other rules
-    rep = get_representation(rep_id)
+    rep = ENTRIES[rep_id]
     f = rep.integrand
     bad = rep._replace(integrand=lambda n, *at: 1.5 * f(n, *at))
     row = verify(bad, 5)
     assert row.rule.startswith("gauss-chebyshev")
     assert not row.passed
     assert row.rel_err == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("rep_id", list(ENTRIES))
+def test_default_rule_passes_at_large_n(rep_id):
+    # rows that failed on the double-exponential engines' tail cutoff
+    rep = ENTRIES[rep_id]
+    for n in (45, 60, 71, 78, 85, 100, 300):
+        row = verify(rep, n)
+        assert row.passed, (rep_id, n, row.rel_err, row.rule)
+
+
+def _tag_engine(rep: Representation) -> str:
+    if rep.semi_infinite:
+        return "exp-sinh"
+    return "tanh-sinh" if rep.endpoint_singular else "gauss-kronrod"
+
+
+# tanh-sinh fails cat.eq2 and cat.conc1 from n = 9 on its tail cutoff
+@pytest.mark.parametrize("rep_id", [i for i in ENTRIES if i not in ("cat.eq2", "cat.conc1")])
+def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
+    rep = ENTRIES[rep_id]
+    engine, tol = _tag_engine(rep), default_tolerance(rep)
+    for n in range(rep.n_min, 31):
+        theta, forced = verify(rep, n), verify(rep, n, rule=engine)
+        assert theta.rule.startswith("gauss-chebyshev") and forced.rule.startswith(engine)
+        assert forced.passed, (rep_id, n, forced.rel_err)
+        assert abs(theta.estimate - forced.estimate) <= tol * theta.exact, (rep_id, n)
+
+
+def test_substitution_maps_theta_into_the_domain():
+    for rep in ENTRIES.values():
+        sub, (lo, hi) = rep.substitution, rep.domain
+        top = 0.5 * math.pi if sub.half else math.pi
+        for t in (1e-3, 0.3, 0.5 * top, 0.9 * top, top - 1e-3):
+            point = sub.point(t)
+            assert sub.jacobian(t) > 0.0, (rep.id, t)
+            if rep.endpoint_singular:
+                da, db = point
+                assert da > 0.0 and db > 0.0
+                assert da + db == pytest.approx(hi - lo, rel=1e-15), (rep.id, t)
+            else:
+                [x] = point
+                assert lo < x < hi, (rep.id, t)
 
 
 def test_full_default_sweep_passes():
@@ -229,25 +283,19 @@ def test_prefactors_well_defined():
 
 def test_sweep_evaluation_totals_per_rule():
     # integrand evaluations of the default sweep (every entry, n <= 30), per
-    # rule; a change to any engine's node order or stopping rule moves these
+    # rule; a change to an entry's substitution degree or kind moves these
     totals: dict[str, int] = {}
     for rep in list_representations():
         for n in range(rep.n_min, 31):
             row = verify(rep, n)
             rule = row.rule.split("[", 1)[0]
             totals[rule] = totals.get(rule, 0) + row.evaluations
-    assert totals == {
-        "gauss-kronrod": 31_860,
-        "tanh-sinh": 23_605,
-        "exp-sinh": 7_006,
-        "gauss-chebyshev-2": 1_534,
-        "gauss-chebyshev-1": 1_023,
-    }
-    assert sum(totals.values()) == 65_028
+    assert totals == {"gauss-chebyshev-1": 2_828, "gauss-chebyshev-2": 4_016}
+    assert sum(totals.values()) == 6_844
 
 
 def test_integrand_takes_endpoint_distances_exactly_on_endpoint_singular_entries():
-    entries = list_representations() + tuple(map(motzkin_representation, FORMS.values()))
+    entries = tuple(ENTRIES.values())
     assert len(entries) == 28
     singular = [rep for rep in entries if rep.endpoint_singular]
     assert len(singular) == 8 + 3  # three transforms have an endpoint-singular source
@@ -270,6 +318,7 @@ def test_at_reads_the_integrand_through_the_domain():
         prefactor=lambda n: (Fraction(1), 0),
         domain=(0.0, 1.0),
         statement="",
+        substitution=Substitution(lambda t: (t,), lambda t: 1.0, 1, lambda n: n),
     )
     plain = Representation(
         **base, integrand=lambda n, x: n + x, singularities=frozenset({Singularity.SMOOTH})

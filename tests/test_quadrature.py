@@ -39,39 +39,43 @@ def test_chebyshev_first_weight_integral():
 
 
 def test_chebyshev_first_second_moment():
-    value = math.pi * chebyshev_sum_first(lambda x: x * x, 2)
+    # int x^2 / sqrt(1-x^2) over (-1, 1), x = cos(theta)
+    value = math.pi * chebyshev_sum_first(lambda t: math.cos(t) ** 2, 2)
     assert value == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_chebyshev_first_central_binomial_moment():
     # int x^20 / sqrt(1-x^2) = pi C(20,10) / 4^10
     expected = math.pi * comb(20, 10) / 4**10
-    value = math.pi * chebyshev_sum_first(lambda x: x**20, 11)
+    value = math.pi * chebyshev_sum_first(lambda t: math.cos(t) ** 20, 11)
     assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_chebyshev_second_weight_integral():
-    value = math.pi * chebyshev_sum_second(lambda x: 1.0, 1)
+    # int sqrt(1-x^2) over (-1, 1), x = cos(theta)
+    value = math.pi * chebyshev_sum_second(lambda t: math.sin(t) ** 2, 1)
     assert value == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_chebyshev_second_second_moment():
-    value = math.pi * chebyshev_sum_second(lambda x: x * x, 2)
+    value = math.pi * chebyshev_sum_second(lambda t: (math.cos(t) * math.sin(t)) ** 2, 2)
     assert value == pytest.approx(math.pi / 8.0, rel=1e-15)
 
 
 def test_chebyshev_second_catalan_moment():
     n = 12
-    value = math.pi * chebyshev_sum_second(lambda x: x ** (2 * n), n + 1)
+    value = math.pi * chebyshev_sum_second(lambda t: math.cos(t) ** (2 * n) * math.sin(t) ** 2, n + 1)
     value *= 2 ** (2 * n + 1) / math.pi
     assert value == pytest.approx(float(catalan(n)), rel=1e-13)
 
 
 def test_chebyshev_motzkin_weight_exactness():
-    # (1+2x)^n against sqrt(1-x^2) needs only ceil(n/2)+1 nodes
+    # (1+2x)^n against sqrt(1-x^2) needs only n//2 + 1 nodes
     for n in range(0, 26):
-        nodes = (n + 1) // 2 + 1
-        value = math.pi * chebyshev_sum_second(lambda x: (1.0 + 2.0 * x) ** n, nodes)
+        nodes = n // 2 + 1
+        value = math.pi * chebyshev_sum_second(
+            lambda t: (1.0 + 2.0 * math.cos(t)) ** n * math.sin(t) ** 2, nodes
+        )
         value *= 2.0 / math.pi
         assert abs(value - float(motzkin(n))) / float(motzkin(n)) <= 1e-12
 
@@ -376,16 +380,17 @@ def test_lazy_de_nodes_match_eager_tables(monkeypatch):
 
 def test_threads_filling_tables_give_identical_reports():
     # fresh processes start with empty tables; at --jobs 4 worker threads
-    # fill the same level-12 slots at once
-    argv = ["verify", "all", "--n-range", "31..60", "--n-max", "100", "--format", "csv"]
+    # fill the same level-12 slots at once, on both double-exponential maps
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "catmot.cli", *argv, "--jobs", jobs],
-            capture_output=True, env=env, timeout=120,
-        )
-        for jobs in ("1", "4")
-    ]
-    assert runs[0].returncode == runs[1].returncode == 1  # rows that fail today
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.count(b"\n") == 1 + 19 * 30
+    for selector, rule in (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh")):
+        argv = ["verify", selector, "--rule", rule, "--n-range", "31..60", "--n-max", "100"]
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "catmot.cli", *argv, "--jobs", jobs],
+                capture_output=True, env=env, timeout=120,
+            )
+            for jobs in ("1", "4")
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.count(b"\n") == 1 + 30

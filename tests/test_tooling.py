@@ -3,7 +3,12 @@ test paths (only imported; nothing there is changed or installed), and for
 the runtime's dependencies."""
 
 import ast
+import csv
 import importlib.util
+import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +32,24 @@ def test_tracer_spans_resolve():
     # one live target, or its metrics silently read 0.
     for name, (targets, _count) in _load("tracer").spans().items():
         assert any(getattr(owner, attr, None) is not None for owner, attr in targets), name
+
+
+def test_traced_sweep_counts_every_evaluation_once():
+    # the quadrature spans see the evaluations that the catalog rows report,
+    # the theta rule's node sums included; no total is pinned here
+    tracer = _load("tracer")
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), "verify", "all", "--n-range", "0..30"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    [line] = [l for l in proc.stderr.splitlines() if l.startswith(tracer.TRACE_PREFIX)]
+    spans = json.loads(line[len(tracer.TRACE_PREFIX):])
+    quadrature = sum(v.get("evals", 0) for k, v in spans.items() if k.startswith("quadrature."))
+    reported = sum(int(row["evaluations"]) for row in csv.DictReader(io.StringIO(proc.stdout)))
+    assert quadrature == spans["catalog.verify"]["evals"] == reported > 0
+    assert spans["quadrature.chebyshev"]["evals"] == quadrature
 
 
 def test_oracle_ids_follow_the_registry():

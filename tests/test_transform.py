@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from catmot.catalog import get_representation, list_representations, verify
+from catmot.catalog import VerificationRow, get_representation, list_representations, verify
 from catmot.exact import motzkin
 from catmot.transform import (
     FORMS,
@@ -117,28 +117,39 @@ def test_unknown_ids_raise_lookup_errors():
 
 def test_transform_integrals_reproduce_motzkin_numbers():
     for cid in FORMS:
-        # cat.eq2 runs on tanh-sinh, whose tail cutoff fails it from n = 44
-        large = () if cid == "cat.eq2" else (47, 60, 65, 95, 100)
-        for n in (*range(0, 21), *large):
+        for n in (*range(0, 21), 47, 60, 65, 95, 100):
             value = integrate_transform(cid, n)
             exact = float(motzkin(n))
             assert abs(value - exact) / exact <= 1e-8, (cid, n)
 
 
 def test_transform_is_integrated_with_the_catalog_rule():
-    # the source's singularity tags pick the engine, as for an entry without
-    # an exactness hint; the derived entry stays out of the catalog
-    engines = {
-        "gauss-kronrod": ("cat.eq3", "cat.eq7", "cat.eq8", "cat.eq9", "cat.eq10"),
-        "tanh-sinh": ("cat.eq2", "cat.eq4", "cat.eq5"),
-        "exp-sinh": ("cat.eq6",),
-    }
+    # the derived entry runs the source's substitution at the degree of its
+    # kernel, a polynomial of degree n // 2 in f^2; it stays out of the catalog
     catalog_ids = {rep.id for rep in list_representations()}
-    for engine, cids in engines.items():
-        for cid in cids:
-            derived = motzkin_representation(FORMS[cid])
-            assert derived.id not in catalog_ids, cid
-            assert verify(derived, 5).rule.startswith(engine), cid
+    for cid, form in FORMS.items():
+        source = get_representation(cid).substitution
+        derived = motzkin_representation(form)
+        assert derived.id not in catalog_ids, cid
+        for n in (0, 5, 8, 13):
+            nodes = source.degree(n // 2) // 2 + 1
+            assert verify(derived, n).rule == f"gauss-chebyshev-{source.kind}[N={nodes}]", cid
+
+
+def test_value_only_mode_fails_a_non_converged_side(monkeypatch):
+    # two integrals that agree count only when both converged
+    import catmot.transform
+
+    for stalled in ({"transform", "entry"}, {"transform"}, {"entry"}):
+        def agreeing(rep, n, *args):
+            side = "transform" if rep.id.endswith("->motzkin") else "entry"
+            ok = side not in stalled
+            return VerificationRow(rep.id, n, 21, 20.0, 1 / 21, 99, "tanh-sinh", False, ok)
+
+        monkeypatch.setattr(catmot.transform, "verify", agreeing)
+        for cid, (mid, mode) in PAIRS.items():
+            if mode is ComparisonMode.VALUE_ONLY:
+                assert transform_deviation(cid, mid, mode, 5) == math.inf, (cid, stalled)
 
 
 def test_consistency_examples():
