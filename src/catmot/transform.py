@@ -19,10 +19,11 @@ leading coefficient of the difference polynomial in f^2 is 1.
 A registration table gives f and the flavor of each eligible Catalan
 catalog entry.  A transform is a Motzkin entry derived from the source
 entry (g is its prefactor times its integrand at n = 0, since f^0 = 1) that
-``verify`` integrates with the source's substitution in theta.  Consistency checks confirm
-that the generated integrands reproduce the Motzkin catalog entries,
-pointwise where the catalog entry is the direct transform output and in
-integral value where it was derived with an extra u = -x symmetrization.
+``verify`` integrates with the source's substitution in theta.
+Consistency checks confirm that the generated integrands reproduce the
+Motzkin catalog entries, pointwise where the catalog entry is the direct
+transform output and in integral value where it was derived with an extra
+u = -x symmetrization.
 """
 
 from __future__ import annotations

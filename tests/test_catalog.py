@@ -17,8 +17,11 @@ from catmot.catalog import (
 from catmot.exact import catalan, motzkin
 from catmot.transform import FORMS, motzkin_representation
 
-TRANSFORMS = {rep.id: rep for rep in map(motzkin_representation, FORMS.values())}
-ENTRIES = {**{rep.id: rep for rep in list_representations()}, **TRANSFORMS}
+# the 19 catalog entries and the 9 derived transforms
+ENTRIES = {
+    rep.id: rep
+    for rep in (*list_representations(), *map(motzkin_representation, FORMS.values()))
+}
 
 ALL_IDS = [
     "cat.eq2", "cat.eq3", "cat.eq4", "cat.eq5", "cat.eq6", "cat.eq7",
