@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="force a quadrature rule")
     p_verify.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="echoed into the report; rows run on the calling thread")
     cfg_group = p_verify.add_argument_group("configuration")
     cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
     cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
@@ -179,17 +180,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for rep in reps:  # a forced rule an entry cannot take is refused before any row runs
         _select_rule(rep, args.rule)
     cfg = settings.quad_config()
-    tasks = [
-        (rep, n) for rep in reps for n in range(max(lo, rep.n_min), hi + 1)
+    # every row runs on this thread, whatever --jobs says: under the GIL a
+    # thread pool only adds contention, and a process pool measured slower
+    # than one thread too (see the README on --jobs)
+    rows = [
+        verify(rep, n, cfg, args.tol, args.rule)
+        for rep in reps
+        for n in range(max(lo, rep.n_min), hi + 1)
     ]
-    if args.jobs > 1:
-        # imported here: concurrent.futures costs start-up time on every command
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda t: verify(*t, cfg, args.tol, args.rule), tasks))
-    else:
-        rows = [verify(rep, n, cfg, args.tol, args.rule) for rep, n in tasks]
     echo = settings.echo()
     echo.update(
         {

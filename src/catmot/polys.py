@@ -7,9 +7,9 @@ The Motzkin-from-Catalan transforms repeatedly need
     psi_m(x) = ((1+2x)^m - 1) / m              all powers, j >= 1
 
 near t = 0 (or x = 0) the closed forms subtract nearly equal quantities;
-here every one of them is evaluated as a polynomial with exact rational
-coefficients converted to float once, so small arguments accumulate
-same-sign terms only.
+here every one of them is evaluated as a polynomial, each float coefficient
+one correctly rounded integer division (the Fraction builders are the exact
+reference), so small arguments accumulate same-sign terms only.
 """
 
 from __future__ import annotations
@@ -28,16 +28,24 @@ def horner(coeffs: tuple[float, ...], s: float) -> float:
 
 
 @lru_cache(maxsize=128)
-def _float_coeffs(exact_builder, n: int) -> tuple[float, ...]:
-    """The exact coefficients ``exact_builder(n)``, each converted to float
-    once.  128 keys cover the mot.13a and mot.13b rows of a 50-wide n range."""
-    return tuple(float(c) for c in exact_builder(n))
+def _float_coeffs(builder, n: int) -> tuple[float, ...]:
+    """The coefficients ``builder(n)`` as floats, built once per n.  128 keys
+    cover the mot.13a and mot.13b rows of a 50-wide n range."""
+    return tuple(map(float, builder(n)))
+
+
+def _binomials(m: int) -> tuple[int, ...]:
+    """C(m, 0), ..., C(m, m) by the ratio recurrence (``comb`` starts afresh for each)."""
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return tuple(row)
 
 
 def even_binomial_coeffs(n: int) -> tuple[int, ...]:
     """Coefficients of (1/2)*((1+t)^n + (1-t)^n) as a polynomial in s = t^2:
     C(n, 0), C(n, 2), ..., C(n, 2*floor(n/2))."""
-    return tuple(comb(n, 2 * j) for j in range(n // 2 + 1))
+    return _binomials(n)[::2]
 
 
 def half_power_sum(n: int, s: float) -> float:
@@ -75,12 +83,17 @@ def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     All d_j are nonnegative and d_1 == 1, which makes
     (phi_{n+2} - phi_{n+1}) / t^2  -> 1 as t -> 0.
     """
-    top = (n + 2) // 2
+    a, b = n + 1, n + 2
+    hi, lo = _binomials(b), (*_binomials(a), 0)  # C(n+1, n+2) = 0
     return tuple(
-        Fraction(2 * comb(n + 2, 2 * j), n + 2)
-        - Fraction(2 * comb(n + 1, 2 * j), n + 1)
-        for j in range(1, top + 1)
+        Fraction(2 * (a * hi[2 * j] - b * lo[2 * j]), a * b) for j in range(1, b // 2 + 1)
     )
+
+
+def _phi_diff_floats(n: int) -> tuple[float, ...]:
+    """The floats nearest d_j: C(m, i)/m = C(m-1, i-1)/i and Pascal's rule
+    reduce d_j to C(n, 2j-2)/j, one correctly rounded integer division."""
+    return tuple(c / j for j, c in enumerate(_binomials(n)[::2], start=1))
 
 
 def phi_diff_over_square(n: int, s: float) -> float:
@@ -89,7 +102,7 @@ def phi_diff_over_square(n: int, s: float) -> float:
     Continuous at s = 0 with value 1 (the d_1 coefficient), which is the
     analytic limit used when the transform's f vanishes.
     """
-    return horner(_float_coeffs(phi_diff_coeffs, n), s)
+    return horner(_float_coeffs(_phi_diff_floats, n), s)
 
 
 def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
@@ -100,10 +113,14 @@ def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     removes the catastrophic cancellation of the two-term closed form at
     small x.
     """
-    return tuple(
-        Fraction(comb(n + 2, j), n + 2) - Fraction(comb(n + 1, j), n + 1)
-        for j in range(2, n + 3)
-    )
+    a, b = n + 1, n + 2
+    hi, lo = _binomials(b), (*_binomials(a), 0)  # C(n+1, n+2) = 0
+    return tuple(Fraction(a * hi[j] - b * lo[j], a * b) for j in range(2, b + 1))
+
+
+def _psi_diff_floats(n: int) -> tuple[float, ...]:
+    """The floats nearest e_j, which reduces to C(n, j-2)/j as d_j does."""
+    return tuple(c / j for j, c in enumerate(_binomials(n), start=2))
 
 
 def psi_difference(n: int, x: float) -> float:
@@ -112,10 +129,10 @@ def psi_difference(n: int, x: float) -> float:
     if n < 0:
         raise ValueError("psi_difference requires n >= 0")
     u = 2.0 * x
-    return (u * u) * horner(_float_coeffs(psi_diff_coeffs, n), u)
+    return (u * u) * horner(_float_coeffs(_psi_diff_floats, n), u)
 
 
 def psi_difference_over_square(n: int, x: float) -> float:
     """(psi_{n+2}(x) - psi_{n+1}(x)) / x^2, continuous at x = 0 (value 2)."""
     # u^2 / x^2 == 4 exactly in binary arithmetic, so divide it out up front
-    return 4.0 * horner(_float_coeffs(psi_diff_coeffs, n), 2.0 * x)
+    return 4.0 * horner(_float_coeffs(_psi_diff_floats, n), 2.0 * x)

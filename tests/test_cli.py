@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from math import comb
 from pathlib import Path
 
@@ -226,6 +227,25 @@ def test_verify_deterministic_output(capsys, tmp_path):
     assert run(capsys, "verify", "all", "--n-range", "0..6", "--out", str(a))[0] == 0
     assert run(capsys, "verify", "all", "--n-range", "0..6", "--out", str(b), "--jobs", "4")[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
+    # --jobs is accepted and echoed, but no row leaves the calling thread
+    import catmot.cli
+
+    threads = []
+
+    def recording_verify(*args):
+        threads.append(threading.get_ident())
+        return verify(*args)
+
+    monkeypatch.setattr(catmot.cli, "verify", recording_verify)
+    code, out, err = run(capsys, "verify", "all", "--n-range", "0..6", "--jobs", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["config_echo"]["jobs"] == "4"
+    assert len(threads) == len(report["rows"]) > 0
+    assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--abs-tol", "nan")])

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from catmot import polys
 from catmot.polys import (
     PhiEvaluator,
     half_power_sum,
@@ -79,6 +80,24 @@ def test_phi_diff_over_square_matches_closed_form():
             direct = phi_direct(n + 2, t) - phi_direct(n + 1, t)
             got = phi_diff_over_square(n, t * t) * t * t
             assert abs(got - direct) <= 1e-12 * abs(direct), (n, t)
+
+
+def test_float_coefficients_are_the_correctly_rounded_rationals():
+    # one integer division per coefficient gives, bit for bit, float() of the
+    # exact Fraction reference over each kernel's whole float range: phi up to
+    # n = 1037 (the phi transform's n_max), psi up to n = 1038
+    for exact, floats, n_max in (
+        (phi_diff_coeffs, polys._phi_diff_floats, 1037),
+        (psi_diff_coeffs, polys._psi_diff_floats, 1038),
+    ):
+        for n in range(n_max + 1):
+            reference = [float(c).hex() for c in exact(n)]
+            assert [c.hex() for c in floats(n)] == reference, (floats.__name__, n)
+        # both paths overflow at the same n
+        with pytest.raises(OverflowError):
+            [float(c) for c in exact(n_max + 1)]
+        with pytest.raises(OverflowError):
+            floats(n_max + 1)
 
 
 def test_half_power_sum_matches_direct():

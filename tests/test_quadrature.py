@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from catmot import quadrature
+from catmot.catalog import get_representation, verify
 from catmot.exact import catalan, motzkin
 from catmot.quadrature import (
     QuadConfig,
@@ -325,8 +328,6 @@ def test_lazy_de_nodes_match_eager_tables(monkeypatch):
     # growing term never goes quiet and never converges); however their
     # fills interleave, each must see, bit for bit and in order, the tables
     # the level loop used to build eagerly by stepping t += 2h
-    from catmot import quadrature
-
     tables = {}
     monkeypatch.setattr(quadrature, "_DE_TABLES", tables)
     eager = {}
@@ -378,9 +379,29 @@ def test_lazy_de_nodes_match_eager_tables(monkeypatch):
     }
 
 
-def test_threads_filling_tables_give_identical_reports():
-    # fresh processes start with empty tables; at --jobs 4 worker threads
-    # fill the same level-12 slots at once, on both double-exponential maps
+def test_threads_filling_tables_give_identical_reports(monkeypatch):
+    # library callers may call catalog.verify from threads: four of them fill
+    # the same level-12 slots of empty tables at once, on both
+    # double-exponential maps, and get the rows of a serial run
+    cases = [
+        (get_representation(selector), n, rule)
+        for selector, rule in (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh"))
+        for n in range(31, 61)
+    ]
+    monkeypatch.setattr(quadrature, "_DE_TABLES", {})
+    serial = [verify(rep, n, rule=rule) for rep, n, rule in cases]
+    monkeypatch.setattr(quadrature, "_DE_TABLES", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda case: verify(case[0], case[1], rule=case[2]), cases))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert all(row.passed for row in serial)
+    # the CLI runs rows on the calling thread at any --jobs, and its report
+    # stays byte-identical across --jobs values, each from a fresh process
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for selector, rule in (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh")):
         argv = ["verify", selector, "--rule", rule, "--n-range", "31..60", "--n-max", "100"]

@@ -182,6 +182,10 @@ def test_transform_refuses_n_past_the_kernels_float_range(monkeypatch, catalan_i
         raise AssertionError(f"coefficients built for n={n}")
 
     monkeypatch.setattr(catmot.polys, "_float_coeffs", no_coefficients)
+    # the patch sees the kernel's coefficient build inside the range ...
+    with pytest.raises(AssertionError, match=f"n={n_max}$"):
+        integrate_transform(catalan_id, n_max)
+    # ... and none is attempted past it
     for mode in ComparisonMode:
         with pytest.raises(ValueError, match=f"0..{n_max}"):
             transform_deviation(catalan_id, motzkin_id, mode, n_max + 1)
