@@ -11,8 +11,8 @@ the corresponding Motzkin integrand is
     phi:     (phi_{n+2}(f) - phi_{n+1}(f)) / f^2 * g
 
 with phi_m(t) = ((1+t)^m + (1-t)^m - 2)/m.  Both kernels are evaluated as
-even-power polynomial sums in s = f(x)^2 (exact rational coefficients,
-converted to float once), so they stay accurate where f vanishes; at a zero
+even-power polynomial sums in s = f(x)^2 (each float coefficient the exact
+one correctly rounded), so they stay accurate where f vanishes; at a zero
 of f the phi kernel equals its analytic limit g(x) exactly, because the
 leading coefficient of the difference polynomial in f^2 is 1.
 

@@ -240,7 +240,8 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
         return verify(*args)
 
     monkeypatch.setattr(catmot.cli, "verify", recording_verify)
-    code, out, err = run(capsys, "verify", "all", "--n-range", "0..6", "--jobs", "4", "--format", "json")
+    code, out, err = run(capsys, "verify", "all", "--n-range", "0..6", "--jobs", "4",
+                         "--format", "json")
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["config_echo"]["jobs"] == "4"

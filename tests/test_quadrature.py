@@ -381,13 +381,10 @@ def test_lazy_de_nodes_match_eager_tables(monkeypatch):
 
 def test_threads_filling_tables_give_identical_reports(monkeypatch):
     # library callers may call catalog.verify from threads: four of them fill
-    # the same level-12 slots of empty tables at once, on both
-    # double-exponential maps, and get the rows of a serial run
-    cases = [
-        (get_representation(selector), n, rule)
-        for selector, rule in (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh"))
-        for n in range(31, 61)
-    ]
+    # the same slots of empty tables at once, on both double-exponential
+    # maps, and get the rows of a serial run
+    forced = (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh"))
+    cases = [(get_representation(rep_id), n, rule) for rep_id, rule in forced for n in range(31, 61)]
     monkeypatch.setattr(quadrature, "_DE_TABLES", {})
     serial = [verify(rep, n, rule=rule) for rep, n, rule in cases]
     monkeypatch.setattr(quadrature, "_DE_TABLES", {})
@@ -395,7 +392,8 @@ def test_threads_filling_tables_give_identical_reports(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda case: verify(case[0], case[1], rule=case[2]), cases))
+            rows = pool.map(lambda case: verify(case[0], case[1], rule=case[2]), cases, timeout=120)
+            threaded = list(rows)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -403,7 +401,7 @@ def test_threads_filling_tables_give_identical_reports(monkeypatch):
     # the CLI runs rows on the calling thread at any --jobs, and its report
     # stays byte-identical across --jobs values, each from a fresh process
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for selector, rule in (("cat.eq4", "tanh-sinh"), ("mot.12b", "exp-sinh")):
+    for selector, rule in forced:
         argv = ["verify", selector, "--rule", rule, "--n-range", "31..60", "--n-max", "100"]
         runs = [
             subprocess.run(
