@@ -528,10 +528,9 @@ def get_representation(rep_id: str) -> Representation:
 
 _RULE_CHEBYSHEV = "chebyshev"
 _RULE_TANH_SINH = "tanh-sinh"
-_RULE_EXP_SINH = "exp-sinh"
 _RULE_GK = "gauss-kronrod"
 
-VALID_RULE_OVERRIDES = (_RULE_CHEBYSHEV, _RULE_TANH_SINH, _RULE_EXP_SINH, _RULE_GK)
+VALID_RULE_OVERRIDES = (_RULE_CHEBYSHEV, _RULE_TANH_SINH, _RULE_GK)
 
 
 def default_tolerance(rep: Representation) -> float:
@@ -546,12 +545,8 @@ def _select_rule(rep: Representation, override: Optional[str]) -> str:
         return _RULE_CHEBYSHEV
     if override not in VALID_RULE_OVERRIDES:
         raise ValueError(f"unknown rule override {override!r}")
-    if override == _RULE_CHEBYSHEV:
-        return override
-    if rep.semi_infinite and override != _RULE_EXP_SINH:
-        raise ValueError(f"{rep.id} has an infinite domain; only exp-sinh applies")
-    if not rep.semi_infinite and override == _RULE_EXP_SINH:
-        raise ValueError(f"{rep.id} has a finite domain; exp-sinh does not apply")
+    if rep.semi_infinite and override == _RULE_GK:
+        raise ValueError(f"{rep.id} has an infinite domain; gauss-kronrod does not apply")
     return override
 
 
@@ -573,7 +568,7 @@ def _integrate(
         label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
         return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
-    if rule == _RULE_EXP_SINH:
+    if rule == _RULE_TANH_SINH and rep.semi_infinite:
         result = integrate_semi_infinite(rep.at(n), cfg)
     elif rule == _RULE_TANH_SINH and rep.endpoint_singular:
         result = tanh_sinh(None, lo, hi, cfg, singular=lambda da, db: rep.integrand(n, da, db))

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
     cfg_group.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
     cfg_group.add_argument("--abs-tol", type=float, dest="abs_tol", help="quadrature absolute floor")
-    cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh/exp-sinh level cap")
+    cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh level cap (3..16)")
     cfg_group.add_argument("--max-subdivisions", type=int, dest="max_subdivisions", help="adaptive subdivision cap")
 
     p_tr = sub.add_parser("transform", help="check a transform against its catalog pairing")

@@ -1,14 +1,14 @@
 """Numerical integration engines.
 
-Four rules cover every integrand class that appears in the representation
+Three rules cover every integrand class that appears in the representation
 catalog:
 
 * Gauss-Chebyshev (first and second kind) in theta: N-node midpoint and
   interior trapezoid sums over (0, pi), exact for P(cos theta), and for
   P(cos theta) sin(theta)^2, when deg P <= 2N-1.
 * tanh-sinh: double-exponential transformation for finite intervals with
-  integrable algebraic endpoint singularities.
-* exp-sinh: double-exponential transformation for (0, +inf).
+  integrable algebraic endpoint singularities, and for (0, +inf) through
+  x = u/(1 - u) on u in (0, 1).
 * adaptive Gauss-Kronrod 7/15: work-queue bisection for smooth (possibly
   sign-oscillating) integrands on finite intervals.
 
@@ -25,9 +25,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _HALF_PI = math.pi / 2.0
-# deepest double-exponential level: up to it, every node abscissa
-# t = (2i + 1) 2**-L below 8 has 2i + 1 < 2**53, so t is exact in float64
-_MAX_DE_LEVEL = 50
+# deepest double-exponential level: level L runs to t_max, about 6.2 * 2**L
+# evaluations, so a sum that never converges stops after about 50k of them
+# at the default 12 levels and 0.8M at 16
+_MAX_DE_LEVEL = 16
 
 
 class _QuadConfigFields(NamedTuple):
@@ -115,22 +116,22 @@ def chebyshev_sum_second(g: Callable[[float], float], n_nodes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# double-exponential rules: tanh-sinh on (a, b), exp-sinh on (0, +inf)
+# double-exponential rule: tanh-sinh on (a, b), and on (0, +inf) via x = u/(1-u)
 # ---------------------------------------------------------------------------
 #
-# Both substitute x = phi(t) with a map whose derivative decays
+# x = mid + halfwidth*tanh((pi/2) sinh t) has a derivative that decays
 # double-exponentially, which turns the integral into a trapezoid sum over
-# t.  Each refinement level halves the spacing in t; one driver runs the
-# level loop for both maps, fed by a per-node sampler.
-#
-# tanh-sinh uses x = mid + halfwidth*tanh((pi/2) sinh t).  Node positions
-# are stored as distances d = 1 - tanh((pi/2) sinh t) from the interval
-# ends, computed without cancellation, so endpoint neighborhoods are
-# resolved down to the last representable point and the integrand is never
-# evaluated exactly at a or b.  exp-sinh uses x = exp((pi/2) sinh t).
+# t.  Each refinement level halves the spacing in t and runs out to the
+# last usable node (Takahasi & Mori, 1974): the terms of an endpoint-heavy
+# integrand may look negligible near t = 0 and grow further out, so no
+# level stops at its first small terms.  Node positions are stored as
+# distances d = 1 - tanh((pi/2) sinh t) from the interval ends, computed
+# without cancellation, so endpoint neighborhoods are resolved down to the
+# last representable point and the integrand is never evaluated exactly at
+# a or b.
 
 
-def _ts_node(t: float) -> tuple[float, float]:
+def _de_node(t: float) -> tuple[float, float]:
     u = _HALF_PI * math.sinh(t)
     # 1 - tanh(u) without cancellation; exp(-2u) underflows harmlessly to 0
     e = math.exp(-2.0 * u)
@@ -140,84 +141,68 @@ def _ts_node(t: float) -> tuple[float, float]:
     return d, w
 
 
-def _es_node(t: float) -> tuple[float, float, float, float]:
-    u = _HALF_PI * math.sinh(t)
-    ch = _HALF_PI * math.cosh(t)
-    x_plus = math.exp(u)
-    x_minus = math.exp(-u)
-    return x_plus, ch * x_plus, x_minus, ch * x_minus
+# past t = 6.2 the distance d underflows to 0
+_T_MAX = 6.2
+
+# level -> {i: node at the level's i-th t > 0}, with t = i + 1 at level 0
+# and t = (2i + 1) 2**-L at level L; a node is stored when a level loop
+# first reaches it.  A node is a pure function of (level, i): threads that
+# race to fill a slot store equal values under the same key.
+_DE_TABLES: dict[int, dict[int, tuple[float, float]]] = {}
 
 
-# rule name -> (t beyond which the nodes are unusable in float64, node map):
-# the tanh-sinh distance d underflows after 6.2, exp((pi/2) sinh t)
-# overflows shortly after 6.8
-_DE_MAPS = {
-    "tanh-sinh": (6.2, _ts_node),
-    "exp-sinh": (6.8, _es_node),
-}
+def _tanh_sinh(
+    f: Callable[[float, float], Optional[float]], a: float, b: float, cfg: QuadConfig
+) -> QuadratureResult:
+    """Level-doubling tanh-sinh sums of ``f(x - a, b - x)`` over (a, b).
 
-# (rule name, level) -> {i: node at the level's i-th t > 0}, with t = i + 1
-# at level 0 and t = (2i + 1) 2**-L at level L; a node is stored when a level
-# loop first reaches it.  A node is a pure function of (rule, level, i):
-# threads that race to fill a slot store equal values under the same key.
-_DE_TABLES: dict[tuple[str, int], dict[int, tuple[float, ...]]] = {}
-
-
-def _de_levels(
-    kind: str,
-    center: float,
-    scale: float,
-    term: Callable[..., Optional[tuple[float, float]]],
-    cfg: QuadConfig,
-) -> tuple[float, float, int, bool]:
-    """Level-doubling trapezoid sums over the ``kind`` node tables.
-
-    ``center`` is the weighted t = 0 term, ``scale`` the Jacobian factor
-    kept out of the sum, and ``term(*node)`` returns the weighted
-    ``(hi, lo)`` pair of one node, or None past the last usable node.
-    Returns (value, error estimate, last level, converged).
+    ``f`` returns the integrand at the two endpoint distances, or None for
+    a point it does not evaluate, which adds 0 and is not counted.
     """
-    raw = center  # running trapezoid sum, spacing folded in later
+    halfwidth = 0.5 * (b - a)
+    width = b - a
+    evals = 0
+
+    def sample(da: float, db: float) -> float:
+        nonlocal evals
+        y = f(da, db)
+        if y is None:
+            return 0.0
+        evals += 1
+        return y
+
+    # at t = 0: x = mid, dx/dt = halfwidth * pi/2; the spacing h = 1 at
+    # level 0 and the Jacobian factor halfwidth are folded in later
+    raw = _HALF_PI * sample(halfwidth, halfwidth)
     comp = 0.0  # Kahan compensation keeps the refinement plateau at a few ulps
-    prev_weighted = None
-    weighted = raw  # h = 1 at level 0
-    level = 0
-    err = math.inf
-    t_max, node_map = _DE_MAPS[kind]
-    for level in range(cfg.max_levels + 1):
+    for level in range(cfg.max_levels + 1):  # max_levels >= 3
         spacing = 2.0 ** (-level)
-        table = _DE_TABLES.setdefault((kind, level), {})
+        table = _DE_TABLES.setdefault(level, {})
         # the count of t < t_max; (2i + 1) * spacing < t_max above level 0
-        size = int(t_max) if level == 0 else math.ceil((t_max / spacing - 1.0) / 2.0)
-        quiet = 0
+        size = int(_T_MAX) if level == 0 else math.ceil((_T_MAX / spacing - 1.0) / 2.0)
         for i in range(size):
             node = table.get(i)
             if node is None:
-                # every such t is a dyadic below 8, exact up to _MAX_DE_LEVEL
-                node = table[i] = node_map(i + 1.0 if level == 0 else (2 * i + 1) * spacing)
-            pair = term(*node)
-            if pair is None:
-                break
-            hi, lo = pair
-            y = (hi + lo) - comp
-            t = raw + y
-            comp = (t - raw) - y
-            raw = t
-            # tail cutoff: terms decay double-exponentially once negligible
-            if max(abs(hi), abs(lo)) <= 0.25 * _EPS * abs(raw):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
+                # a dyadic below 8 with 2i + 1 < 2**53: exact in float64
+                node = table[i] = _de_node(i + 1.0 if level == 0 else (2 * i + 1) * spacing)
+            d, w = node
+            near = halfwidth * d
+            if near == 0.0 or w == 0.0:
+                break  # past the last usable node
+            far = width - near
+            y = w * (sample(far, near) + sample(near, far)) - comp
+            s = raw + y
+            comp = (s - raw) - y
+            raw = s
         weighted = spacing * raw
-        if prev_weighted is not None:
-            err = abs(weighted - prev_weighted) * scale
+        if level:
+            err = abs(weighted - prev) * halfwidth
             # two refinements minimum guards against accidental level-0/1 agreement
-            if level >= 2 and err <= _tolerance(cfg, weighted * scale):
-                return scale * weighted, err, level, True
-        prev_weighted = weighted
-    return scale * weighted, err, level, False
+            converged = level >= 2 and err <= _tolerance(cfg, weighted * halfwidth)
+            if converged:
+                break
+        prev = weighted
+    return QuadratureResult(halfwidth * weighted, err, evals, f"tanh-sinh[level={level}]", converged)
 
 
 def tanh_sinh(
@@ -242,73 +227,33 @@ def tanh_sinh(
     """
     if not (a < b) or math.isinf(a) or math.isinf(b):
         raise ValueError("tanh_sinh requires finite a < b")
-    halfwidth = 0.5 * (b - a)
-    width = b - a
-    evals = 1  # the center node
-
     if singular is None:
-        center = h(0.5 * (a + b))
-
-        def term(d: float, w: float) -> Optional[tuple[float, float]]:
-            nonlocal evals
-            near = halfwidth * d
-            if near == 0.0 or w == 0.0:
-                return None
-            x_hi = b - near
-            x_lo = a + near
-            hi = lo = 0.0
-            if x_hi != b:
-                evals += 1
-                hi = w * h(x_hi)
-            if x_lo != a:
-                evals += 1
-                lo = w * h(x_lo)
-            return hi, lo
-    else:
-        center = singular(halfwidth, halfwidth)
-
-        def term(d: float, w: float) -> Optional[tuple[float, float]]:
-            nonlocal evals
-            near = halfwidth * d
-            if near == 0.0 or w == 0.0:
-                return None
-            far = width - near
-            evals += 2
-            return w * singular(far, near), w * singular(near, far)
-
-    # at t = 0: x = mid, dx/dt = halfwidth * pi/2
-    value, err, level, converged = _de_levels(
-        "tanh-sinh", _HALF_PI * center, halfwidth, term, cfg
-    )
-    return QuadratureResult(value, err, evals, f"tanh-sinh[level={level}]", converged)
+        def singular(da: float, db: float) -> Optional[float]:
+            x = a + da if da <= db else b - db
+            return None if x == a or x == b else h(x)
+    return _tanh_sinh(singular, a, b, cfg)
 
 
 def integrate_semi_infinite(
     h: Callable[[float], float],
     cfg: QuadConfig = QuadConfig(),
 ) -> QuadratureResult:
-    """Integrate h over (0, +inf) via x = exp((pi/2) sinh t).
+    """Integrate h over (0, +inf) by tanh-sinh in u over (0, 1), x = u/(1 - u).
 
-    Requires algebraic decay at least as fast as x**-2 at infinity and an
-    integrable origin.  Same level-doubling convergence contract as
-    :func:`tanh_sinh`.
+    dx = du/(1 - u)**2, and x is formed from the exact distances u and
+    1 - u, so both ends keep full relative precision.  A node whose x
+    overflows adds 0 and is not evaluated.  Requires an integrable origin
+    and decay faster than 1/x at infinity.  Same level-doubling convergence
+    contract as :func:`tanh_sinh`.
     """
-    evals = 1  # the center node
+    def f(u: float, v: float) -> Optional[float]:
+        x = u / v
+        if x == math.inf:
+            return None
+        inv = 1.0 / v
+        return h(x) * inv * inv
 
-    def term(x_plus: float, w_plus: float, x_minus: float, w_minus: float) -> tuple[float, float]:
-        nonlocal evals
-        hi = lo = 0.0
-        if math.isfinite(x_plus) and math.isfinite(w_plus):
-            evals += 1
-            hi = w_plus * h(x_plus)
-        if x_minus > 0.0:
-            evals += 1
-            lo = w_minus * h(x_minus)
-        return hi, lo
-
-    # t = 0 node: x = 1, weight pi/2
-    value, err, level, converged = _de_levels("exp-sinh", _HALF_PI * h(1.0), 1.0, term, cfg)
-    return QuadratureResult(value, err, evals, f"exp-sinh[level={level}]", converged)
+    return _tanh_sinh(f, 0.0, 1.0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,15 @@ def test_rule_override_validation():
     for rid in ("cat.eq4", "cat.eq6", "mot.12b"):
         row = verify(get_representation(rid), 1, rule="chebyshev")
         assert row.rule.startswith("gauss-chebyshev") and row.passed, rid
-    with pytest.raises(ValueError):
-        verify(get_representation("cat.eq6"), 1, rule="tanh-sinh")
-    with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, rule="exp-sinh")
-    with pytest.raises(ValueError):
-        verify(get_representation("cat.eq4"), 1, rule="simpson")
+    # so does tanh-sinh, through x = u/(1 - u) on the infinite ones
+    for rid in ("cat.eq4", "cat.eq6", "mot.12b"):
+        row = verify(get_representation(rid), 1, rule="tanh-sinh")
+        assert row.rule.startswith("tanh-sinh") and row.passed, rid
+    with pytest.raises(ValueError, match="cat.eq6 has an infinite domain; gauss-kronrod"):
+        verify(get_representation("cat.eq6"), 1, rule="gauss-kronrod")
+    for rule in ("exp-sinh", "simpson"):
+        with pytest.raises(ValueError, match="unknown rule override"):
+            verify(get_representation("cat.eq4"), 1, rule=rule)
 
 
 def test_nonconvergence_is_flagged_not_raised():
@@ -218,13 +221,12 @@ def test_default_rule_passes_at_large_n(rep_id):
 
 
 def _tag_engine(rep: Representation) -> str:
-    if rep.semi_infinite:
-        return "exp-sinh"
-    return "tanh-sinh" if rep.endpoint_singular else "gauss-kronrod"
+    if rep.semi_infinite or rep.endpoint_singular:
+        return "tanh-sinh"
+    return "gauss-kronrod"
 
 
-# tanh-sinh fails cat.eq2 and cat.conc1 from n = 9 on its tail cutoff
-@pytest.mark.parametrize("rep_id", [i for i in ENTRIES if i not in ("cat.eq2", "cat.conc1")])
+@pytest.mark.parametrize("rep_id", list(ENTRIES))
 def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
     rep = ENTRIES[rep_id]
     engine, tol = _tag_engine(rep), default_tolerance(rep)

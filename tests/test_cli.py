@@ -210,8 +210,20 @@ def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
-        "catmot verify: error: cat.eq6 has an infinite domain; only exp-sinh applies"
+        "catmot verify: error: cat.eq6 has an infinite domain; gauss-kronrod does not apply"
     )
+
+
+def test_verify_forced_tanh_sinh_passes_every_row(capsys):
+    # each double-exponential level runs out to its last usable node, so an
+    # integrand whose mass sits near an endpoint converges on every entry,
+    # the semi-infinite ones included
+    code, out, err = run(capsys, "verify", "all", "--rule", "tanh-sinh",
+                         "--n-range", "0..100", "--n-max", "100")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 19 * 101 - 1  # cat.conc2 starts at n = 1
+    assert all(row.endswith(",true") and ",tanh-sinh[level=" in row for row in rows)
 
 
 @pytest.mark.parametrize("raw", ["3..", "..5", "a..b", "3...5", "1e2", "5..3", ""])
@@ -266,11 +278,11 @@ def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
 
 
 def test_verify_max_levels_above_cap_exits_2(capsys):
-    # node abscissas of the double-exponential levels are exact only up to level 50
-    code, out, err = run(capsys, "verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "51")
+    # each double-exponential level runs to t_max: level 16 alone is ~0.4M evaluations
+    code, out, err = run(capsys, "verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17")
     assert code == 2
     assert out == ""
-    assert "max_levels must be in 3..50" in err
+    assert "max_levels must be in 3..16" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
