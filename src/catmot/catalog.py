@@ -37,7 +37,6 @@ from .quadrature import (
 )
 
 _PI = math.pi
-_HALF_PI = 0.5 * math.pi
 
 
 class Family(Enum):
@@ -59,8 +58,9 @@ _ENDPOINT_TAGS = frozenset(
 
 
 class Substitution(NamedTuple):
-    """A change of variable x(theta) under which integrand times Jacobian is
-    P(cos theta), times sin(theta)^2 on kind 2, with deg P = degree(n)."""
+    """A change of variable x(theta), theta in (0, pi) covering the domain
+    once, under which integrand times Jacobian is P(cos theta), times
+    sin(theta)^2 on kind 2, with deg P = degree(n)."""
 
     # theta -> the integrand's arguments after n: (x,), or the endpoint
     # distances (x - a, b - x) on an endpoint-singular entry
@@ -68,28 +68,24 @@ class Substitution(NamedTuple):
     jacobian: Callable[[float], float]  # |dx/dtheta|
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
-    # theta in (0, pi/2) covers the domain; at_theta folds theta -> pi - theta
-    half: bool = False
 
 
 def _cosine(
     domain: tuple[float, float], kind: int, degree: Callable[[int], int],
-    distances: bool = False, half: bool = False,
+    distances: bool = False,
 ) -> Substitution:
-    """x = mid + hw cos(m theta), m = 2 on a half map.  The endpoint distances
-    2 hw cos^2(m theta/2) and 2 hw sin^2(m theta/2) carry no 1 - cos
-    cancellation."""
+    """x = mid + hw cos(theta).  The endpoint distances 2 hw cos^2(theta/2)
+    and 2 hw sin^2(theta/2) carry no 1 - cos cancellation."""
     lo, hi = domain
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    m = 2.0 if half else 1.0
     if distances:
         def point(t: float) -> tuple[float, ...]:
-            c, s = math.cos(0.5 * m * t), math.sin(0.5 * m * t)
+            c, s = math.cos(0.5 * t), math.sin(0.5 * t)
             return 2.0 * hw * c * c, 2.0 * hw * s * s
     else:
         def point(t: float) -> tuple[float, ...]:
-            return (mid + hw * math.cos(m * t),)
-    return Substitution(point, lambda t: m * hw * math.sin(m * t), kind, degree, half)
+            return (mid + hw * math.cos(t),)
+    return Substitution(point, lambda t: hw * math.sin(t), kind, degree)
 
 
 def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]) -> Substitution:
@@ -99,12 +95,12 @@ def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]
     return Substitution(lambda t: (lo + scale * t,), lambda t: scale, kind, degree)
 
 
-def _tangent(m: float, kind: int, degree: Callable[[int], int]) -> Substitution:
-    """x = tan(m theta) on the half map theta in (0, pi/2)."""
+def _tangent(m: float, degree: Callable[[int], int]) -> Substitution:
+    """x = tan(m theta), m = 1/2 onto (0, inf) and 1/4 onto (0, 1)."""
     def jacobian(t: float) -> float:
         c = math.cos(m * t)
         return m / (c * c)
-    return Substitution(lambda t: (math.tan(m * t),), jacobian, kind, degree, True)
+    return Substitution(lambda t: (math.tan(m * t),), jacobian, 1, degree)
 
 
 class Representation(NamedTuple):
@@ -131,16 +127,10 @@ class Representation(NamedTuple):
 
     def at_theta(self, n: int) -> Callable[[float], float]:
         """The integrand at n at the substitution's point times the Jacobian:
-        a function of theta whose integral over (0, pi) is the entry's.  A
-        half map folds theta -> pi - theta and halves the value."""
+        a function of theta whose integral over (0, pi) is the entry's."""
         f, sub = self.integrand, self.substitution
         point, jacobian = sub.point, sub.jacobian
-
-        def g(t: float) -> float:
-            return f(n, *point(t)) * jacobian(t)
-        if sub.half:
-            return lambda t: 0.5 * g(t if t <= _HALF_PI else _PI - t)
-        return g
+        return lambda t: f(n, *point(t)) * jacobian(t)
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -327,7 +317,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, math.inf),
         singularities=frozenset({Singularity.SEMI_INFINITE}),
         statement="C(n) = 2^(2n+2)/pi int_{0}^{inf} x^2/(1+x^2)^(n+2) dx",
-        substitution=_tangent(1.0, 2, lambda n: 2 * n),
+        substitution=_tangent(0.5, lambda n: n + 1),
     ),
     Representation(
         id="cat.eq7",
@@ -349,7 +339,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+5)/pi int_{0}^{1} x^2 (1-x^2)^(2n)/(1+x^2)^(2n+3) dx",
-        substitution=_tangent(0.5, 2, lambda n: 2 * n),
+        substitution=_tangent(0.25, lambda n: n + 1),
     ),
     Representation(
         id="cat.eq9",
@@ -404,7 +394,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="M(n) = 1/(4 pi) int_{0}^{4} ((1+sqrt(x))^n+(1-sqrt(x))^n) sqrt((4-x)/x) dx",
         integrand=_12a_distance,
-        substitution=_cosine((0.0, 4.0), 2, lambda n: n, distances=True, half=True),
+        substitution=_cosine((0.0, 4.0), 1, lambda n: n // 2 + 1, distances=True),
     ),
     Representation(
         id="mot.12b",
@@ -418,7 +408,7 @@ _CATALOG: tuple[Representation, ...] = (
             "M(n) = 2/pi int_{0}^{inf} ((1+2/sqrt(1+x^2))^n+(1-2/sqrt(1+x^2))^n)"
             " x^2/(1+x^2)^2 dx"
         ),
-        substitution=_tangent(1.0, 2, lambda n: n),
+        substitution=_tangent(0.5, lambda n: n // 2 + 1),
     ),
     Representation(
         id="mot.12c",
@@ -443,7 +433,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 16/pi int_{0}^{1} x^2 ((3-x^2)^n+(3x^2-1)^n)/(1+x^2)^(n+3) dx",
         split_points=(1.0 / math.sqrt(3.0),),  # zero of 3x^2-1
-        substitution=_tangent(0.5, 2, lambda n: n),
+        substitution=_tangent(0.25, lambda n: n // 2 + 1),
     ),
     Representation(
         id="mot.12e",
@@ -479,7 +469,7 @@ _CATALOG: tuple[Representation, ...] = (
             " phi(m,x) = ((1+2 sqrt(x))^m+(1-2 sqrt(x))^m-2)/m"
         ),
         integrand=_13a_distance,
-        substitution=_cosine((0.0, 1.0), 1, lambda n: n, distances=True, half=True),
+        substitution=_cosine((0.0, 1.0), 1, lambda n: n // 2, distances=True),
     ),
     Representation(
         id="mot.13b",

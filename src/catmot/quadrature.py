@@ -195,6 +195,10 @@ def _tanh_sinh(
             comp = (s - raw) - y
             raw = s
         weighted = spacing * raw
+        if not math.isfinite(weighted):
+            # an overflowed sum cannot refine; inf <= rel_tol * inf must not pass
+            err, converged = math.inf, False
+            break
         if level:
             err = abs(weighted - prev) * halfwidth
             # two refinements minimum guards against accidental level-0/1 agreement
@@ -217,6 +221,7 @@ def tanh_sinh(
     Handles integrable algebraic endpoint singularities milder than
     1/(x - a).  Convergence is declared when successive level sums agree to
     the configured tolerance; each level halves the trapezoid spacing in t.
+    A level whose sum is not finite ends the loop, non-converged.
 
     A plain ``h(x)`` cannot see distances to an endpoint below about
     sqrt(eps), because ``b - tiny`` rounds; integrands that blow up at an

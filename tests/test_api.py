@@ -29,7 +29,10 @@ REMOVED = {
     # count that the entry's substitution degree gives
     catmot.catalog: (
         "_weights_13a", "ChebyshevHint", "_RepresentationFields", "_ceil_half_plus_one",
+        "_HALF_PI",
     ),
+    # every substitution covers the domain once as theta runs over (0, pi)
+    catmot.catalog.Substitution: ("half",),
     # one integrand per entry; its endpoint tags say whether it takes x or
     # the endpoint distances
     catmot.catalog.Representation: ("distance_integrand", "exactness_hint"),

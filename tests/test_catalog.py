@@ -43,7 +43,7 @@ def test_eq9_descriptor():
     assert rep.domain == (-1.0, 1.0)
     assert rep.singularities == frozenset({Singularity.SMOOTH})
     sub = rep.substitution
-    assert (sub.kind, sub.degree(7), sub.half) == (2, 14, False)
+    assert (sub.kind, sub.degree(7)) == (2, 14)
     assert verify(rep, 7).rule == "gauss-chebyshev-2[N=8]"
 
 
@@ -156,7 +156,7 @@ def test_rule_auto_selection_via_rule_field():
             assert verify(rep, n).rule == expected, rep.id
     assert verify(get_representation("cat.eq2"), 3).rule.startswith("gauss-chebyshev-1")
     assert verify(get_representation("cat.eq9"), 3).rule.startswith("gauss-chebyshev-2")
-    assert verify(get_representation("cat.eq6"), 3).rule.startswith("gauss-chebyshev-2")
+    assert verify(get_representation("cat.eq6"), 3).rule.startswith("gauss-chebyshev-1")
 
 
 def test_rule_override_validation():
@@ -240,8 +240,8 @@ def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
 def test_substitution_maps_theta_into_the_domain():
     for rep in ENTRIES.values():
         sub, (lo, hi) = rep.substitution, rep.domain
-        top = 0.5 * math.pi if sub.half else math.pi
-        for t in (1e-3, 0.3, 0.5 * top, 0.9 * top, top - 1e-3):
+        # every map covers the domain once as theta runs over (0, pi)
+        for t in (1e-3, 0.3, 0.25 * math.pi, 0.5 * math.pi, 0.9 * math.pi, math.pi - 1e-3):
             point = sub.point(t)
             assert sub.jacobian(t) > 0.0, (rep.id, t)
             if rep.endpoint_singular:
@@ -286,17 +286,49 @@ def test_prefactors_well_defined():
             assert pi_power in (0, -1)
 
 
-def test_sweep_evaluation_totals_per_rule():
-    # integrand evaluations of the default sweep (every entry, n <= 30), per
-    # rule; a change to an entry's substitution degree or kind moves these
+def _evaluation_totals(n_lo: int, n_hi: int) -> dict[str, int]:
+    """Integrand evaluations per rule of ``verify all`` over n_lo..n_hi."""
     totals: dict[str, int] = {}
     for rep in list_representations():
-        for n in range(rep.n_min, 31):
+        for n in range(max(n_lo, rep.n_min), n_hi + 1):
             row = verify(rep, n)
             rule = row.rule.split("[", 1)[0]
             totals[rule] = totals.get(rule, 0) + row.evaluations
-    assert totals == {"gauss-chebyshev-1": 2_828, "gauss-chebyshev-2": 4_016}
-    assert sum(totals.values()) == 6_844
+    return totals
+
+
+def test_sweep_evaluation_totals_per_rule():
+    # integrand evaluations of the default sweep (every entry, n <= 30), per
+    # rule; a change to an entry's substitution degree or kind moves these
+    totals = _evaluation_totals(0, 30)
+    assert totals == {"gauss-chebyshev-1": 3_703, "gauss-chebyshev-2": 2_256}
+    assert sum(totals.values()) == 5_959
+
+
+def test_deep_range_evaluation_total():
+    # the same count over the deep workload's range, n in 31..100
+    assert sum(_evaluation_totals(31, 100).values()) == 54_110
+
+
+@pytest.mark.parametrize("rep_id", list(ENTRIES))
+def test_stated_degree_is_tight(rep_id):
+    # one node fewer than degree // 2 + 1 must miss the class tolerance: a
+    # degree stated too high would otherwise only waste nodes, unnoticed
+    from catmot.quadrature import chebyshev_sum_first, chebyshev_sum_second
+
+    rep = ENTRIES[rep_id]
+    sub, tol = rep.substitution, default_tolerance(rep)
+    node_sum = chebyshev_sum_first if sub.kind == 1 else chebyshev_sum_second
+    checked = 0
+    for n in range(max(1, rep.n_min), 13):
+        n_nodes = sub.degree(n) // 2
+        if n_nodes == 0:
+            continue  # the exact rule already runs on one node
+        estimate = rep.prefactor_float(n) * math.pi * node_sum(rep.at_theta(n), n_nodes)
+        exact = rep.exact_value(n)
+        assert abs(estimate - exact) / exact > tol, (rep_id, n, n_nodes)
+        checked += 1
+    assert checked, rep_id
 
 
 def test_integrand_takes_endpoint_distances_exactly_on_endpoint_singular_entries():

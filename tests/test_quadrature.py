@@ -188,6 +188,26 @@ def test_tanh_sinh_nonconvergence_reported():
     assert res.value == pytest.approx(math.pi, rel=1e-6)  # best estimate kept
 
 
+def test_tanh_sinh_overflowed_sum_is_not_converged():
+    # inf <= rel_tol * inf must not pass: the first level whose sum
+    # overflows ends the loop, non-converged with an infinite error
+    res = tanh_sinh(lambda x: 1e308, 0.0, 10.0)
+    assert not math.isfinite(res.value) and res.error_estimate == math.inf
+    assert not res.converged
+    assert res.rule == "tanh-sinh[level=0]"
+
+
+@pytest.mark.parametrize("rep_id, n", [("mot.13a", 313), ("mot.13b", 314)])
+def test_forced_tanh_sinh_row_that_overflows_is_flagged(rep_id, n):
+    # the ~3^n/sqrt(d) distance integrands overflow near an endpoint at the
+    # first level whose nodes come that close
+    row = verify(get_representation(rep_id), n, rule="tanh-sinh")
+    assert row.estimate == math.inf
+    assert not row.converged and not row.passed
+    assert row.rule == "tanh-sinh[level=5][non-converged]"
+    assert row.evaluations == 395
+
+
 # -- (0, +inf): tanh-sinh on x = u/(1 - u) -------------------------------------
 
 def test_semi_infinite_arctangent():

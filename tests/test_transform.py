@@ -3,7 +3,8 @@ import math
 import pytest
 
 from catmot.catalog import VerificationRow, get_representation, list_representations, verify
-from catmot.exact import motzkin
+from catmot.exact import catalan, motzkin
+from catmot.polys import even_binomial_coeffs, phi_diff_coeffs
 from catmot.transform import (
     FORMS,
     PAIRS,
@@ -121,6 +122,16 @@ def test_transform_integrals_reproduce_motzkin_numbers():
             value = integrate_transform(cid, n)
             exact = float(motzkin(n))
             assert abs(value - exact) / exact <= 1e-8, (cid, n)
+
+
+def test_both_flavors_are_one_integer_identity():
+    # with the kernel written as sum_k c_k f^(2k), a simple source integrates
+    # f^(2k) g to C(k) and a phi source to (k + 1) C(k); either way the sum is
+    # M(n) = sum_k C(n, 2k) C(k), in exact arithmetic, with no quadrature
+    for n in range(0, 301):
+        simple = sum(c * catalan(k) for k, c in enumerate(even_binomial_coeffs(n)))
+        phi = sum(d * j * catalan(j - 1) for j, d in enumerate(phi_diff_coeffs(n), start=1))
+        assert simple == phi == motzkin(n), n
 
 
 def test_transform_is_integrated_with_the_catalog_rule():
