@@ -530,21 +530,37 @@ def default_tolerance(rep: Representation) -> float:
     return 1e-11
 
 
-def _select_rule(rep: Representation, override: Optional[str]) -> str:
-    if override is None:
-        return _RULE_CHEBYSHEV
-    if override not in VALID_RULE_OVERRIDES:
-        raise ValueError(f"unknown rule override {override!r}")
-    if rep.semi_infinite and override == _RULE_GK:
+# The largest n every entry of a family takes, measured on the 19 entries
+# and the 9 transforms, not derived.  Under the theta rule cat.eq8's
+# prefactor 2^(2n+5) overflows at 510 and mot.13a/b go non-finite at 646;
+# under a forced engine mot.13a's ~3^n/sqrt(d) integrand overflows near an
+# endpoint from 311 (rel_tol 1e-16, max_levels 10).
+_THETA_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
+_FORCED_LIMIT = 310
+
+
+def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
+    """The rule that ``verify`` runs for (rep, n, rule).  Refuses with
+    ValueError, before anything is integrated, a rule the entry cannot take
+    and an n outside n_min..the limit of that rule's float path."""
+    if rule is None:
+        rule = _RULE_CHEBYSHEV
+    elif rule not in VALID_RULE_OVERRIDES:
+        raise ValueError(f"unknown rule override {rule!r}")
+    elif rep.semi_infinite and rule == _RULE_GK:
         raise ValueError(f"{rep.id} has an infinite domain; gauss-kronrod does not apply")
-    return override
+    limit = _THETA_LIMIT[rep.family] if rule == _RULE_CHEBYSHEV else _FORCED_LIMIT
+    if not rep.n_min <= n <= limit:
+        raise ValueError(
+            f"{rep.id} takes n >= {rep.n_min} and n <= {limit} with the {rule} rule, got {n}"
+        )
+    return rule
 
 
 def _integrate(
-    rep: Representation, n: int, cfg: QuadConfig, override: Optional[str]
+    rep: Representation, n: int, cfg: QuadConfig, rule: str
 ) -> tuple[float, QuadratureResult]:
     """Estimate of prefactor * integral, plus the raw engine result."""
-    rule = _select_rule(rep, override)
     if rule == _RULE_CHEBYSHEV:
         sub = rep.substitution
         n_nodes = sub.degree(n) // 2 + 1
@@ -580,12 +596,12 @@ def verify(
     """Numerically check one (representation, n) pair against the exact value.
 
     ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the entry's
-    substitution runs the exact Gauss-Chebyshev rule in theta.  ``cfg``
-    holds the engine tolerances.  ``tol`` defaults to the singularity-class
+    substitution runs the exact Gauss-Chebyshev rule in theta, and
+    :func:`check_request` refuses an n past the rule's limit.  ``cfg`` holds
+    the engine tolerances.  ``tol`` defaults to the singularity-class
     tolerance; a given one must be positive and finite.
     """
-    if n < rep.n_min:
-        raise ValueError(f"{rep.id} requires n >= {rep.n_min}, got {n}")
+    rule = check_request(rep, n, rule)
     if tol is None:
         tol = default_tolerance(rep)
     elif not 0.0 < tol < math.inf:

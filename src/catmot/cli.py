@@ -23,7 +23,7 @@ from .catalog import (
     Family,
     Representation,
     VALID_RULE_OVERRIDES,
-    _select_rule,
+    check_request,
     get_representation,
     list_representations,
     verify,
@@ -173,12 +173,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reps = list_representations()
     else:
         reps = (get_representation(args.selector),)
-        if explicit_range and lo < reps[0].n_min:
-            raise ValueError(
-                f"{reps[0].id} requires n >= {reps[0].n_min}; requested range starts at {lo}"
-            )
-    for rep in reps:  # a forced rule an entry cannot take is refused before any row runs
-        _select_rule(rep, args.rule)
+        if explicit_range:  # not clamped to the entry's n_min, unlike the default range
+            check_request(reps[0], lo, args.rule)
+    # a forced rule or an n an entry cannot take is refused before any row runs;
+    # an entry with no rows in the range (n_min > hi) is checked at its n_min
+    for rep in reps:
+        check_request(rep, max(hi, rep.n_min), args.rule)
     cfg = settings.quad_config()
     # every row runs on this thread, whatever --jobs says: under the GIL a
     # thread pool only adds contention, and a process pool measured slower
@@ -207,8 +207,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    if not 0 <= args.n <= form.n_max:
-        raise ValueError(f"--n must be in 0..{form.n_max}, where the {flavor} kernel fits a float")
     if args.check_points < 1:
         raise ValueError("--check-points must be at least 1")
     pairing = PAIRS.get(args.catalan_id)
@@ -284,13 +282,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"catmot {args.command}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, OverflowError) as exc:
-        # str() of a float ** int overflow is the tuple (34, 'Numerical result ...')
-        message = f"float overflow: {exc.args[-1]}" if isinstance(exc, OverflowError) else exc
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"catmot {args.command}: error: {message}", file=sys.stderr)
         return EXIT_USAGE
 

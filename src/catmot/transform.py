@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .catalog import Family, Representation, get_representation, verify
+from .catalog import Family, Representation, check_request, get_representation, verify
 from .polys import half_power_sum, phi_diff_over_square
 from .quadrature import QuadConfig, adaptive_gk
 
@@ -53,11 +53,6 @@ class CatalanForm(NamedTuple):
     id: str
     f: Callable[[float], float]
     has_inverse_n_plus_1: bool
-
-    @property
-    def n_max(self) -> int:
-        """Largest n whose kernel coefficients fit a float (C(1030, 515) does not)."""
-        return 1037 if self.has_inverse_n_plus_1 else 1029
 
 
 class ComparisonMode(Enum):
@@ -146,11 +141,10 @@ def get_form(catalan_id: str) -> CatalanForm:
 
 
 def _derived_for(catalan_id: str, n: int) -> Representation:
-    """The transform of a form; refuses n past its kernel's float range up front."""
-    form = get_form(catalan_id)
-    if not 0 <= n <= form.n_max:
-        raise ValueError(f"n must be in 0..{form.n_max}, where the {catalan_id} kernel fits a float")
-    return motzkin_representation(form)
+    """The transform of a form; refuses an n past the Motzkin limit up front."""
+    derived = motzkin_representation(get_form(catalan_id))
+    check_request(derived, n)
+    return derived
 
 
 def integrate_transform(catalan_id: str, n: int) -> float:

@@ -22,14 +22,17 @@ REMOVED = {
         "tanh_sinh",
         "integrate_semi_infinite",
     ),
-    # g, its distance form and the domain come from the source catalog entry
-    catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite"),
+    # g, its distance form and the domain come from the source catalog entry;
+    # the n a transform takes is the derived Motzkin entry's
+    catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite", "n_max"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
     # the Chebyshev rule integrates the entry's own integrand, with the node
     # count that the entry's substitution degree gives
     catmot.catalog: (
         "_weights_13a", "ChebyshevHint", "_RepresentationFields", "_ceil_half_plus_one",
         "_HALF_PI",
+        # check_request decides every (entry, n, rule)
+        "_select_rule",
     ),
     # every substitution covers the domain once as theta runs over (0, pi)
     catmot.catalog.Substitution: ("half",),

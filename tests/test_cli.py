@@ -13,7 +13,6 @@ from catmot.catalog import VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
 from catmot.exact import motzkin_oracle
-from catmot.polys import even_binomial_coeffs, phi_diff_coeffs
 from catmot.quadrature import QuadConfig
 from catmot.report import CSV_HEADER, Report
 
@@ -366,18 +365,14 @@ def test_transform_unknown_form_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("catalan_id, builder, n_max", [
-    ("cat.eq9", even_binomial_coeffs, 1029),
-    ("cat.eq4", phi_diff_coeffs, 1037),
-])
-def test_transform_n_limit_is_the_kernels_float_range(capsys, catalan_id, builder, n_max):
-    # n_max is the largest n whose kernel coefficients all convert to float
-    assert [float(c) for c in builder(n_max)]
-    with pytest.raises(OverflowError):
-        [float(c) for c in builder(n_max + 1)]
-    code, out, err = run(capsys, "transform", catalan_id, "--n", str(n_max + 1))
+@pytest.mark.parametrize("catalan_id", ["cat.eq9", "cat.eq4"])  # simple and phi kernels
+def test_transform_n_limit_is_the_motzkin_limit(capsys, catalan_id):
+    # a transform is a derived Motzkin entry and takes the Motzkin entries' n
+    code, out, _ = run(capsys, "transform", catalan_id, "--n", "645")
+    assert code == 0 and out
+    code, out, err = run(capsys, "transform", catalan_id, "--n", "646")
     assert (code, out) == (2, "")
-    assert f"0..{n_max}" in err
+    assert f"{catalan_id}->motzkin takes n >= 0 and n <= 645" in err
 
 
 @pytest.mark.parametrize("catalan_id, points", [

@@ -85,7 +85,7 @@ def test_phi_diff_over_square_matches_closed_form():
 def test_float_coefficients_are_the_correctly_rounded_rationals():
     # one integer division per coefficient gives, bit for bit, float() of the
     # exact Fraction reference over each kernel's whole float range: phi up to
-    # n = 1037 (the phi transform's n_max), psi up to n = 1038
+    # n = 1037, psi up to n = 1038, far past the n that verify takes (645)
     for exact, floats, n_max in (
         (phi_diff_coeffs, polys._phi_diff_floats, 1037),
         (psi_diff_coeffs, polys._psi_diff_floats, 1038),

@@ -197,15 +197,27 @@ def test_tanh_sinh_overflowed_sum_is_not_converged():
     assert res.rule == "tanh-sinh[level=0]"
 
 
-@pytest.mark.parametrize("rep_id, n", [("mot.13a", 313), ("mot.13b", 314)])
-def test_forced_tanh_sinh_row_that_overflows_is_flagged(rep_id, n):
-    # the ~3^n/sqrt(d) distance integrands overflow near an endpoint at the
-    # first level whose nodes come that close
-    row = verify(get_representation(rep_id), n, rule="tanh-sinh")
-    assert row.estimate == math.inf
-    assert not row.converged and not row.passed
-    assert row.rule == "tanh-sinh[level=5][non-converged]"
-    assert row.evaluations == 395
+@pytest.mark.parametrize("rep_id", ["mot.13a", "mot.13b"])
+def test_forced_engine_refuses_n_past_its_limit(rep_id):
+    # the ~3^n/sqrt(d) distance integrands overflow near an endpoint from
+    # n = 311 (mot.13a at rel_tol 1e-16, max_levels 10): a forced engine
+    # takes n <= 310, and no n past it reaches the integrand
+    rep = get_representation(rep_id)
+    seen = set()
+
+    def integrand(n, da, db):
+        seen.add(n)
+        return rep.integrand(n, da, db)
+
+    counted = rep._replace(integrand=integrand)
+    cfg = QuadConfig(rel_tol=1e-16, max_levels=10)
+    for rule in ("tanh-sinh", "gauss-kronrod"):
+        row = verify(counted, 310, cfg, rule=rule)
+        assert math.isfinite(row.estimate) and math.isfinite(row.rel_err)
+        for n in (311, 313, 314, 361):
+            with pytest.raises(ValueError, match=f"n <= 310 with the {rule} rule, got {n}$"):
+                verify(counted, n, cfg, rule=rule)
+    assert seen == {310}
 
 
 # -- (0, +inf): tanh-sinh on x = u/(1 - u) -------------------------------------

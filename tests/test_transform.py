@@ -182,26 +182,26 @@ def test_pointwise_requires_samples():
         transform_deviation("cat.eq5", "mot.12a", ComparisonMode.POINTWISE, 2, 0)
 
 
-@pytest.mark.parametrize("catalan_id, motzkin_id, n_max", [
-    ("cat.eq5", "mot.12a", 1029),  # simple kernel
-    ("cat.eq4", "mot.13a", 1037),  # phi kernel
+@pytest.mark.parametrize("catalan_id, motzkin_id", [
+    ("cat.eq5", "mot.12a"),  # simple kernel
+    ("cat.eq4", "mot.13a"),  # phi kernel
 ])
-def test_transform_refuses_n_past_the_kernels_float_range(monkeypatch, catalan_id, motzkin_id, n_max):
+def test_transform_refuses_n_past_the_motzkin_limit(monkeypatch, catalan_id, motzkin_id):
     import catmot.polys
 
     def no_coefficients(builder, n):
         raise AssertionError(f"coefficients built for n={n}")
 
     monkeypatch.setattr(catmot.polys, "_float_coeffs", no_coefficients)
-    # the patch sees the kernel's coefficient build inside the range ...
-    with pytest.raises(AssertionError, match=f"n={n_max}$"):
-        integrate_transform(catalan_id, n_max)
+    # the patch sees the kernel's coefficient build at the limit ...
+    with pytest.raises(AssertionError, match="n=645$"):
+        integrate_transform(catalan_id, 645)
     # ... and none is attempted past it
     for mode in ComparisonMode:
-        with pytest.raises(ValueError, match=f"0..{n_max}"):
-            transform_deviation(catalan_id, motzkin_id, mode, n_max + 1)
-    with pytest.raises(ValueError, match=f"0..{n_max}"):
-        integrate_transform(catalan_id, n_max + 1)
+        with pytest.raises(ValueError, match="n <= 645"):
+            transform_deviation(catalan_id, motzkin_id, mode, 646)
+    with pytest.raises(ValueError, match="n <= 645"):
+        integrate_transform(catalan_id, 646)
 
 
 # -- lemma 1 ------------------------------------------------------------------
