@@ -5,48 +5,40 @@ machinery to verify every representation against the exact values.
 
 __version__ = "0.1.0"
 
-from .catalog import (
-    Family,
-    Representation,
-    Singularity,
-    Substitution,
-    VerificationRow,
-    get_representation,
-    list_representations,
-    verify,
-)
-from .exact import catalan, motzkin, motzkin_oracle
-from .polys import psi_difference
-from .quadrature import (
-    QuadConfig,
-    QuadratureResult,
-    adaptive_gk,
-    integrate_semi_infinite,
-    tanh_sinh,
-)
-from .transform import CatalanForm, ComparisonMode, check_lemma1, motzkin_representation
+# each public name's submodule, imported the first time the name is read
+# (PEP 562), so `import catmot` alone loads none of them
+_SUBMODULE = {
+    "CatalanForm": "transform",
+    "ComparisonMode": "transform",
+    "Family": "catalog",
+    "QuadConfig": "quadrature",
+    "QuadratureResult": "quadrature",
+    "Representation": "catalog",
+    "Singularity": "catalog",
+    "Substitution": "catalog",
+    "VerificationRow": "catalog",
+    "adaptive_gk": "quadrature",
+    "catalan": "exact",
+    "check_lemma1": "transform",
+    "get_representation": "catalog",
+    "integrate_semi_infinite": "quadrature",
+    "list_representations": "catalog",
+    "motzkin": "exact",
+    "motzkin_oracle": "exact",
+    "motzkin_representation": "transform",
+    "psi_difference": "polys",
+    "tanh_sinh": "quadrature",
+    "verify": "catalog",
+}
 
-__all__ = [
-    "CatalanForm",
-    "ComparisonMode",
-    "Family",
-    "QuadConfig",
-    "QuadratureResult",
-    "Representation",
-    "Singularity",
-    "Substitution",
-    "VerificationRow",
-    "__version__",
-    "adaptive_gk",
-    "catalan",
-    "check_lemma1",
-    "get_representation",
-    "integrate_semi_infinite",
-    "list_representations",
-    "motzkin",
-    "motzkin_oracle",
-    "motzkin_representation",
-    "psi_difference",
-    "tanh_sinh",
-    "verify",
-]
+__all__ = sorted(["__version__", *_SUBMODULE])
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,30 +16,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .catalog import (
-    Family,
-    Representation,
-    VALID_RULE_OVERRIDES,
-    check_request,
-    get_representation,
-    list_representations,
-    verify,
-)
-from .config import Settings, load_settings
-from .exact import catalan_numbers, motzkin, motzkin_numbers
-from .report import Report
-from .transform import (
-    PAIRS,
-    ComparisonMode,
-    _lemma1_holds,
-    get_form,
-    integrate_transform,
-    lemma1_sides,
-    transform_deviation,
-)
+
+if TYPE_CHECKING:
+    from .catalog import Representation
+    from .config import Settings
+
+# catalog.VALID_RULE_OVERRIDES, spelled out so that building the parser does
+# not import the catalog: each command imports only the modules it calls
+_RULES = ("chebyshev", "tanh-sinh", "gauss-kronrod")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="inclusive n range (default 0..20)")
     p_verify.add_argument("--tol", type=float, default=None,
                           help="pass tolerance (default: per singularity class)")
-    p_verify.add_argument("--rule", choices=VALID_RULE_OVERRIDES, default=None,
+    p_verify.add_argument("--rule", choices=_RULES, default=None,
                           help="force a quadrature rule")
     p_verify.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -96,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _settings_from_args(args: argparse.Namespace) -> Settings:
+    from .config import Settings, load_settings
+
     flags = {name: getattr(args, name) for name in Settings._fields}
     return load_settings(config_path=args.config, flag_overrides=flags)
 
@@ -119,6 +108,8 @@ def _domain_str(rep: Representation) -> str:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from .catalog import Family, list_representations
+
     family = Family(args.family) if args.family else None
     reps = list_representations(family)
     if args.format == "json":
@@ -160,6 +151,9 @@ def _parse_n_range(raw: str) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .catalog import check_request, get_representation, list_representations, verify
+    from .report import Report
+
     settings = _settings_from_args(args)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -205,6 +199,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .exact import motzkin
+    from .transform import PAIRS, ComparisonMode, get_form, integrate_transform, transform_deviation
+
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
     if args.check_points < 1:
@@ -238,6 +235,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma1(args: argparse.Namespace) -> int:
+    from .transform import _lemma1_holds, lemma1_sides
+
     left, right = lemma1_sides(args.r, args.s, args.a)
     sign = 1 if args.r % 2 == 0 else -1
     ok = _lemma1_holds(args.r, left, right, args.tol)
@@ -250,6 +249,8 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .exact import catalan_numbers, motzkin_numbers
+
     if args.n_max < 0:
         raise ValueError("n_max must be nonnegative")
     width = len(str(args.n_max))

@@ -1,6 +1,11 @@
 """The public surface: every exported name resolves, and names removed as
 test-only or duplicate stay removed."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import catmot
 import catmot.catalog
 import catmot.polys
@@ -58,3 +63,11 @@ def test_removed_names_stay_removed():
         for name in names:
             assert not hasattr(owner, name), (owner.__name__, name)
             assert name not in exported, (owner.__name__, name)
+
+
+def test_import_loads_no_submodule():
+    # every public name is imported the first time it is read
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, catmot; print(sorted(m for m in sys.modules if m.startswith('catmot.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

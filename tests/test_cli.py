@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from catmot import __version__
-from catmot.catalog import VerificationRow, get_representation, verify
+from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
 from catmot.exact import motzkin_oracle
@@ -26,17 +26,26 @@ def run(capsys, *argv):
 # -- start-up ------------------------------------------------------------------
 
 # every request is a fresh process: modules that only some commands need, or
-# that only class-building machinery needs, must not load on start-up
+# that only class-building machinery needs, must not load on start-up; `table`
+# needs only the exact integers, and `import catmot.cli` builds no catalog
 STARTUP_CHECK = """
 import sys
 before = set(sys.modules)
 import catmot.cli
-print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+def loaded():
+    new = set(sys.modules) - before
+    print(sorted({"dataclasses", "inspect", "json"} & new), sorted({
+        "catmot.catalog", "catmot.quadrature", "catmot.polys", "catmot.transform",
+        "catmot.config", "catmot.report", "fractions",
+    } & new))
+loaded()
 try:
     catmot.cli.main(["--version"])
 except SystemExit:
     pass
-print(sorted({"dataclasses", "inspect", "json"} & (set(sys.modules) - before)))
+loaded()
+catmot.cli.main(["table", "5"])
+loaded()
 """
 
 
@@ -46,7 +55,9 @@ def test_startup_loads_no_dataclass_or_json_machinery():
         [sys.executable, "-c", STARTUP_CHECK], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", f"catmot {__version__}", "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["[] []", f"catmot {__version__}", "[] []"]
+    assert (len(lines), lines[-2].split(), lines[-1]) == (11, ["5", "42", "21"], "[] []")
 
 
 # -- list ----------------------------------------------------------------------
@@ -194,6 +205,13 @@ def test_verify_rule_override_flag(capsys):
     assert code == 2
 
 
+def test_rule_choices_are_the_catalogs():
+    # the parser spells the rules out so that building it imports no catalog
+    from catmot.cli import _RULES
+
+    assert _RULES == VALID_RULE_OVERRIDES
+
+
 def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
     # cat.eq2..eq5 take Gauss-Kronrod, cat.eq6 does not: no engine may run first
     import catmot.catalog
@@ -241,8 +259,9 @@ def test_verify_deterministic_output(capsys, tmp_path):
 
 
 def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
-    # --jobs is accepted and echoed, but no row leaves the calling thread
-    import catmot.cli
+    # --jobs is accepted and echoed, but no row leaves the calling thread;
+    # cmd_verify reads catalog.verify when it runs
+    import catmot.catalog
 
     threads = []
 
@@ -250,7 +269,7 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
         threads.append(threading.get_ident())
         return verify(*args)
 
-    monkeypatch.setattr(catmot.cli, "verify", recording_verify)
+    monkeypatch.setattr(catmot.catalog, "verify", recording_verify)
     code, out, err = run(capsys, "verify", "all", "--n-range", "0..6", "--jobs", "4",
                          "--format", "json")
     assert (code, err) == (0, "")
