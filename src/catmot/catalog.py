@@ -21,15 +21,19 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache
+from itertools import islice, repeat
+from operator import mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import catalan, motzkin
+from .exact import catalan, catalan_numbers, motzkin, motzkin_numbers
 from .polys import phi_diff_over_square, psi_difference_over_square
 from .quadrature import (
     _EPS,
     QuadConfig,
     QuadratureResult,
     adaptive_gk,
+    chebyshev_nodes,
     chebyshev_sum_first,
     chebyshev_sum_second,
     integrate_semi_infinite,
@@ -57,6 +61,10 @@ _ENDPOINT_TAGS = frozenset(
 )
 
 
+# the argument columns of an integrand and the Jacobians at a list of nodes
+NodeTable = tuple[tuple[Sequence[float], ...], Sequence[float]]
+
+
 class Substitution(NamedTuple):
     """A change of variable x(theta), theta in (0, pi) covering the domain
     once, under which integrand times Jacobian is P(cos theta), times
@@ -68,6 +76,9 @@ class Substitution(NamedTuple):
     jacobian: Callable[[float], float]  # |dx/dtheta|
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
+    # thetas -> point and jacobian at every node, one column per argument,
+    # by the same float expressions, without a call per node
+    tabulate: Callable[[list[float]], NodeTable]
 
 
 def _cosine(
@@ -78,29 +89,53 @@ def _cosine(
     and 2 hw sin^2(theta/2) carry no 1 - cos cancellation."""
     lo, hi = domain
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    cos, sin = math.cos, math.sin
     if distances:
         def point(t: float) -> tuple[float, ...]:
-            c, s = math.cos(0.5 * t), math.sin(0.5 * t)
+            c, s = cos(0.5 * t), sin(0.5 * t)
             return 2.0 * hw * c * c, 2.0 * hw * s * s
+
+        def columns(thetas: list[float]) -> tuple[list[float], ...]:
+            width = 2.0 * hw  # the first product of 2.0 * hw * c * c
+            cs = [cos(0.5 * t) for t in thetas]
+            ss = [sin(0.5 * t) for t in thetas]
+            return [width * c * c for c in cs], [width * s * s for s in ss]
     else:
         def point(t: float) -> tuple[float, ...]:
-            return (mid + hw * math.cos(t),)
-    return Substitution(point, lambda t: hw * math.sin(t), kind, degree)
+            return (mid + hw * cos(t),)
+
+        def columns(thetas: list[float]) -> tuple[list[float], ...]:
+            return ([mid + hw * cos(t) for t in thetas],)
+
+    def tabulate(thetas: list[float]) -> NodeTable:
+        return columns(thetas), [hw * sin(t) for t in thetas]
+
+    return Substitution(point, lambda t: hw * sin(t), kind, degree, tabulate)
 
 
 def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]) -> Substitution:
     """theta = pi (x - lo)/(hi - lo)."""
     lo, hi = domain
     scale = (hi - lo) / _PI
-    return Substitution(lambda t: (lo + scale * t,), lambda t: scale, kind, degree)
+
+    def tabulate(thetas: list[float]) -> NodeTable:
+        return ([lo + scale * t for t in thetas],), [scale] * len(thetas)
+
+    return Substitution(lambda t: (lo + scale * t,), lambda t: scale, kind, degree, tabulate)
 
 
 def _tangent(m: float, degree: Callable[[int], int]) -> Substitution:
     """x = tan(m theta), m = 1/2 onto (0, inf) and 1/4 onto (0, 1)."""
+    cos, tan = math.cos, math.tan
+
     def jacobian(t: float) -> float:
-        c = math.cos(m * t)
+        c = cos(m * t)
         return m / (c * c)
-    return Substitution(lambda t: (math.tan(m * t),), jacobian, 1, degree)
+
+    def tabulate(thetas: list[float]) -> NodeTable:
+        return ([tan(m * t) for t in thetas],), [m / (c * c) for c in [cos(m * t) for t in thetas]]
+
+    return Substitution(lambda t: (tan(m * t),), jacobian, 1, degree, tabulate)
 
 
 class Representation(NamedTuple):
@@ -125,13 +160,6 @@ class Representation(NamedTuple):
             return lambda x: f(n, x - a, b - x)
         return lambda x: f(n, x)
 
-    def at_theta(self, n: int) -> Callable[[float], float]:
-        """The integrand at n at the substitution's point times the Jacobian:
-        a function of theta whose integral over (0, pi) is the entry's."""
-        f, sub = self.integrand, self.substitution
-        point, jacobian = sub.point, sub.jacobian
-        return lambda t: f(n, *point(t)) * jacobian(t)
-
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
         value = float(rational)
@@ -142,6 +170,14 @@ class Representation(NamedTuple):
         return value
 
     def exact_value(self, n: int) -> int:
+        values = _EXACT_VALUES.get(self.family)
+        if values is None:
+            sequence = catalan_numbers() if self.family is Family.CATALAN else motzkin_numbers()
+            values = list(islice(sequence, _THETA_LIMIT[self.family] + 1))
+            # published whole: a thread that reads it never sees a partial list
+            _EXACT_VALUES[self.family] = values
+        if 0 <= n < len(values):
+            return values[n]
         return catalan(n) if self.family is Family.CATALAN else motzkin(n)
 
     @property
@@ -538,6 +574,19 @@ def default_tolerance(rep: Representation) -> float:
 _THETA_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 _FORCED_LIMIT = 310
 
+# family -> its exact values for n up to the theta limit, which bounds every
+# n that verify takes; filled by one pass of the exact recurrence
+_EXACT_VALUES: dict[Family, list[int]] = {}
+
+
+@lru_cache(maxsize=8)
+def _node_table(tabulate: Callable[[list[float]], NodeTable], kind: int, n_nodes: int) -> NodeTable:
+    """A map's node table for N nodes of a kind, shared by the rows that
+    need it: consecutive n with the same N, and a transform with its source
+    entry, whose map it keeps.  Tuples, since every one of them gets it."""
+    columns, jacobians = tabulate(chebyshev_nodes(kind, n_nodes))
+    return tuple(map(tuple, columns)), tuple(jacobians)
+
 
 def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
     """The rule that ``verify`` runs for (rep, n, rule).  Refuses with
@@ -557,6 +606,17 @@ def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> st
     return rule
 
 
+def _theta_sum(rep: Representation, n: int, n_nodes: int) -> float:
+    """The Gauss-Chebyshev sum in theta of the entry at n on N nodes of its
+    substitution's kind: its integral over the domain, over pi."""
+    sub = rep.substitution
+    columns, jacobians = _node_table(sub.tabulate, sub.kind, n_nodes)
+    # integrand times Jacobian at each node, in node order
+    terms = map(mul, map(rep.integrand, repeat(n), *columns), jacobians)
+    node_sum = chebyshev_sum_first if sub.kind == 1 else chebyshev_sum_second
+    return node_sum(terms, n_nodes)
+
+
 def _integrate(
     rep: Representation, n: int, cfg: QuadConfig, rule: str
 ) -> tuple[float, QuadratureResult]:
@@ -564,8 +624,7 @@ def _integrate(
     if rule == _RULE_CHEBYSHEV:
         sub = rep.substitution
         n_nodes = sub.degree(n) // 2 + 1
-        node_sum = chebyshev_sum_first if sub.kind == 1 else chebyshev_sum_second
-        raw = node_sum(rep.at_theta(n), n_nodes)  # integral / pi
+        raw = _theta_sum(rep, n, n_nodes)  # integral / pi
         # the rule's factor pi cancels a 1/pi prefactor and otherwise multiplies
         rational, pi_power = rep.prefactor(n)
         estimate = float(rational) * raw

@@ -81,4 +81,8 @@ def load_settings(
     values.update(_env_overrides(os.environ if environ is None else environ))
     if flag_overrides:
         values.update({k: v for k, v in flag_overrides.items() if v is not None})
-    return Settings(**values)
+    settings = Settings(**values)
+    # the engine values are checked by quad_config(); n_max by no one else
+    if settings.n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {settings.n_max}")
+    return settings

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
@@ -83,8 +83,31 @@ def _tolerance(cfg: QuadConfig, value: float) -> float:
 # Gauss-Chebyshev rules
 # ---------------------------------------------------------------------------
 
-def chebyshev_sum_first(g: Callable[[float], float], n_nodes: int) -> float:
-    """(1/N) * sum g(theta_k) at the midpoint nodes theta_k = (2k-1)pi/(2N).
+def chebyshev_nodes(kind: int, n_nodes: int) -> list[float]:
+    """The N nodes in theta of a Gauss-Chebyshev rule: the midpoints
+    theta_k = (2k-1)pi/(2N) of kind 1, the interior points k pi/(N+1) of
+    kind 2, k = 1..N in increasing order."""
+    if n_nodes < 1:
+        raise ValueError("need at least one node")
+    pi = math.pi
+    if kind == 1:
+        double = 2 * n_nodes  # (2k - 1) pi/(2N) as an odd j over 2N
+        return [j * pi / double for j in range(1, double, 2)]
+    return [k * pi / (n_nodes + 1) for k in range(1, n_nodes + 1)]
+
+
+def _node_sum(terms: Iterable[float]) -> float:
+    # in node order, one rounding per term: the builtin sum compensates
+    # from Python 3.12 on, which would change the last bits
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def chebyshev_sum_first(terms: Iterable[float], n_nodes: int) -> float:
+    """(1/N) * sum g(theta_k) over the N terms g(theta_k), in the order of
+    the midpoint nodes ``chebyshev_nodes(1, N)``.
 
     Multiplied by pi this is the N-point midpoint rule for the integral of
     g over (0, pi), exact for g = P(cos theta) with deg P <= 2N-1: after
@@ -93,14 +116,12 @@ def chebyshev_sum_first(g: Callable[[float], float], n_nodes: int) -> float:
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    total = 0.0
-    for k in range(1, n_nodes + 1):
-        total += g((2 * k - 1) * math.pi / (2 * n_nodes))
-    return total / n_nodes
+    return _node_sum(terms) / n_nodes
 
 
-def chebyshev_sum_second(g: Callable[[float], float], n_nodes: int) -> float:
-    """(1/(N+1)) * sum g(theta_k) at the interior nodes theta_k = k pi/(N+1).
+def chebyshev_sum_second(terms: Iterable[float], n_nodes: int) -> float:
+    """(1/(N+1)) * sum g(theta_k) over the N terms g(theta_k), in the order
+    of the interior nodes ``chebyshev_nodes(2, N)``.
 
     Multiplied by pi this is the trapezoid rule for the integral of g over
     (0, pi) with g vanishing at both ends, exact for
@@ -109,10 +130,7 @@ def chebyshev_sum_second(g: Callable[[float], float], n_nodes: int) -> float:
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    total = 0.0
-    for k in range(1, n_nodes + 1):
-        total += g(k * math.pi / (n_nodes + 1))
-    return total / (n_nodes + 1)
+    return _node_sum(terms) / (n_nodes + 1)
 
 
 # ---------------------------------------------------------------------------

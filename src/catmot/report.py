@@ -11,6 +11,8 @@ from .catalog import VerificationRow
 
 _COLUMNS = ("rep_id", "n", "exact", "estimate", "rel_err", "evaluations", "rule", "pass")
 CSV_HEADER = ",".join(_COLUMNS)
+# between a row's items in the indent=2 JSON layout, where rows sit at depth 3
+_ROW_ITEM_SEP = ",\n      "
 
 
 def _fmt(x: float) -> str:
@@ -59,12 +61,28 @@ class Report:
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> str:
+        """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` of the report,
+        with the rows written by the json module's C encoder.  That encoder
+        runs only without ``indent``, so the rows are encoded with the
+        indented line break as their item separator, and only the row
+        boundaries are rewritten: an encoded string holds no raw newline, so
+        a closing brace, that separator and an opening brace in a row never
+        occur inside one."""
         import json  # only this format needs it: not imported on every start-up
-        obj = {
-            "tool_version": self.tool_version,
-            "config_echo": self.config_echo,
-            "summary": self.summary,
-            "rows": [
+        head = json.dumps(
+            {
+                "tool_version": self.tool_version,
+                "config_echo": self.config_echo,
+                "summary": self.summary,
+                "rows": [],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        if not self.rows:
+            return head + "\n"
+        rows = json.dumps(
+            [
                 {
                     "rep_id": r.rep_id,
                     "n": r.n,
@@ -78,8 +96,16 @@ class Report:
                 }
                 for r in self.rows
             ],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            sort_keys=True,
+            separators=(_ROW_ITEM_SEP, ": "),
+        )
+        # the encoder writes '[{' row '},' newline indent '{' row ... '}]';
+        # open and close each row on a line of its own instead
+        rows = rows.replace("}" + _ROW_ITEM_SEP + "{", "\n    },\n    {\n      ")
+        # "rows" sorts before "summary" and "tool_version", whose encoded text
+        # cannot hold '"rows": []' with an unescaped quote: the last is the key
+        before, _, after = head.rpartition('"rows": []')
+        return f'{before}"rows": [\n    {{\n      {rows[2:-2]}\n    }}\n  ]{after}\n'
 
     # -- markdown ----------------------------------------------------------
 

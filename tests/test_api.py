@@ -43,7 +43,9 @@ REMOVED = {
     catmot.catalog.Substitution: ("half",),
     # one integrand per entry; its endpoint tags say whether it takes x or
     # the endpoint distances
-    catmot.catalog.Representation: ("distance_integrand", "exactness_hint"),
+    catmot.catalog.Representation: ("distance_integrand", "exactness_hint",
+                                    # the theta rule reads tabulated nodes
+                                    "at_theta"),
     catmot.report.Report: ("from_json",),
     # verify takes the rule; QuadConfig holds only engine tolerances
     catmot.QuadConfig: ("rule_override",),

@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,14 @@ ALL_IDS = [
     "mot.12a", "mot.12b", "mot.12c", "mot.12d", "mot.12e", "mot.12f",
     "mot.13a", "mot.13b",
 ]
+
+
+def theta_integrand(rep: Representation, n: int):
+    """The integrand at n at the substitution's point times the Jacobian, one
+    node at a time: a function of theta whose integral over (0, pi) is the
+    entry's."""
+    sub = rep.substitution
+    return lambda t: rep.integrand(n, *sub.point(t)) * sub.jacobian(t)
 
 
 def test_catalog_size_and_order():
@@ -121,10 +130,11 @@ def test_eq4_eq5_estimates_agree():
 def test_symmetrized_forms_match_two_term_average():
     # the one-sided integrands of mot.12e / mot.12f integrate to the same
     # value as the two-term average (1/2)((1+f)^n + (1-f)^n) g
-    from catmot.quadrature import chebyshev_sum_second
+    from catmot.quadrature import chebyshev_nodes, chebyshev_sum_second
 
     def integral(h, n_nodes):  # of h(x) sqrt(1 - x^2) over (-1, 1), x = cos(theta)
-        return math.pi * chebyshev_sum_second(lambda t: h(math.cos(t)) * math.sin(t) ** 2, n_nodes)
+        terms = (h(math.cos(t)) * math.sin(t) ** 2 for t in chebyshev_nodes(2, n_nodes))
+        return math.pi * chebyshev_sum_second(terms, n_nodes)
 
     for n in (0, 1, 5, 10, 17):
         one_sided = integral(lambda t: (1.0 + 2.0 * t) ** n, n + 2)
@@ -314,7 +324,7 @@ def test_deep_range_evaluation_total():
 def test_stated_degree_is_tight(rep_id):
     # one node fewer than degree // 2 + 1 must miss the class tolerance: a
     # degree stated too high would otherwise only waste nodes, unnoticed
-    from catmot.quadrature import chebyshev_sum_first, chebyshev_sum_second
+    from catmot.quadrature import chebyshev_nodes, chebyshev_sum_first, chebyshev_sum_second
 
     rep = ENTRIES[rep_id]
     sub, tol = rep.substitution, default_tolerance(rep)
@@ -324,7 +334,8 @@ def test_stated_degree_is_tight(rep_id):
         n_nodes = sub.degree(n) // 2
         if n_nodes == 0:
             continue  # the exact rule already runs on one node
-        estimate = rep.prefactor_float(n) * math.pi * node_sum(rep.at_theta(n), n_nodes)
+        terms = map(theta_integrand(rep, n), chebyshev_nodes(sub.kind, n_nodes))
+        estimate = rep.prefactor_float(n) * math.pi * node_sum(terms, n_nodes)
         exact = rep.exact_value(n)
         assert abs(estimate - exact) / exact > tol, (rep_id, n, n_nodes)
         checked += 1
@@ -355,7 +366,10 @@ def test_at_reads_the_integrand_through_the_domain():
         prefactor=lambda n: (Fraction(1), 0),
         domain=(0.0, 1.0),
         statement="",
-        substitution=Substitution(lambda t: (t,), lambda t: 1.0, 1, lambda n: n),
+        substitution=Substitution(
+            lambda t: (t,), lambda t: 1.0, 1, lambda n: n,
+            lambda thetas: ((list(thetas),), [1.0] * len(thetas)),
+        ),
     )
     plain = Representation(
         **base, integrand=lambda n, x: n + x, singularities=frozenset({Singularity.SMOOTH})
@@ -370,3 +384,82 @@ def test_at_reads_the_integrand_through_the_domain():
     # the distances follow a copy's domain
     wider = rep._replace(domain=(0.0, 2.0))
     assert wider.at(0)(0.25) == 0.25 * 10.0 + 1.75
+
+
+# -- the tabulated theta rule and the exact values that verify reads ----------
+
+# the largest n of each family under the theta rule (catalog.check_request)
+THETA_LIMITS = {Family.CATALAN: 509, Family.MOTZKIN: 645}
+
+
+def _per_node_sum(rep: Representation, n: int, n_nodes: int) -> float:
+    """The theta sum one node at a time, with the nodes written out:
+    (2k-1)pi/(2N) for kind 1 over N, k pi/(N+1) for kind 2 over N + 1."""
+    kind, g = rep.substitution.kind, theta_integrand(rep, n)
+    total = 0.0
+    for k in range(1, n_nodes + 1):
+        if kind == 1:
+            total += g((2 * k - 1) * math.pi / (2 * n_nodes))
+        else:
+            total += g(k * math.pi / (n_nodes + 1))
+    return total / (n_nodes if kind == 1 else n_nodes + 1)
+
+
+@pytest.mark.parametrize("rep_id", list(ENTRIES))
+def test_tabulated_theta_sum_matches_the_per_node_sum_bit_for_bit(rep_id):
+    # the node tables repeat point and jacobian's float expressions, and the
+    # sum adds the products in node order, so not even the last bit moves;
+    # N - 1 nodes is the count test_stated_degree_is_tight runs
+    from catmot.catalog import _theta_sum
+
+    rep = ENTRIES[rep_id]
+    sub = rep.substitution
+    for n in (*range(rep.n_min, 121), THETA_LIMITS[rep.family]):
+        n_nodes = sub.degree(n) // 2 + 1
+        for count in (n_nodes, n_nodes - 1):
+            if count == 0:
+                continue
+            tabulated, reference = _theta_sum(rep, n, count), _per_node_sum(rep, n, count)
+            assert tabulated.hex() == reference.hex(), (rep_id, n, count)
+
+
+def test_exact_values_are_the_oracles_up_to_the_theta_limits():
+    from catmot.exact import motzkin_oracle
+
+    for family, exact in ((Family.CATALAN, catalan), (Family.MOTZKIN, motzkin)):
+        rep = list_representations(family)[0]
+        values = [rep.exact_value(n) for n in range(THETA_LIMITS[family] + 1)]
+        assert values == [exact(n) for n in range(THETA_LIMITS[family] + 1)], family
+    rep = get_representation("mot.12a")
+    assert [rep.exact_value(n) for n in range(65)] == [motzkin_oracle(n) for n in range(65)]
+    # past the limits, and below 0, the exact functions answer
+    assert get_representation("cat.eq2").exact_value(600) == catalan(600)
+    with pytest.raises(ValueError):
+        rep.exact_value(-1)
+
+
+def test_rows_from_threads_equal_the_serial_rows(monkeypatch):
+    # the exact values and the node tables start empty, so four threads race
+    # to fill them; every row must still equal the serial run's
+    import random
+    from concurrent.futures import ThreadPoolExecutor
+
+    import catmot.catalog
+    from catmot.catalog import _node_table
+
+    requests = [
+        (rep, n) for rep in ENTRIES.values() for n in range(max(rep.n_min, 31), 101)
+    ]
+    serial = {(rep.id, n): verify(rep, n) for rep, n in requests}
+    random.Random(19).shuffle(requests)
+    monkeypatch.setattr(catmot.catalog, "_EXACT_VALUES", {})
+    _node_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda request: verify(*request), requests, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert {(row.rep_id, row.n): row for row in threaded} == serial
+    assert _node_table.cache_info().currsize <= 8

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -488,6 +489,52 @@ def test_report_json_round_trip():
     ] == list(report.rows)
 
 
+def _json_reference(report: Report) -> str:
+    """The report through the pure-Python encoder, the one indent=2 selects."""
+    obj = {
+        "tool_version": report.tool_version,
+        "config_echo": report.config_echo,
+        "summary": report.summary,
+        "rows": [
+            {
+                "rep_id": r.rep_id, "n": r.n, "exact": str(r.exact), "estimate": r.estimate,
+                "rel_err": r.rel_err, "evaluations": r.evaluations, "rule": r.rule,
+                "pass": r.passed, "converged": r.converged,
+            }
+            for r in report.rows
+        ],
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_is_the_indented_encoding():
+    # the rows go through the C encoder, with only their boundaries rewritten
+    def row(rep_id="cat.eq2", n=3, estimate=5.0, rule="gauss-chebyshev-1[N=4]"):
+        return VerificationRow(rep_id, n, 5, estimate, 0.0, 4, rule, True, True)
+
+    odd = 'a"b\\c\nd},\n      {e \u00e9\u2211 "rows": []'
+    reports = [
+        Report(tool_version=__version__, config_echo={}),
+        Report(tool_version=__version__, config_echo={"n_max": "30"}),
+        Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=(row(),)),
+        Report(
+            tool_version=__version__,
+            config_echo={"n_max": "30"},
+            rows=tuple(row(n=n, estimate=x) for n, x in enumerate(
+                (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1)
+            )),
+        ),
+        Report(
+            tool_version=odd,
+            config_echo={"selector": odd, odd: "x", "rule": "auto"},
+            rows=(row(rep_id=odd), row(rule=odd), row(rep_id=odd, rule=odd, n=4)),
+        ),
+        _small_report(),
+    ]
+    for report in reports:
+        assert report.to_json() == _json_reference(report)
+
+
 def test_report_rows_sorted_and_summary_consistent():
     report = _small_report()
     keys = [(r.rep_id, r.n) for r in report.rows]
@@ -557,3 +604,25 @@ def test_env_var_rejected_value(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
     assert code == 2
     assert "n_max" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_negative_n_max_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
+    # a negative cap is the bad value itself, not a range that exceeds it
+    argv = ["verify", "all", "--n-range", "0..0"]
+    monkeypatch.delenv(ENV_PREFIX + "N_MAX", raising=False)
+    if source == "flag":
+        argv += ["--n-max", "-1"]
+    elif source == "env":
+        monkeypatch.setenv(ENV_PREFIX + "N_MAX", "-1")
+    else:
+        cfg = tmp_path / "catmot.conf"
+        cfg.write_text("n_max = -1\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "catmot verify: error: n_max must be nonnegative, got -1\n"
+    # the library refuses it too, and 0 is a valid cap
+    with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+        load_settings(environ={ENV_PREFIX + "N_MAX": "-1"})
+    assert load_settings(environ={ENV_PREFIX + "N_MAX": "0"}).n_max == 0

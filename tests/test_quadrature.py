@@ -17,6 +17,7 @@ from catmot.exact import catalan, motzkin
 from catmot.quadrature import (
     QuadConfig,
     adaptive_gk,
+    chebyshev_nodes,
     chebyshev_sum_first,
     chebyshev_sum_second,
     integrate_semi_infinite,
@@ -38,38 +39,42 @@ class Counter:
 
 def test_chebyshev_first_weight_integral():
     c = Counter(lambda x: 1.0)
-    value = math.pi * chebyshev_sum_first(c, 1)
+    value = math.pi * chebyshev_sum_first(map(c, chebyshev_nodes(1, 1)), 1)
     assert value == pytest.approx(math.pi, rel=1e-15)
     assert c.calls == 1
 
 
 def test_chebyshev_first_second_moment():
     # int x^2 / sqrt(1-x^2) over (-1, 1), x = cos(theta)
-    value = math.pi * chebyshev_sum_first(lambda t: math.cos(t) ** 2, 2)
+    value = math.pi * chebyshev_sum_first(map(lambda t: math.cos(t) ** 2, chebyshev_nodes(1, 2)), 2)
     assert value == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_chebyshev_first_central_binomial_moment():
     # int x^20 / sqrt(1-x^2) = pi C(20,10) / 4^10
     expected = math.pi * comb(20, 10) / 4**10
-    value = math.pi * chebyshev_sum_first(lambda t: math.cos(t) ** 20, 11)
+    value = math.pi * chebyshev_sum_first(map(lambda t: math.cos(t) ** 20, chebyshev_nodes(1, 11)), 11)
     assert value == pytest.approx(expected, rel=1e-14)
 
 
 def test_chebyshev_second_weight_integral():
     # int sqrt(1-x^2) over (-1, 1), x = cos(theta)
-    value = math.pi * chebyshev_sum_second(lambda t: math.sin(t) ** 2, 1)
+    value = math.pi * chebyshev_sum_second(map(lambda t: math.sin(t) ** 2, chebyshev_nodes(2, 1)), 1)
     assert value == pytest.approx(math.pi / 2.0, rel=1e-15)
 
 
 def test_chebyshev_second_second_moment():
-    value = math.pi * chebyshev_sum_second(lambda t: (math.cos(t) * math.sin(t)) ** 2, 2)
+    value = math.pi * chebyshev_sum_second(
+        map(lambda t: (math.cos(t) * math.sin(t)) ** 2, chebyshev_nodes(2, 2)), 2
+    )
     assert value == pytest.approx(math.pi / 8.0, rel=1e-15)
 
 
 def test_chebyshev_second_catalan_moment():
     n = 12
-    value = math.pi * chebyshev_sum_second(lambda t: math.cos(t) ** (2 * n) * math.sin(t) ** 2, n + 1)
+    value = math.pi * chebyshev_sum_second(
+        map(lambda t: math.cos(t) ** (2 * n) * math.sin(t) ** 2, chebyshev_nodes(2, n + 1)), n + 1
+    )
     value *= 2 ** (2 * n + 1) / math.pi
     assert value == pytest.approx(float(catalan(n)), rel=1e-13)
 
@@ -79,7 +84,9 @@ def test_chebyshev_motzkin_weight_exactness():
     for n in range(0, 26):
         nodes = n // 2 + 1
         value = math.pi * chebyshev_sum_second(
-            lambda t: (1.0 + 2.0 * math.cos(t)) ** n * math.sin(t) ** 2, nodes
+            map(lambda t: (1.0 + 2.0 * math.cos(t)) ** n * math.sin(t) ** 2,
+                chebyshev_nodes(2, nodes)),
+            nodes,
         )
         value *= 2.0 / math.pi
         assert abs(value - float(motzkin(n))) / float(motzkin(n)) <= 1e-12
@@ -87,9 +94,12 @@ def test_chebyshev_motzkin_weight_exactness():
 
 def test_chebyshev_rejects_zero_nodes():
     with pytest.raises(ValueError):
-        chebyshev_sum_first(lambda x: 1.0, 0)
+        chebyshev_sum_first([], 0)
     with pytest.raises(ValueError):
-        chebyshev_sum_second(lambda x: 1.0, 0)
+        chebyshev_sum_second([], 0)
+    for kind in (1, 2):
+        with pytest.raises(ValueError):
+            chebyshev_nodes(kind, 0)
 
 
 # -- tanh-sinh ---------------------------------------------------------------
@@ -326,11 +336,11 @@ def test_evaluation_counts_are_true_call_counts():
     assert res.evaluations == c.calls
 
     c = Counter(lambda x: x**4)
-    chebyshev_sum_first(c, 5)
+    chebyshev_sum_first(map(c, chebyshev_nodes(1, 5)), 5)
     assert c.calls == 5
 
     c = Counter(lambda x: x**4)
-    chebyshev_sum_second(c, 7)
+    chebyshev_sum_second(map(c, chebyshev_nodes(2, 7)), 7)
     assert c.calls == 7
 
     sing = Counter(lambda da, db: 1.0 / math.sqrt(da * db))
