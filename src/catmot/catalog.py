@@ -70,15 +70,12 @@ class Substitution(NamedTuple):
     once, under which integrand times Jacobian is P(cos theta), times
     sin(theta)^2 on kind 2, with deg P = degree(n)."""
 
-    # theta -> the integrand's arguments after n: (x,), or the endpoint
-    # distances (x - a, b - x) on an endpoint-singular entry
-    point: Callable[[float], tuple[float, ...]]
-    jacobian: Callable[[float], float]  # |dx/dtheta|
+    # thetas -> the integrand's arguments after n at every node, one column
+    # per argument: x, or the endpoint distances x - a and b - x on an
+    # endpoint-singular entry; and |dx/dtheta| at every node
+    tabulate: Callable[[list[float]], NodeTable]
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
-    # thetas -> point and jacobian at every node, one column per argument,
-    # by the same float expressions, without a call per node
-    tabulate: Callable[[list[float]], NodeTable]
 
 
 def _cosine(
@@ -90,27 +87,19 @@ def _cosine(
     lo, hi = domain
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     cos, sin = math.cos, math.sin
-    if distances:
-        def point(t: float) -> tuple[float, ...]:
-            c, s = cos(0.5 * t), sin(0.5 * t)
-            return 2.0 * hw * c * c, 2.0 * hw * s * s
-
-        def columns(thetas: list[float]) -> tuple[list[float], ...]:
-            width = 2.0 * hw  # the first product of 2.0 * hw * c * c
-            cs = [cos(0.5 * t) for t in thetas]
-            ss = [sin(0.5 * t) for t in thetas]
-            return [width * c * c for c in cs], [width * s * s for s in ss]
-    else:
-        def point(t: float) -> tuple[float, ...]:
-            return (mid + hw * cos(t),)
-
-        def columns(thetas: list[float]) -> tuple[list[float], ...]:
-            return ([mid + hw * cos(t) for t in thetas],)
 
     def tabulate(thetas: list[float]) -> NodeTable:
-        return columns(thetas), [hw * sin(t) for t in thetas]
+        if distances:
+            width = 2.0 * hw
+            columns = (
+                [width * c * c for c in [cos(0.5 * t) for t in thetas]],
+                [width * s * s for s in [sin(0.5 * t) for t in thetas]],
+            )
+        else:
+            columns = ([mid + hw * cos(t) for t in thetas],)
+        return columns, [hw * sin(t) for t in thetas]
 
-    return Substitution(point, lambda t: hw * sin(t), kind, degree, tabulate)
+    return Substitution(tabulate, kind, degree)
 
 
 def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]) -> Substitution:
@@ -121,21 +110,17 @@ def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]
     def tabulate(thetas: list[float]) -> NodeTable:
         return ([lo + scale * t for t in thetas],), [scale] * len(thetas)
 
-    return Substitution(lambda t: (lo + scale * t,), lambda t: scale, kind, degree, tabulate)
+    return Substitution(tabulate, kind, degree)
 
 
 def _tangent(m: float, degree: Callable[[int], int]) -> Substitution:
     """x = tan(m theta), m = 1/2 onto (0, inf) and 1/4 onto (0, 1)."""
     cos, tan = math.cos, math.tan
 
-    def jacobian(t: float) -> float:
-        c = cos(m * t)
-        return m / (c * c)
-
     def tabulate(thetas: list[float]) -> NodeTable:
         return ([tan(m * t) for t in thetas],), [m / (c * c) for c in [cos(m * t) for t in thetas]]
 
-    return Substitution(lambda t: (tan(m * t),), jacobian, 1, degree, tabulate)
+    return Substitution(tabulate, 1, degree)
 
 
 class Representation(NamedTuple):
@@ -579,11 +564,12 @@ _FORCED_LIMIT = 310
 _EXACT_VALUES: dict[Family, list[int]] = {}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _node_table(tabulate: Callable[[list[float]], NodeTable], kind: int, n_nodes: int) -> NodeTable:
-    """A map's node table for N nodes of a kind, shared by the rows that
-    need it: consecutive n with the same N, and a transform with its source
-    entry, whose map it keeps.  Tuples, since every one of them gets it."""
+    """A map's node table for N nodes of a kind.  Rows run entry by entry
+    with n ascending, so the only table a row can share is its previous
+    row's, when both need the same N.  Tuples, since every one of them gets
+    it."""
     columns, jacobians = tabulate(chebyshev_nodes(kind, n_nodes))
     return tuple(map(tuple, columns)), tuple(jacobians)
 

@@ -223,6 +223,9 @@ def lemma1_sides(r: int, s: int, a: float) -> tuple[float, float]:
         raise ValueError("r and s must be nonnegative integers")
     if not 0.0 < a < math.inf:
         raise ValueError("a must be positive and finite")
+    # the split point a/2 must be above 0, and pi * x / a finite up to x = a
+    if a / 2.0 == 0.0 or _PI * a == math.inf:
+        raise ValueError(f"a must have a/2 > 0 and pi*a finite, got {a!r}")
 
     def integrand(x: float) -> float:
         theta = _PI * x / a

@@ -39,8 +39,9 @@ REMOVED = {
         # check_request decides every (entry, n, rule)
         "_select_rule",
     ),
-    # every substitution covers the domain once as theta runs over (0, pi)
-    catmot.catalog.Substitution: ("half",),
+    # every substitution covers the domain once as theta runs over (0, pi),
+    # and states its map once, as the node tables that tabulate gives
+    catmot.catalog.Substitution: ("half", "point", "jacobian"),
     # one integrand per entry; its endpoint tags say whether it takes x or
     # the endpoint distances
     catmot.catalog.Representation: ("distance_integrand", "exactness_hint",

@@ -32,12 +32,23 @@ ALL_IDS = [
 ]
 
 
+def _at_theta(sub: Substitution, t: float) -> tuple[tuple[float, ...], float]:
+    """The integrand's arguments and the Jacobian at one theta, from the
+    substitution's one map."""
+    columns, [jacobian] = sub.tabulate([t])
+    return tuple(column[0] for column in columns), jacobian
+
+
 def theta_integrand(rep: Representation, n: int):
-    """The integrand at n at the substitution's point times the Jacobian, one
-    node at a time: a function of theta whose integral over (0, pi) is the
-    entry's."""
+    """The integrand at n at the mapped point times the Jacobian, one node at
+    a time: a function of theta whose integral over (0, pi) is the entry's."""
     sub = rep.substitution
-    return lambda t: rep.integrand(n, *sub.point(t)) * sub.jacobian(t)
+
+    def g(t: float) -> float:
+        point, jacobian = _at_theta(sub, t)
+        return rep.integrand(n, *point) * jacobian
+
+    return g
 
 
 def test_catalog_size_and_order():
@@ -252,8 +263,8 @@ def test_substitution_maps_theta_into_the_domain():
         sub, (lo, hi) = rep.substitution, rep.domain
         # every map covers the domain once as theta runs over (0, pi)
         for t in (1e-3, 0.3, 0.25 * math.pi, 0.5 * math.pi, 0.9 * math.pi, math.pi - 1e-3):
-            point = sub.point(t)
-            assert sub.jacobian(t) > 0.0, (rep.id, t)
+            point, jacobian = _at_theta(sub, t)
+            assert jacobian > 0.0, (rep.id, t)
             if rep.endpoint_singular:
                 da, db = point
                 assert da > 0.0 and db > 0.0
@@ -367,8 +378,7 @@ def test_at_reads_the_integrand_through_the_domain():
         domain=(0.0, 1.0),
         statement="",
         substitution=Substitution(
-            lambda t: (t,), lambda t: 1.0, 1, lambda n: n,
-            lambda thetas: ((list(thetas),), [1.0] * len(thetas)),
+            lambda thetas: ((list(thetas),), [1.0] * len(thetas)), 1, lambda n: n
         ),
     )
     plain = Representation(
@@ -407,9 +417,10 @@ def _per_node_sum(rep: Representation, n: int, n_nodes: int) -> float:
 
 @pytest.mark.parametrize("rep_id", list(ENTRIES))
 def test_tabulated_theta_sum_matches_the_per_node_sum_bit_for_bit(rep_id):
-    # the node tables repeat point and jacobian's float expressions, and the
-    # sum adds the products in node order, so not even the last bit moves;
-    # N - 1 nodes is the count test_stated_degree_is_tight runs
+    # the map is elementwise, so a table of N nodes holds what it gives one
+    # node at a time, and the sum adds the products in node order, one
+    # rounding per term, so not even the last bit moves; N - 1 nodes is the
+    # count test_stated_degree_is_tight runs
     from catmot.catalog import _theta_sum
 
     rep = ENTRIES[rep_id]
@@ -462,4 +473,20 @@ def test_rows_from_threads_equal_the_serial_rows(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert {(row.rep_id, row.n): row for row in threaded} == serial
-    assert _node_table.cache_info().currsize <= 8
+    assert _node_table.cache_info().currsize <= 1
+
+
+def test_node_table_hits_are_the_rows_whose_previous_row_had_their_n(capsys):
+    # rows run entry by entry with n ascending, so a one-table cache hits
+    # exactly when a row needs the node count of its entry's previous row
+    from catmot.catalog import _node_table
+    from catmot.cli import main
+
+    expected = 0
+    for rep in list_representations():
+        counts = [rep.substitution.degree(n) // 2 for n in range(rep.n_min, 31)]
+        expected += sum(a == b for a, b in zip(counts, counts[1:]))
+    _node_table.cache_clear()
+    assert main(["verify", "all", "--n-range", "0..30"]) == 0
+    capsys.readouterr()
+    assert _node_table.cache_info().hits == expected

@@ -434,6 +434,13 @@ def test_lemma1_non_finite_a_exits_2(capsys, a):
     assert err == "catmot lemma1: error: a must be positive and finite\n"
 
 
+@pytest.mark.parametrize("a", ["5e-324", "5.8e307"])
+def test_lemma1_a_whose_half_underflows_or_pi_multiple_overflows_exits_2(capsys, a):
+    code, out, err = run(capsys, "lemma1", "3", "2", "--a", a)
+    assert (code, out) == (2, "")
+    assert err.startswith("catmot lemma1: error: a must have a/2 > 0 and pi*a finite")
+
+
 def test_lemma1_infinite_tol_exits_2(capsys):
     # an infinite tolerance would accept any two sides
     code, out, err = run(capsys, "lemma1", "1", "0", "--tol", "inf")

@@ -235,8 +235,12 @@ def test_lemma1_grid():
 def test_lemma1_preconditions():
     with pytest.raises(ValueError):
         check_lemma1(-1, 0, 1.0, 1e-10)
-    with pytest.raises(ValueError):
-        check_lemma1(0, 0, -1.0, 1e-10)
+    # a/2 underflows to 0 at the smallest subnormal, and pi*a overflows above
+    # ~5.72e307, while 1e-323 and 5.7e307 still run
+    for a in (-1.0, 5e-324, 5.8e307):
+        with pytest.raises(ValueError, match="a must"):
+            check_lemma1(0, 0, a, 1e-10)
+    assert check_lemma1(3, 2, 1e-323, 1e-10) and check_lemma1(3, 2, 5.7e307, 1e-10)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             check_lemma1(0, 0, 1.0, tol)
