@@ -2,14 +2,14 @@
 
 Every entry is a self-describing descriptor: an exact-rational prefactor
 (times an optional 1/pi), one integrand, the integration domain,
-singularity tags that set the tolerance class and the engines a forced rule
-may use, and a substitution x(theta).  The endpoint tags also say whether
-the integrand takes x or the endpoint distances (x - a, b - x), which keep
-full precision where it blows up; ``at(n)`` gives it as a function of x
-either way.  Under the substitution, integrand times Jacobian is a
-polynomial in cos(theta) of known degree, on some entries times
-sin(theta)^2, which the default Gauss-Chebyshev rule in theta integrates
-exactly.
+singularity tags that set the tolerance class and the map a forced
+tanh-sinh rule integrates through, and a substitution x(theta).  The
+endpoint tags also say whether the integrand takes x or the endpoint
+distances (x - a, b - x), which keep full precision where it blows up;
+``at(n)`` gives it as a function of x either way.  Under the substitution,
+integrand times Jacobian is a polynomial in cos(theta) of known degree, on
+some entries times sin(theta)^2, which the default Gauss-Chebyshev rule in
+theta integrates exactly.
 
 The defining, testable contract of this module: for every entry and every
 valid n, integrating the integrand over the domain and applying the
@@ -32,7 +32,6 @@ from .quadrature import (
     _EPS,
     QuadConfig,
     QuadratureResult,
-    adaptive_gk,
     chebyshev_nodes,
     chebyshev_sum_first,
     chebyshev_sum_second,
@@ -135,7 +134,6 @@ class Representation(NamedTuple):
     singularities: frozenset[Singularity]
     statement: str
     substitution: Substitution
-    split_points: tuple[float, ...] = ()  # seeds of the adaptive subdivision
 
     def at(self, n: int) -> Callable[[float], float]:
         """The integrand at n as a function of x."""
@@ -440,8 +438,6 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = int_{0}^{1} ((1+2 cos(pi x))^n+(1-2 cos(pi x))^n) sin(pi x)^2 dx",
-        # sign changes of 1 -/+ 2 cos(pi x) seed the adaptive subdivision
-        split_points=(1.0 / 3.0, 2.0 / 3.0),
         substitution=_linear((0.0, 1.0), 2, lambda n: n),
     ),
     Representation(
@@ -453,7 +449,6 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 16/pi int_{0}^{1} x^2 ((3-x^2)^n+(3x^2-1)^n)/(1+x^2)^(n+3) dx",
-        split_points=(1.0 / math.sqrt(3.0),),  # zero of 3x^2-1
         substitution=_tangent(0.25, lambda n: n // 2 + 1),
     ),
     Representation(
@@ -539,9 +534,8 @@ def get_representation(rep_id: str) -> Representation:
 
 _RULE_CHEBYSHEV = "chebyshev"
 _RULE_TANH_SINH = "tanh-sinh"
-_RULE_GK = "gauss-kronrod"
 
-VALID_RULE_OVERRIDES = (_RULE_CHEBYSHEV, _RULE_TANH_SINH, _RULE_GK)
+VALID_RULE_OVERRIDES = (_RULE_CHEBYSHEV, _RULE_TANH_SINH)
 
 
 def default_tolerance(rep: Representation) -> float:
@@ -576,14 +570,12 @@ def _node_table(tabulate: Callable[[list[float]], NodeTable], kind: int, n_nodes
 
 def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
     """The rule that ``verify`` runs for (rep, n, rule).  Refuses with
-    ValueError, before anything is integrated, a rule the entry cannot take
-    and an n outside n_min..the limit of that rule's float path."""
+    ValueError, before anything is integrated, an unknown rule and an n
+    outside n_min..the limit of that rule's float path."""
     if rule is None:
         rule = _RULE_CHEBYSHEV
     elif rule not in VALID_RULE_OVERRIDES:
         raise ValueError(f"unknown rule override {rule!r}")
-    elif rep.semi_infinite and rule == _RULE_GK:
-        raise ValueError(f"{rep.id} has an infinite domain; gauss-kronrod does not apply")
     limit = _THETA_LIMIT[rep.family] if rule == _RULE_CHEBYSHEV else _FORCED_LIMIT
     if not rep.n_min <= n <= limit:
         raise ValueError(
@@ -619,14 +611,12 @@ def _integrate(
         label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
         return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
-    if rule == _RULE_TANH_SINH and rep.semi_infinite:
+    if rep.semi_infinite:
         result = integrate_semi_infinite(rep.at(n), cfg)
-    elif rule == _RULE_TANH_SINH and rep.endpoint_singular:
+    elif rep.endpoint_singular:
         result = tanh_sinh(None, lo, hi, cfg, singular=lambda da, db: rep.integrand(n, da, db))
-    elif rule == _RULE_TANH_SINH:
-        result = tanh_sinh(rep.at(n), lo, hi, cfg)
     else:
-        result = adaptive_gk(rep.at(n), lo, hi, cfg, split_points=rep.split_points)
+        result = tanh_sinh(rep.at(n), lo, hi, cfg)
     estimate = rep.prefactor_float(n) * result.value
     return estimate, result
 

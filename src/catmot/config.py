@@ -23,7 +23,6 @@ class Settings(NamedTuple):
     rel_tol: float = _ENGINE_DEFAULTS.rel_tol
     abs_tol: float = _ENGINE_DEFAULTS.abs_tol
     max_levels: int = _ENGINE_DEFAULTS.max_levels
-    max_subdivisions: int = _ENGINE_DEFAULTS.max_subdivisions
 
     def quad_config(self) -> QuadConfig:
         return QuadConfig(*self[1:])

@@ -9,8 +9,8 @@ catalog:
 * tanh-sinh: double-exponential transformation for finite intervals with
   integrable algebraic endpoint singularities, and for (0, +inf) through
   x = u/(1 - u) on u in (0, 1).
-* adaptive Gauss-Kronrod 7/15: work-queue bisection for smooth (possibly
-  sign-oscillating) integrands on finite intervals.
+* adaptive Gauss-Kronrod 7/15: work-queue bisection for smooth integrands
+  on finite intervals; ``lemma1`` is its one caller.
 
 All rules report the true number of integrand evaluations and are
 deterministic: identical inputs produce bit-identical results.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
@@ -29,13 +29,14 @@ _HALF_PI = math.pi / 2.0
 # evaluations, so a sum that never converges stops after about 50k of them
 # at the default 12 levels and 0.8M at 16
 _MAX_DE_LEVEL = 16
+# the Gauss-Kronrod subdivision budget, in intervals
+_MAX_SUBDIVISIONS = 2000
 
 
 class _QuadConfigFields(NamedTuple):
     rel_tol: float = 1e-11
     abs_tol: float = 1e-300
     max_levels: int = 12
-    max_subdivisions: int = 2000
 
 
 class QuadConfig(_QuadConfigFields):
@@ -58,8 +59,6 @@ class QuadConfig(_QuadConfigFields):
             raise ValueError("abs_tol must be nonnegative and finite")
         if not 3 <= self.max_levels <= _MAX_DE_LEVEL:
             raise ValueError(f"max_levels must be in 3..{_MAX_DE_LEVEL}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
         return self
 
     def _replace(self, **changes) -> QuadConfig:
@@ -359,22 +358,17 @@ def adaptive_gk(
     a: float,
     b: float,
     cfg: QuadConfig = QuadConfig(),
-    split_points: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of h over finite [a, b].
 
-    The work queue is seeded with the subintervals delimited by
-    ``split_points`` (strictly interior, e.g. known sign-change locations),
-    then the subinterval with the largest error estimate is bisected until
-    the summed error meets tolerance or the subdivision budget runs out.
+    Starting from the whole interval, the subinterval with the largest error
+    estimate is bisected until the summed error meets tolerance or the
+    budget of ``_MAX_SUBDIVISIONS`` intervals runs out.
     The returned value is summed over subintervals ordered by position, so
     the result does not depend on processing order.
     """
     if not (a < b) or math.isinf(a) or math.isinf(b):
         raise ValueError("adaptive_gk requires finite a < b")
-    splits = sorted(set(float(s) for s in split_points))
-    if any(not (a < s < b) for s in splits):
-        raise ValueError("split points must lie strictly inside (a, b)")
     evals = 0
 
     def sample(x: float) -> float:
@@ -382,22 +376,14 @@ def adaptive_gk(
         evals += 1
         return h(x)
 
-    edges = [a, *splits, b]
-    heap = []
+    total_val, total_err = _gk15(sample, a, b)
+    heap = [(-total_err, 0, a, b, total_val, total_err)]
     frozen = []  # intervals too narrow to bisect further (unresolvable error)
-    counter = 0
-    total_val = 0.0
-    total_err = 0.0
+    counter = 1
     min_width = 200.0 * _EPS * max(1.0, abs(a), abs(b))
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = _gk15(sample, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total_val += val
-        total_err += err
 
     converged = total_err <= _tolerance(cfg, total_val)
-    while not converged and heap and len(heap) + len(frozen) < cfg.max_subdivisions:
+    while not converged and heap and len(heap) + len(frozen) < _MAX_SUBDIVISIONS:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < min_width:
             frozen.append((lo, hi, val, err))

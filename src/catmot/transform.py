@@ -90,7 +90,7 @@ def motzkin_representation(form: CatalanForm) -> Representation:
         id=f"{form.id}->motzkin",
         family=Family.MOTZKIN,
         prefactor=lambda n: (Fraction(1), 0),
-        split_points=(), integrand=integrand,
+        integrand=integrand,
         substitution=source.substitution._replace(degree=lambda n: source_degree(n // 2)),
     )
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import catmot
 import catmot.catalog
+import catmot.config
 import catmot.polys
 import catmot.report
 import catmot.transform
@@ -46,10 +47,14 @@ REMOVED = {
     # the endpoint distances
     catmot.catalog.Representation: ("distance_integrand", "exactness_hint",
                                     # the theta rule reads tabulated nodes
-                                    "at_theta"),
+                                    "at_theta",
+                                    # Gauss-Kronrod no longer runs under verify
+                                    "split_points"),
     catmot.report.Report: ("from_json",),
-    # verify takes the rule; QuadConfig holds only engine tolerances
-    catmot.QuadConfig: ("rule_override",),
+    # verify takes the rule; QuadConfig holds only engine tolerances, and the
+    # Gauss-Kronrod budget is a constant of lemma1's engine
+    catmot.QuadConfig: ("rule_override", "max_subdivisions"),
+    catmot.config.Settings: ("max_subdivisions",),
 }
 
 

@@ -202,8 +202,26 @@ def test_verify_rule_override_flag(capsys):
     code, out, _ = run(capsys, "verify", "cat.eq9", "--n-range", "2..2", "--rule", "tanh-sinh")
     assert code == 0
     assert "tanh-sinh" in out
-    code, _, err = run(capsys, "verify", "cat.eq6", "--n-range", "2..2", "--rule", "gauss-kronrod")
-    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "cat.eq9", "--n-range", "2..2", "--rule", "gauss-kronrod"),
+    ("verify", "cat.eq9", "--n-range", "2..2", "--max-subdivisions", "10"),
+])
+def test_removed_gauss_kronrod_options_are_usage_errors(capsys, argv):
+    # tanh-sinh is the one forced cross-check; its subdivision budget is gone too
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_removed_config_key_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "catmot.conf"
+    cfg.write_text("max_subdivisions=2000\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "catmot verify: error: unknown config key 'max_subdivisions'\n"
 
 
 def test_rule_choices_are_the_catalogs():
@@ -214,21 +232,22 @@ def test_rule_choices_are_the_catalogs():
 
 
 def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
-    # cat.eq2..eq5 take Gauss-Kronrod, cat.eq6 does not: no engine may run first
+    # every entry takes n = 0..310 with a forced engine, none takes 311: no
+    # engine may run first
     import catmot.catalog
 
     def engine_called(*args, **kwargs):
         raise AssertionError("an engine ran before the rule was refused")
 
-    for name in ("adaptive_gk", "tanh_sinh", "integrate_semi_infinite",
+    for name in ("tanh_sinh", "integrate_semi_infinite",
                  "chebyshev_sum_first", "chebyshev_sum_second"):
         monkeypatch.setattr(catmot.catalog, name, engine_called)
-    code, out, err = run(capsys, "verify", "all", "--rule", "gauss-kronrod",
-                         "--n-range", "0..100", "--n-max", "100")
+    code, out, err = run(capsys, "verify", "all", "--rule", "tanh-sinh",
+                         "--n-range", "0..311", "--n-max", "400")
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
-        "catmot verify: error: cat.eq6 has an infinite domain; gauss-kronrod does not apply"
+        "catmot verify: error: cat.eq2 takes n >= 0 and n <= 310 with the tanh-sinh rule, got 311"
     )
 
 
@@ -469,8 +488,10 @@ def _small_report():
         for rid in ("cat.eq9", "mot.13b")
         for n in (0, 3)
     ]
-    # include a non-converged row so serialization covers the failure shape
-    rows.append(verify(get_representation("cat.eq4"), 0, rule="gauss-kronrod"))
+    # include a non-converged row so serialization covers the failure shape;
+    # its estimate is within tolerance, so only convergence fails it
+    cfg = QuadConfig(rel_tol=1e-300, abs_tol=0.0, max_levels=3)
+    rows.append(verify(get_representation("cat.eq9"), 2, cfg, rule="tanh-sinh"))
     return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
 
 

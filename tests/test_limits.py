@@ -23,7 +23,6 @@ from catmot.transform import FORMS
 
 ENTRY_IDS = [rep.id for rep in list_representations()]
 LIMIT_MESSAGE = re.compile(r"\S+ takes n >= (\d+) and n <= (\d+) with the [a-z-]+ rule, got (-?\d+)")
-RULE_MESSAGE = re.compile(r"\S+ has an infinite domain; gauss-kronrod does not apply")
 
 near_limits = st.one_of(
     st.integers(300, 330), st.integers(500, 520), st.integers(640, 660), st.integers(0, 1100)
@@ -61,6 +60,13 @@ transform_requests = st.builds(
 )
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _reject(token):
     raise ValueError(f"not strict JSON: {token}")
 
@@ -86,19 +92,15 @@ def _row_values(fmt, out):
 @example(["transform", "cat.eq2", "--n", "646"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_a_request_runs_finite_or_is_refused_up_front(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run(argv)
     if code == 2:
         prefix = f"catmot {argv[0]}: error: "
         assert out == "" and err.startswith(prefix) and err.count("\n") == 1, err
         message = err[len(prefix):-1]
         limit = LIMIT_MESSAGE.fullmatch(message)
-        assert limit or RULE_MESSAGE.fullmatch(message), message
-        if limit:
-            n_min, n_max, n = map(int, limit.groups())
-            assert not n_min <= n <= n_max, message
+        assert limit, message
+        n_min, n_max, n = map(int, limit.groups())
+        assert not n_min <= n <= n_max, message
         return
     assert code in (0, 1) and err == ""
     if argv[0] == "transform":
@@ -108,3 +110,20 @@ def test_a_request_runs_finite_or_is_refused_up_front(argv):
         fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
         values = [v for row in _row_values(fmt, out) for v in row]
     assert values and all(math.isfinite(v) for v in values), out
+
+
+def test_theta_limits_hold_from_both_sides():
+    # the last n of each family runs and passes on every entry that takes it
+    code, out, err = _run(["verify", "all", "--n-range", "509..509", "--n-max", "509"])
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows)) == (0, "", 19)
+    assert all(row.endswith(",true") for row in rows)
+    code, out, err = _run(["verify", "mot.13a", "--n-range", "645..645", "--n-max", "645"])
+    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
+    # and the next n is refused up front
+    for rep_id, limit in (("cat.eq8", 509), ("mot.13a", 645)):
+        n = limit + 1
+        code, out, err = _run(["verify", rep_id, "--n-range", f"{n}..{n}", "--n-max", "700"])
+        assert (code, out) == (2, "")
+        assert err == (f"catmot verify: error: {rep_id} takes n >= 0 and n <= {limit}"
+                       f" with the chebyshev rule, got {n}\n")

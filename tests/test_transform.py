@@ -9,6 +9,7 @@ from catmot.transform import (
     FORMS,
     PAIRS,
     ComparisonMode,
+    _sample_points,
     check_lemma1,
     get_form,
     integrate_transform,
@@ -180,6 +181,17 @@ def test_consistency_all_pairs():
 def test_pointwise_requires_samples():
     with pytest.raises(ValueError):
         transform_deviation("cat.eq5", "mot.12a", ComparisonMode.POINTWISE, 2, 0)
+
+
+def test_pointwise_samples_are_cell_midpoints():
+    # count equal cells: a finite domain is sampled at their midpoints, and
+    # (0, inf) at the images of the midpoints in u under x = u/(1 - u)
+    finite, semi_infinite = get_representation("cat.eq9"), get_representation("cat.eq6")
+    assert _sample_points(finite, 1) == [0.0]
+    assert _sample_points(finite, 4) == [-0.75, -0.25, 0.25, 0.75]
+    assert _sample_points(semi_infinite, 1) == [1.0]
+    # each one correctly rounded division: 1/8 / 7/8, 3/8 / 5/8, ...
+    assert _sample_points(semi_infinite, 4) == [1 / 7, 3 / 5, 5 / 3, 7.0]
 
 
 @pytest.mark.parametrize("catalan_id, motzkin_id", [
