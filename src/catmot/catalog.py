@@ -126,7 +126,7 @@ class Representation(NamedTuple):
     id: str
     family: Family
     n_min: int
-    prefactor: Callable[[int], tuple[Fraction, int]]  # n -> (rational, pi power)
+    prefactor: Callable[[int], tuple[Fraction, int]]  # n -> (rational, pi power -1 or 0)
     # f(n, x), or f(n, x - a, b - x) on an endpoint-singular entry, whose
     # endpoint distances keep full precision where the integrand blows up
     integrand: Callable[..., float]
@@ -145,12 +145,7 @@ class Representation(NamedTuple):
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
-        value = float(rational)
-        if pi_power == -1:
-            value /= _PI
-        elif pi_power != 0:
-            value *= _PI ** pi_power
-        return value
+        return float(rational) / _PI if pi_power == -1 else float(rational)
 
     def exact_value(self, n: int) -> int:
         values = _EXACT_VALUES.get(self.family)
@@ -606,8 +601,8 @@ def _integrate(
         # the rule's factor pi cancels a 1/pi prefactor and otherwise multiplies
         rational, pi_power = rep.prefactor(n)
         estimate = float(rational) * raw
-        if pi_power != -1:
-            estimate *= _PI ** (pi_power + 1)
+        if pi_power == 0:
+            estimate *= _PI
         label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
         return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain

@@ -199,8 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    from .exact import motzkin
-    from .transform import PAIRS, ComparisonMode, get_form, integrate_transform, transform_deviation
+    from .catalog import verify
+    from .transform import PAIRS, ComparisonMode, get_form, motzkin_representation, transform_deviation
 
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
@@ -210,12 +210,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
     # formatted whole before any of it is written: a failure leaves no partial output
     out = [f"catalan form : {args.catalan_id} ({flavor} transform)"]
     if pairing is None:
-        value = integrate_transform(args.catalan_id, args.n)
-        exact = float(motzkin(args.n))
-        dev = abs(value - exact) / exact
+        row = verify(motzkin_representation(form), args.n)
+        dev = row.rel_err
         out.append(f"paired entry : none; comparing the integral against exact M({args.n})")
-        out.append(f"integral     : {value!r}")
-        out.append(f"exact        : {exact!r}")
+        out.append(f"integral     : {row.estimate!r}")
+        out.append(f"exact        : {float(row.exact)!r}")
         limit = ComparisonMode.VALUE_ONLY.tolerance
         out.append(f"rel deviation: {dev:.3e} (threshold {limit:g})")
     else:

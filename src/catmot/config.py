@@ -61,12 +61,12 @@ def parse_config_file(path: str) -> dict:
 
 
 def _env_overrides(environ: Mapping[str, str]) -> dict:
-    values = {}
-    for name in _FIELD_TYPES:
-        raw = environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            values[name] = _parse_value(name, raw)
-    return values
+    fields = {ENV_PREFIX + name.upper(): name for name in _FIELD_TYPES}
+    # a retired or misspelt variable is refused, as a config file's key is
+    unknown = sorted(var for var in environ if var.startswith(ENV_PREFIX) and var not in fields)
+    if unknown:
+        raise ValueError(f"unknown environment variable {unknown[0]!r}")
+    return {name: _parse_value(name, environ[var]) for var, name in fields.items() if var in environ}
 
 
 def load_settings(

@@ -8,8 +8,8 @@ The Motzkin-from-Catalan transforms repeatedly need
 
 near t = 0 (or x = 0) the closed forms subtract nearly equal quantities;
 here every one of them is evaluated as a polynomial, each float coefficient
-one correctly rounded integer division (the Fraction builders are the exact
-reference), so small arguments accumulate same-sign terms only.
+one correctly rounded integer division (the tests hold the exact Fraction
+references), so small arguments accumulate same-sign terms only.
 """
 
 from __future__ import annotations
@@ -76,23 +76,11 @@ class PhiEvaluator:
         return s * horner(self._float_coeffs, s)
 
 
-def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Exact coefficients d_j of phi_{n+2} - phi_{n+1} as a polynomial in
-    s = t^2, j running from 1:  d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1).
-
-    All d_j are nonnegative and d_1 == 1, which makes
-    (phi_{n+2} - phi_{n+1}) / t^2  -> 1 as t -> 0.
-    """
-    a, b = n + 1, n + 2
-    hi, lo = _binomials(b), (*_binomials(a), 0)  # C(n+1, n+2) = 0
-    return tuple(
-        Fraction(2 * (a * hi[2 * j] - b * lo[2 * j]), a * b) for j in range(1, b // 2 + 1)
-    )
-
-
 def _phi_diff_floats(n: int) -> tuple[float, ...]:
-    """The floats nearest d_j: C(m, i)/m = C(m-1, i-1)/i and Pascal's rule
-    reduce d_j to C(n, 2j-2)/j, one correctly rounded integer division."""
+    """The coefficients d_j, j >= 1, of phi_{n+2} - phi_{n+1} in s = t^2 as
+    floats: d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1) reduces, by
+    C(m, i)/m = C(m-1, i-1)/i and Pascal's rule, to C(n, 2j-2)/j, one
+    correctly rounded integer division.  All d_j >= 0, and d_1 == 1."""
     return tuple(c / j for j, c in enumerate(_binomials(n)[::2], start=1))
 
 
@@ -105,21 +93,11 @@ def phi_diff_over_square(n: int, s: float) -> float:
     return horner(_float_coeffs(_phi_diff_floats, n), s)
 
 
-def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Exact coefficients e_j of psi_{n+2} - psi_{n+1} in u = 2x, for
-    j = 2 .. n+2:  e_j = C(n+2,j)/(n+2) - C(n+1,j)/(n+1).
-
-    The j = 1 coefficient is identically zero and is dropped, which is what
-    removes the catastrophic cancellation of the two-term closed form at
-    small x.
-    """
-    a, b = n + 1, n + 2
-    hi, lo = _binomials(b), (*_binomials(a), 0)  # C(n+1, n+2) = 0
-    return tuple(Fraction(a * hi[j] - b * lo[j], a * b) for j in range(2, b + 1))
-
-
 def _psi_diff_floats(n: int) -> tuple[float, ...]:
-    """The floats nearest e_j, which reduces to C(n, j-2)/j as d_j does."""
+    """The coefficients e_j, j = 2 .. n+2, of psi_{n+2} - psi_{n+1} in u = 2x
+    as floats: e_j = C(n+2,j)/(n+2) - C(n+1,j)/(n+1) reduces to C(n, j-2)/j
+    as d_j does.  e_1 is identically zero; dropping it removes the
+    catastrophic cancellation of the two-term closed form at small x."""
     return tuple(c / j for j, c in enumerate(_binomials(n), start=2))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 _EPS = 2.220446049250313e-16
@@ -161,11 +162,17 @@ def _de_node(t: float) -> tuple[float, float]:
 # past t = 6.2 the distance d underflows to 0
 _T_MAX = 6.2
 
-# level -> {i: node at the level's i-th t > 0}, with t = i + 1 at level 0
-# and t = (2i + 1) 2**-L at level L; a node is stored when a level loop
-# first reaches it.  A node is a pure function of (level, i): threads that
-# race to fill a slot store equal values under the same key.
-_DE_TABLES: dict[int, dict[int, tuple[float, float]]] = {}
+
+@lru_cache(maxsize=_MAX_DE_LEVEL + 1)
+def _de_level(level: int) -> tuple[tuple[float, float], ...]:
+    """The nodes (d, w) that a level adds below t_max, in increasing t:
+    t = 1, 2, ... at level 0, the odd multiples of 2**-L at level L (each a
+    dyadic below 8 with odd part below 2**53, so exact in float64)."""
+    if level == 0:
+        return tuple(_de_node(float(t)) for t in range(1, int(_T_MAX) + 1))
+    spacing = 2.0 ** (-level)
+    size = math.ceil((_T_MAX / spacing - 1.0) / 2.0)  # the count of (2i + 1) * spacing < t_max
+    return tuple(_de_node((2 * i + 1) * spacing) for i in range(size))
 
 
 def _tanh_sinh(
@@ -193,16 +200,7 @@ def _tanh_sinh(
     raw = _HALF_PI * sample(halfwidth, halfwidth)
     comp = 0.0  # Kahan compensation keeps the refinement plateau at a few ulps
     for level in range(cfg.max_levels + 1):  # max_levels >= 3
-        spacing = 2.0 ** (-level)
-        table = _DE_TABLES.setdefault(level, {})
-        # the count of t < t_max; (2i + 1) * spacing < t_max above level 0
-        size = int(_T_MAX) if level == 0 else math.ceil((_T_MAX / spacing - 1.0) / 2.0)
-        for i in range(size):
-            node = table.get(i)
-            if node is None:
-                # a dyadic below 8 with 2i + 1 < 2**53: exact in float64
-                node = table[i] = _de_node(i + 1.0 if level == 0 else (2 * i + 1) * spacing)
-            d, w = node
+        for d, w in _de_level(level):
             near = halfwidth * d
             if near == 0.0 or w == 0.0:
                 break  # past the last usable node
@@ -211,7 +209,7 @@ def _tanh_sinh(
             s = raw + y
             comp = (s - raw) - y
             raw = s
-        weighted = spacing * raw
+        weighted = 2.0 ** (-level) * raw
         if not math.isfinite(weighted):
             # an overflowed sum cannot refine; inf <= rel_tol * inf must not pass
             err, converged = math.inf, False

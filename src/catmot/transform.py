@@ -140,19 +140,6 @@ def get_form(catalan_id: str) -> CatalanForm:
         ) from None
 
 
-def _derived_for(catalan_id: str, n: int) -> Representation:
-    """The transform of a form; refuses an n past the Motzkin limit up front."""
-    derived = motzkin_representation(get_form(catalan_id))
-    check_request(derived, n)
-    return derived
-
-
-def integrate_transform(catalan_id: str, n: int) -> float:
-    """Integral of the transformed Motzkin integrand over the source entry's
-    domain (should equal the exact Motzkin number)."""
-    return verify(_derived_for(catalan_id, n), n).estimate
-
-
 def _sample_points(source: Representation, count: int) -> list[float]:
     if source.semi_infinite:
         # map (0,1) midpoints through u/(1-u) to cover (0, inf)
@@ -172,7 +159,8 @@ def transform_deviation(
     the Motzkin catalog entry: maximum over sample points (pointwise mode)
     or between integral values (value-only mode, inf when either integral
     did not converge, since two wrong values may agree)."""
-    derived = _derived_for(catalan_id, n)
+    derived = motzkin_representation(get_form(catalan_id))
+    check_request(derived, n)  # refuses an n past the Motzkin limit up front
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
         if check_points < 1:
@@ -244,7 +232,6 @@ __all__ = [
     "PAIRS",
     "check_lemma1",
     "get_form",
-    "integrate_transform",
     "lemma1_sides",
     "motzkin_representation",
     "transform_deviation",

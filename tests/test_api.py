@@ -27,11 +27,15 @@ REMOVED = {
         "motzkin_integrand",
         "tanh_sinh",
         "integrate_semi_infinite",
+        # cmd_transform prints the derived entry's verify row
+        "integrate_transform",
     ),
     # g, its distance form and the domain come from the source catalog entry;
     # the n a transform takes is the derived Motzkin entry's
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite", "n_max"),
-    catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs"),
+    catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs",
+                   # the exact Fraction references live in tests/exact_coeffs.py
+                   "phi_diff_coeffs", "psi_diff_coeffs"),
     # the Chebyshev rule integrates the entry's own integrand, with the node
     # count that the entry's substitution degree gives
     catmot.catalog: (

@@ -13,9 +13,10 @@ from catmot import __version__
 from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
-from catmot.exact import motzkin_oracle
+from catmot.exact import motzkin, motzkin_oracle
 from catmot.quadrature import QuadConfig
 from catmot.report import CSV_HEADER, Report
+from catmot.transform import get_form, motzkin_representation
 
 
 def run(capsys, *argv):
@@ -394,9 +395,21 @@ def test_transform_phi_pairing(capsys):
 
 
 def test_transform_unpaired_form_checks_exact_value(capsys):
-    code, out, _ = run(capsys, "transform", "cat.eq3", "--n", "6")
-    assert code == 0
-    assert "none" in out and "exact" in out
+    # cat.eq3 has no catalog twin: its lines are the derived entry's verify
+    # row, compared against the exact Motzkin number
+    derived = motzkin_representation(get_form("cat.eq3"))
+    for n in (0, 6, 100, 645):
+        code, out, err = run(capsys, "transform", "cat.eq3", "--n", str(n))
+        row = verify(derived, n)
+        assert row.exact == motzkin(n) and row.rel_err <= 1e-10, n
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "catalan form : cat.eq3 (phi transform)",
+            f"paired entry : none; comparing the integral against exact M({n})",
+            f"integral     : {row.estimate!r}",
+            f"exact        : {float(row.exact)!r}",
+            f"rel deviation: {row.rel_err:.3e} (threshold 1e-10)",
+        ]
 
 
 def test_transform_unknown_form_exits_2(capsys):
@@ -632,6 +645,15 @@ def test_env_var_rejected_value(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
     assert code == 2
     assert "n_max" in err
+
+
+@pytest.mark.parametrize("name", ["CATMOT_REL_TOLL", "CATMOT_MAX_SUBDIVISIONS"])
+def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
+    # a misspelt or retired variable exits 2, as the same key in a config file does
+    monkeypatch.setenv(name, "1e-3" if name.endswith("TOLL") else "10")
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2")
+    assert (code, out) == (2, "")
+    assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

@@ -7,12 +7,11 @@ from catmot import polys
 from catmot.polys import (
     PhiEvaluator,
     half_power_sum,
-    phi_diff_coeffs,
     phi_diff_over_square,
-    psi_diff_coeffs,
     psi_difference,
     psi_difference_over_square,
 )
+from exact_coeffs import phi_diff_coeffs, psi_diff_coeffs
 
 
 def phi_direct(m, t):

@@ -433,14 +433,13 @@ def test_endpoint_heavy_cosine_power(engine):
 
 # -- double-exponential node tables ---------------------------------------------
 
-def test_lazy_de_nodes_match_eager_tables(monkeypatch):
-    # threads that start on empty tables walk every usable node of levels
+def test_lazy_de_nodes_match_eager_tables():
+    # threads that start on an empty cache walk every usable node of levels
     # 0..12 (a growing integrand never converges); however their fills
     # interleave, each must see, bit for bit and in order, the nodes the
     # level loop used to build eagerly by stepping t += 2h, and each level
     # must stop at its first node whose distance or weight underflows
-    tables = {}
-    monkeypatch.setattr(quadrature, "_DE_TABLES", tables)
+    quadrature._de_level.cache_clear()
     t_max, node = quadrature._T_MAX, quadrature._de_node
     eager = [[node(float(k)) for k in range(1, int(t_max) + 1)]]
     for level in range(1, 13):
@@ -494,21 +493,21 @@ def test_lazy_de_nodes_match_eager_tables(monkeypatch):
     for converged, seen in walks:
         assert not converged
         assert bits(seen) == bits(expected)
-    assert sorted(tables) == list(range(13))
-    for level, table in tables.items():
-        assert sorted(table) == list(range(filled[level])), level
-        assert bits(table[i] for i in range(filled[level])) == bits(eager[level][:filled[level]])
+    # the cache holds each level reached, every node below t_max
+    assert quadrature._de_level.cache_info().currsize == 13
+    for level, nodes in enumerate(eager):
+        assert bits(quadrature._de_level(level)) == bits(nodes), level
 
 
-def test_threads_filling_tables_give_identical_reports(monkeypatch):
+def test_threads_filling_tables_give_identical_reports():
     # library callers may call catalog.verify from threads: four of them fill
-    # the same slots of empty tables at once, on a finite and on the
+    # the same levels of an empty cache at once, on a finite and on the
     # semi-infinite domain, and get the rows of a serial run
     forced = ("cat.eq4", "mot.12b")
     cases = [(get_representation(rep_id), n) for rep_id in forced for n in range(31, 61)]
-    monkeypatch.setattr(quadrature, "_DE_TABLES", {})
+    quadrature._de_level.cache_clear()
     serial = [verify(rep, n, rule="tanh-sinh") for rep, n in cases]
-    monkeypatch.setattr(quadrature, "_DE_TABLES", {})
+    quadrature._de_level.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

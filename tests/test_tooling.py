@@ -10,8 +10,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import catmot
+import catmot.transform
 from catmot.catalog import list_representations
 from catmot.transform import FORMS
 
@@ -72,3 +75,39 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "catmot" or top in sys.stdlib_module_names, (path.name, name)
+
+
+# public top-level names that no command runs, each with the reason it stays
+TEST_ONLY_ALLOWED = {
+    # perfbench/tracer.py reads it eagerly for its polys.coeff span
+    "PhiEvaluator",
+}
+
+
+def _references(node) -> Counter:
+    """Names read in ``node``'s subtree: bare names, attributes and imports."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_runtime_has_no_test_only_functions():
+    # every public function or class of the runtime is called by the program
+    # (referenced outside its own body), or exported; the exact references
+    # that only the tests compare against live under tests/
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "catmot").glob("*.py"))]
+    referenced = sum(map(_references, trees), Counter())
+    exported = {*catmot.__all__, *catmot.transform.__all__, *TEST_ONLY_ALLOWED}
+    unused = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and referenced[node.name] == _references(node)[node.name]
+    ]
+    assert unused == []

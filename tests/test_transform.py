@@ -4,7 +4,7 @@ import pytest
 
 from catmot.catalog import VerificationRow, get_representation, list_representations, verify
 from catmot.exact import catalan, motzkin
-from catmot.polys import even_binomial_coeffs, phi_diff_coeffs
+from catmot.polys import even_binomial_coeffs
 from catmot.transform import (
     FORMS,
     PAIRS,
@@ -12,11 +12,11 @@ from catmot.transform import (
     _sample_points,
     check_lemma1,
     get_form,
-    integrate_transform,
     lemma1_sides,
     motzkin_representation,
     transform_deviation,
 )
+from exact_coeffs import phi_diff_coeffs
 
 _PI = math.pi
 
@@ -118,9 +118,10 @@ def test_unknown_ids_raise_lookup_errors():
 
 
 def test_transform_integrals_reproduce_motzkin_numbers():
-    for cid in FORMS:
+    for cid, form in FORMS.items():
+        derived = motzkin_representation(form)
         for n in (*range(0, 21), 47, 60, 65, 95, 100):
-            value = integrate_transform(cid, n)
+            value = verify(derived, n).estimate
             exact = float(motzkin(n))
             assert abs(value - exact) / exact <= 1e-8, (cid, n)
 
@@ -205,15 +206,16 @@ def test_transform_refuses_n_past_the_motzkin_limit(monkeypatch, catalan_id, mot
         raise AssertionError(f"coefficients built for n={n}")
 
     monkeypatch.setattr(catmot.polys, "_float_coeffs", no_coefficients)
+    derived = motzkin_representation(get_form(catalan_id))
     # the patch sees the kernel's coefficient build at the limit ...
     with pytest.raises(AssertionError, match="n=645$"):
-        integrate_transform(catalan_id, 645)
+        verify(derived, 645)
     # ... and none is attempted past it
     for mode in ComparisonMode:
         with pytest.raises(ValueError, match="n <= 645"):
             transform_deviation(catalan_id, motzkin_id, mode, 646)
     with pytest.raises(ValueError, match="n <= 645"):
-        integrate_transform(catalan_id, 646)
+        verify(derived, 646)
 
 
 # -- lemma 1 ------------------------------------------------------------------
