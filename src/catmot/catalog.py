@@ -69,57 +69,44 @@ class Substitution(NamedTuple):
     once, under which integrand times Jacobian is P(cos theta), times
     sin(theta)^2 on kind 2, with deg P = degree(n)."""
 
-    # thetas -> the integrand's arguments after n at every node, one column
-    # per argument: x, or the endpoint distances x - a and b - x on an
-    # endpoint-singular entry; and |dx/dtheta| at every node
-    tabulate: Callable[[list[float]], NodeTable]
+    # (rep, thetas) -> the integrand's arguments after n at every node, one
+    # column per argument: x, or the endpoint distances x - a and b - x on an
+    # endpoint-singular entry; and |dx/dtheta| at every node.  The domain and
+    # the tags are read from rep, so a copy on another domain integrates it
+    tabulate: Callable[[Representation, Sequence[float]], NodeTable]
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
 
 
-def _cosine(
-    domain: tuple[float, float], kind: int, degree: Callable[[int], int],
-    distances: bool = False,
-) -> Substitution:
+def _cosine(rep: Representation, thetas: Sequence[float]) -> NodeTable:
     """x = mid + hw cos(theta).  The endpoint distances 2 hw cos^2(theta/2)
     and 2 hw sin^2(theta/2) carry no 1 - cos cancellation."""
-    lo, hi = domain
+    lo, hi = rep.domain
     mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
     cos, sin = math.cos, math.sin
-
-    def tabulate(thetas: list[float]) -> NodeTable:
-        if distances:
-            width = 2.0 * hw
-            columns = (
-                [width * c * c for c in [cos(0.5 * t) for t in thetas]],
-                [width * s * s for s in [sin(0.5 * t) for t in thetas]],
-            )
-        else:
-            columns = ([mid + hw * cos(t) for t in thetas],)
-        return columns, [hw * sin(t) for t in thetas]
-
-    return Substitution(tabulate, kind, degree)
+    if rep.endpoint_singular:
+        width = 2.0 * hw
+        columns = (
+            [width * c * c for c in [cos(0.5 * t) for t in thetas]],
+            [width * s * s for s in [sin(0.5 * t) for t in thetas]],
+        )
+    else:
+        columns = ([mid + hw * cos(t) for t in thetas],)
+    return columns, [hw * sin(t) for t in thetas]
 
 
-def _linear(domain: tuple[float, float], kind: int, degree: Callable[[int], int]) -> Substitution:
+def _linear(rep: Representation, thetas: Sequence[float]) -> NodeTable:
     """theta = pi (x - lo)/(hi - lo)."""
-    lo, hi = domain
+    lo, hi = rep.domain
     scale = (hi - lo) / _PI
-
-    def tabulate(thetas: list[float]) -> NodeTable:
-        return ([lo + scale * t for t in thetas],), [scale] * len(thetas)
-
-    return Substitution(tabulate, kind, degree)
+    return ([lo + scale * t for t in thetas],), [scale] * len(thetas)
 
 
-def _tangent(m: float, degree: Callable[[int], int]) -> Substitution:
+def _tangent(rep: Representation, thetas: Sequence[float]) -> NodeTable:
     """x = tan(m theta), m = 1/2 onto (0, inf) and 1/4 onto (0, 1)."""
+    m = 0.5 if rep.semi_infinite else 0.25
     cos, tan = math.cos, math.tan
-
-    def tabulate(thetas: list[float]) -> NodeTable:
-        return ([tan(m * t) for t in thetas],), [m / (c * c) for c in [cos(m * t) for t in thetas]]
-
-    return Substitution(tabulate, 1, degree)
+    return ([tan(m * t) for t in thetas],), [m / (c * c) for c in [cos(m * t) for t in thetas]]
 
 
 class Representation(NamedTuple):
@@ -287,7 +274,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{-1}^{1} x^(2n)/sqrt(1-x^2) dx",
         integrand=_eq2_distance,
-        substitution=_cosine((-1.0, 1.0), 1, lambda n: 2 * n, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq3",
@@ -298,7 +285,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, _PI),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{pi} cos(x)^(2n) dx",
-        substitution=_linear((0.0, _PI), 1, lambda n: 2 * n),
+        substitution=Substitution(_linear, 1, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq4",
@@ -309,7 +296,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/((n+1) pi) int_{0}^{1} x^n/sqrt(x-x^2) dx",
         integrand=_eq4_distance,
-        substitution=_cosine((0.0, 1.0), 1, lambda n: n, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n),
     ),
     Representation(
         id="cat.eq5",
@@ -320,7 +307,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 1/(2 pi) int_{0}^{4} x^n sqrt((4-x)/x) dx",
         integrand=_eq5_distance,
-        substitution=_cosine((0.0, 4.0), 1, lambda n: n + 1, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n + 1),
     ),
     Representation(
         id="cat.eq6",
@@ -331,7 +318,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, math.inf),
         singularities=frozenset({Singularity.SEMI_INFINITE}),
         statement="C(n) = 2^(2n+2)/pi int_{0}^{inf} x^2/(1+x^2)^(n+2) dx",
-        substitution=_tangent(0.5, lambda n: n + 1),
+        substitution=Substitution(_tangent, 1, lambda n: n + 1),
     ),
     Representation(
         id="cat.eq7",
@@ -342,7 +329,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = int_{0}^{1} (2 cos(pi x))^(2n) 2 sin(pi x)^2 dx",
-        substitution=_linear((0.0, 1.0), 2, lambda n: 2 * n),
+        substitution=Substitution(_linear, 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq8",
@@ -353,7 +340,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+5)/pi int_{0}^{1} x^2 (1-x^2)^(2n)/(1+x^2)^(2n+3) dx",
-        substitution=_tangent(0.25, lambda n: n + 1),
+        substitution=Substitution(_tangent, 1, lambda n: n + 1),
     ),
     Representation(
         id="cat.eq9",
@@ -364,7 +351,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 2^(2n+1)/pi int_{-1}^{1} x^(2n) sqrt(1-x^2) dx",
-        substitution=_cosine((-1.0, 1.0), 2, lambda n: 2 * n),
+        substitution=Substitution(_cosine, 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.eq10",
@@ -375,7 +362,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="C(n) = 1/(2 pi) int_{-2}^{2} x^(2n) sqrt(4-x^2) dx",
-        substitution=_cosine((-2.0, 2.0), 2, lambda n: 2 * n),
+        substitution=Substitution(_cosine, 2, lambda n: 2 * n),
     ),
     Representation(
         id="cat.conc1",
@@ -386,7 +373,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 2^(2n+1)/((2n+1) pi) int_{-1}^{1} x^(2n+2)/sqrt(1-x^2) dx",
         integrand=_conc1_distance,
-        substitution=_cosine((-1.0, 1.0), 1, lambda n: 2 * n + 2, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: 2 * n + 2),
     ),
     Representation(
         id="cat.conc2",
@@ -397,7 +384,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="C(n) = 4^n/(n pi) int_{0}^{1} (2x^(n+1)-x^n)/sqrt(x-x^2) dx  (n >= 1)",
         integrand=_conc2_distance,
-        substitution=_cosine((0.0, 1.0), 1, lambda n: n + 1, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n + 1),
     ),
     Representation(
         id="mot.12a",
@@ -408,7 +395,7 @@ _CATALOG: tuple[Representation, ...] = (
         singularities=_ENDPOINT_TAGS,
         statement="M(n) = 1/(4 pi) int_{0}^{4} ((1+sqrt(x))^n+(1-sqrt(x))^n) sqrt((4-x)/x) dx",
         integrand=_12a_distance,
-        substitution=_cosine((0.0, 4.0), 1, lambda n: n // 2 + 1, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n // 2 + 1),
     ),
     Representation(
         id="mot.12b",
@@ -422,7 +409,7 @@ _CATALOG: tuple[Representation, ...] = (
             "M(n) = 2/pi int_{0}^{inf} ((1+2/sqrt(1+x^2))^n+(1-2/sqrt(1+x^2))^n)"
             " x^2/(1+x^2)^2 dx"
         ),
-        substitution=_tangent(0.5, lambda n: n // 2 + 1),
+        substitution=Substitution(_tangent, 1, lambda n: n // 2 + 1),
     ),
     Representation(
         id="mot.12c",
@@ -433,7 +420,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = int_{0}^{1} ((1+2 cos(pi x))^n+(1-2 cos(pi x))^n) sin(pi x)^2 dx",
-        substitution=_linear((0.0, 1.0), 2, lambda n: n),
+        substitution=Substitution(_linear, 2, lambda n: n),
     ),
     Representation(
         id="mot.12d",
@@ -444,7 +431,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(0.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 16/pi int_{0}^{1} x^2 ((3-x^2)^n+(3x^2-1)^n)/(1+x^2)^(n+3) dx",
-        substitution=_tangent(0.25, lambda n: n // 2 + 1),
+        substitution=Substitution(_tangent, 1, lambda n: n // 2 + 1),
     ),
     Representation(
         id="mot.12e",
@@ -455,7 +442,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-1.0, 1.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 2/pi int_{-1}^{1} (1+2x)^n sqrt(1-x^2) dx",
-        substitution=_cosine((-1.0, 1.0), 2, lambda n: n),
+        substitution=Substitution(_cosine, 2, lambda n: n),
     ),
     Representation(
         id="mot.12f",
@@ -466,7 +453,7 @@ _CATALOG: tuple[Representation, ...] = (
         domain=(-2.0, 2.0),
         singularities=frozenset({Singularity.SMOOTH}),
         statement="M(n) = 1/(2 pi) int_{-2}^{2} (1+x)^n sqrt(4-x^2) dx",
-        substitution=_cosine((-2.0, 2.0), 2, lambda n: n),
+        substitution=Substitution(_cosine, 2, lambda n: n),
     ),
     Representation(
         id="mot.13a",
@@ -480,7 +467,7 @@ _CATALOG: tuple[Representation, ...] = (
             " phi(m,x) = ((1+2 sqrt(x))^m+(1-2 sqrt(x))^m-2)/m"
         ),
         integrand=_13a_distance,
-        substitution=_cosine((0.0, 1.0), 1, lambda n: n // 2, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n // 2),
     ),
     Representation(
         id="mot.13b",
@@ -488,19 +475,14 @@ _CATALOG: tuple[Representation, ...] = (
         n_min=0,
         prefactor=lambda n: (Fraction(1, 2), -1),
         domain=(-1.0, 1.0),
-        singularities=frozenset(
-            {
-                Singularity.LEFT_ENDPOINT_ALGEBRAIC,
-                Singularity.RIGHT_ENDPOINT_ALGEBRAIC,
-                Singularity.REMOVABLE_INTERIOR,  # 0/0 at x = 0, limit 2/sqrt(1-x^2)
-            }
-        ),
+        # 0/0 at x = 0, limit 2/sqrt(1-x^2)
+        singularities=_ENDPOINT_TAGS | {Singularity.REMOVABLE_INTERIOR},
         statement=(
             "M(n) = 1/(2 pi) int_{-1}^{1} (psi(n+2,x)-psi(n+1,x))/(x^2 sqrt(1-x^2)) dx,"
             " psi(m,x) = ((1+2x)^m-1)/m"
         ),
         integrand=_13b_distance,
-        substitution=_cosine((-1.0, 1.0), 1, lambda n: n, distances=True),
+        substitution=Substitution(_cosine, 1, lambda n: n),
     ),
 )
 
@@ -553,14 +535,11 @@ _FORCED_LIMIT = 310
 _EXACT_VALUES: dict[Family, list[int]] = {}
 
 
-@lru_cache(maxsize=1)
-def _node_table(tabulate: Callable[[list[float]], NodeTable], kind: int, n_nodes: int) -> NodeTable:
-    """A map's node table for N nodes of a kind.  Rows run entry by entry
-    with n ascending, so the only table a row can share is its previous
-    row's, when both need the same N.  Tuples, since every one of them gets
-    it."""
-    columns, jacobians = tabulate(chebyshev_nodes(kind, n_nodes))
-    return tuple(map(tuple, columns)), tuple(jacobians)
+@lru_cache(maxsize=16)
+def _nodes(kind: int, n_nodes: int) -> tuple[float, ...]:
+    """The N theta nodes of a kind, shared by the rows that read them.  At one
+    n the 19 entries need at most 8 node lists, so 16 slots hold two n's."""
+    return tuple(chebyshev_nodes(kind, n_nodes))
 
 
 def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
@@ -583,11 +562,25 @@ def _theta_sum(rep: Representation, n: int, n_nodes: int) -> float:
     """The Gauss-Chebyshev sum in theta of the entry at n on N nodes of its
     substitution's kind: its integral over the domain, over pi."""
     sub = rep.substitution
-    columns, jacobians = _node_table(sub.tabulate, sub.kind, n_nodes)
+    columns, jacobians = sub.tabulate(rep, _nodes(sub.kind, n_nodes))
     # integrand times Jacobian at each node, in node order
     terms = map(mul, map(rep.integrand, repeat(n), *columns), jacobians)
     node_sum = chebyshev_sum_first if sub.kind == 1 else chebyshev_sum_second
     return node_sum(terms, n_nodes)
+
+
+# A theta row's error estimate is gamma_k |raw|, gamma_k = k u/(1 - k u) with
+# u = 2^-53: a bound on its rel_err from a first-order count k of its
+# roundings (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# 2002, sections 3.1 and 4.2).  A term is P(cos theta), deg P = d, and each
+# degree costs at most 24 roundings: two factors of a base built from the
+# node in at most 10 (cat.eq8's (1 - t)/(1 + t), t = tan(theta/4)^2), their
+# product and a Horner step's two; one more degree covers the endpoint
+# weight and the Jacobian.  The N - 1 additions add N - 1.  Both counts scale
+# with the sum of |term|, at most twice |sum| (cat.conc2's 2x^(n+1) - x^n
+# reaches sqrt(2)).  The division by N, float(rational), pi, the products
+# with them and float(exact) add 6.
+_ROUNDINGS_PER_DEGREE, _ABS_SUM_RATIO, _ROUNDINGS_PER_ROW = 24, 2, 6
 
 
 def _integrate(
@@ -604,7 +597,9 @@ def _integrate(
         if pi_power == 0:
             estimate *= _PI
         label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
-        return estimate, QuadratureResult(raw, 4.0 * _EPS * abs(raw), n_nodes, label, True)
+        terms = _ROUNDINGS_PER_DEGREE * (sub.degree(n) + 1) + n_nodes - 1
+        ku = (_ABS_SUM_RATIO * terms + _ROUNDINGS_PER_ROW) * 0.5 * _EPS
+        return estimate, QuadratureResult(raw, ku / (1.0 - ku) * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
     if rep.semi_infinite:
         result = integrate_semi_infinite(rep.at(n), cfg)

@@ -176,11 +176,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = settings.quad_config()
     # every row runs on this thread, whatever --jobs says: under the GIL a
     # thread pool only adds contention, and a process pool measured slower
-    # than one thread too (see the README on --jobs)
+    # (see the README on --jobs).  Rows run n by n to share theta nodes
     rows = [
         verify(rep, n, cfg, args.tol, args.rule)
+        for n in range(lo, hi + 1)
         for rep in reps
-        for n in range(max(lo, rep.n_min), hi + 1)
+        if n >= rep.n_min
     ]
     echo = settings.echo()
     echo.update(

@@ -27,10 +27,10 @@ def horner(coeffs: tuple[float, ...], s: float) -> float:
     return acc
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=2)
 def _float_coeffs(builder, n: int) -> tuple[float, ...]:
-    """The coefficients ``builder(n)`` as floats, built once per n.  128 keys
-    cover the mot.13a and mot.13b rows of a 50-wide n range."""
+    """The coefficients ``builder(n)`` as floats, built once per n.  Rows run
+    n by n, so two keys hold what the mot.13a and mot.13b rows of an n read."""
     return tuple(map(float, builder(n)))
 
 

@@ -7,7 +7,10 @@ precision, and floats are emitted with enough digits to round-trip.
 
 from __future__ import annotations
 
-from .catalog import VerificationRow
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # annotations only: rendering a report loads no catalog
+    from .catalog import VerificationRow
 
 _COLUMNS = ("rep_id", "n", "exact", "estimate", "rel_err", "evaluations", "rule", "pass")
 CSV_HEADER = ",".join(_COLUMNS)

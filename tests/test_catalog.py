@@ -2,6 +2,7 @@ import inspect
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -33,20 +34,18 @@ ALL_IDS = [
 ]
 
 
-def _at_theta(sub: Substitution, t: float) -> tuple[tuple[float, ...], float]:
+def _at_theta(rep: Representation, t: float) -> tuple[tuple[float, ...], float]:
     """The integrand's arguments and the Jacobian at one theta, from the
     substitution's one map."""
-    columns, [jacobian] = sub.tabulate([t])
+    columns, [jacobian] = rep.substitution.tabulate(rep, [t])
     return tuple(column[0] for column in columns), jacobian
 
 
 def theta_integrand(rep: Representation, n: int):
     """The integrand at n at the mapped point times the Jacobian, one node at
     a time: a function of theta whose integral over (0, pi) is the entry's."""
-    sub = rep.substitution
-
     def g(t: float) -> float:
-        point, jacobian = _at_theta(sub, t)
+        point, jacobian = _at_theta(rep, t)
         return rep.integrand(n, *point) * jacobian
 
     return g
@@ -257,12 +256,23 @@ def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
         assert abs(theta.estimate - forced.estimate) <= tol * theta.exact, (rep_id, n)
 
 
+def test_a_copy_on_another_domain_integrates_that_domain_under_both_rules():
+    # the theta map reads the domain from the entry, as the forced engine
+    # does, so both rules integrate the copy's (0, 2): 4^n/((n+1) pi) times
+    # the integral of x^n/sqrt(x(2 - x)), C(n) 2^n
+    wider = get_representation("cat.eq4")._replace(domain=(0.0, 2.0))
+    for n in (3, 10):
+        theta, forced = verify(wider, n), verify(wider, n, rule="tanh-sinh")
+        assert abs(theta.estimate - forced.estimate) <= 1e-12 * abs(forced.estimate), n
+        assert theta.estimate == pytest.approx(catalan(n) * 2**n, rel=1e-12), n
+
+
 def test_substitution_maps_theta_into_the_domain():
     for rep in ENTRIES.values():
-        sub, (lo, hi) = rep.substitution, rep.domain
+        lo, hi = rep.domain
         # every map covers the domain once as theta runs over (0, pi)
         for t in (1e-3, 0.3, 0.25 * math.pi, 0.5 * math.pi, 0.9 * math.pi, math.pi - 1e-3):
-            point, jacobian = _at_theta(sub, t)
+            point, jacobian = _at_theta(rep, t)
             assert jacobian > 0.0, (rep.id, t)
             if rep.endpoint_singular:
                 da, db = point
@@ -377,7 +387,7 @@ def test_at_reads_the_integrand_through_the_domain():
         domain=(0.0, 1.0),
         statement="",
         substitution=Substitution(
-            lambda thetas: ((list(thetas),), [1.0] * len(thetas)), 1, lambda n: n
+            lambda rep, thetas: ((list(thetas),), [1.0] * len(thetas)), 1, lambda n: n
         ),
     )
     plain = Representation(
@@ -433,6 +443,36 @@ def test_tabulated_theta_sum_matches_the_per_node_sum_bit_for_bit(rep_id):
             assert tabulated.hex() == reference.hex(), (rep_id, n, count)
 
 
+def _error_grid(rep: Representation) -> tuple[int, ...]:
+    """n from n_min to 100, every 7th n above it and the theta limit."""
+    limit = THETA_LIMITS[rep.family]
+    return (*range(rep.n_min, 101), *range(101, limit, 7), limit)
+
+
+def test_theta_error_estimate_bounds_the_true_error():
+    # the stated estimate, gamma_k |raw|, bounds both the row's rel_err and
+    # the exact relative error of its estimate; it gates the estimate, never
+    # the verdict.  The count takes the sum of |term| as at most twice |sum|
+    from operator import mul
+
+    from catmot.catalog import _ABS_SUM_RATIO, _integrate, _nodes
+
+    rows = 0
+    for rep in ENTRIES.values():
+        sub = rep.substitution
+        for n in _error_grid(rep):
+            estimate, result = _integrate(rep, n, QuadConfig(), "chebyshev")
+            columns, jacobians = sub.tabulate(rep, _nodes(sub.kind, result.evaluations))
+            terms = list(map(mul, map(rep.integrand, repeat(n), *columns), jacobians))
+            assert sum(map(abs, terms)) <= _ABS_SUM_RATIO * abs(sum(terms)), (rep.id, n)
+            row = verify(rep, n)
+            bound = result.error_estimate / abs(result.value)
+            true = abs(Fraction(estimate) - row.exact) / row.exact
+            assert row.rel_err <= bound and true <= bound, (rep.id, n, row.rel_err, bound)
+            rows += 1
+    assert rows == 4_830
+
+
 def test_exact_values_are_the_oracles_up_to_the_theta_limits():
     from catmot.exact import motzkin_oracle
 
@@ -449,13 +489,13 @@ def test_exact_values_are_the_oracles_up_to_the_theta_limits():
 
 
 def test_rows_from_threads_equal_the_serial_rows(monkeypatch):
-    # the exact values and the node tables start empty, so four threads race
+    # the exact values and the theta nodes start empty, so four threads race
     # to fill them; every row must still equal the serial run's
     import random
     from concurrent.futures import ThreadPoolExecutor
 
     import catmot.catalog
-    from catmot.catalog import _node_table
+    from catmot.catalog import _nodes
 
     requests = [
         (rep, n) for rep in ENTRIES.values() for n in range(max(rep.n_min, 31), 101)
@@ -463,7 +503,7 @@ def test_rows_from_threads_equal_the_serial_rows(monkeypatch):
     serial = {(rep.id, n): verify(rep, n) for rep, n in requests}
     random.Random(19).shuffle(requests)
     monkeypatch.setattr(catmot.catalog, "_EXACT_VALUES", {})
-    _node_table.cache_clear()
+    _nodes.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -472,20 +512,34 @@ def test_rows_from_threads_equal_the_serial_rows(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert {(row.rep_id, row.n): row for row in threaded} == serial
-    assert _node_table.cache_info().currsize <= 1
+    assert _nodes.cache_info().currsize <= 16
 
 
-def test_node_table_hits_are_the_rows_whose_previous_row_had_their_n(capsys):
-    # rows run entry by entry with n ascending, so a one-table cache hits
-    # exactly when a row needs the node count of its entry's previous row
-    from catmot.catalog import _node_table
+def test_node_misses_are_an_lru_replay_of_the_n_by_n_row_order(capsys):
+    # verify runs its rows n by n, each entry at one n after the other, and
+    # a row reads the nodes of its (kind, N); replaying that order through
+    # an LRU of the cache's size gives the node lists the run builds
+    from collections import OrderedDict
+
+    from catmot.catalog import _nodes
     from catmot.cli import main
 
-    expected = 0
-    for rep in list_representations():
-        counts = [rep.substitution.degree(n) // 2 for n in range(rep.n_min, 31)]
-        expected += sum(a == b for a, b in zip(counts, counts[1:]))
-    _node_table.cache_clear()
+    size = _nodes.cache_info().maxsize
+    replay: OrderedDict[tuple[int, int], None] = OrderedDict()
+    misses = 0
+    for n in range(0, 31):
+        for rep in list_representations():
+            if n < rep.n_min:
+                continue
+            key = (rep.substitution.kind, rep.substitution.degree(n) // 2 + 1)
+            if key in replay:
+                replay.move_to_end(key)
+                continue
+            misses += 1
+            replay[key] = None
+            if len(replay) > size:
+                replay.popitem(last=False)
+    _nodes.cache_clear()
     assert main(["verify", "all", "--n-range", "0..30"]) == 0
     capsys.readouterr()
-    assert _node_table.cache_info().hits == expected
+    assert _nodes.cache_info().misses == misses == 89

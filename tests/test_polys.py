@@ -164,3 +164,14 @@ def test_naive_psi_fails_at_small_x():
 def test_psi_difference_rejects_negative_n():
     with pytest.raises(ValueError):
         psi_difference(-1, 0.5)
+
+
+def test_coefficient_cache_builds_each_rows_key_once(capsys):
+    # verify runs its rows n by n, so the mot.13a and mot.13b rows of one n
+    # are the two live keys: each (builder, n) is built once, 2 x 101 tuples
+    from catmot.cli import main
+
+    polys._float_coeffs.cache_clear()
+    assert main(["verify", "all", "--n-range", "0..100", "--n-max", "100"]) == 0
+    capsys.readouterr()
+    assert polys._float_coeffs.cache_info().misses == 202
