@@ -597,8 +597,8 @@ def _integrate(
         if pi_power == 0:
             estimate *= _PI
         label = f"gauss-chebyshev-{sub.kind}[N={n_nodes}]"
-        terms = _ROUNDINGS_PER_DEGREE * (sub.degree(n) + 1) + n_nodes - 1
-        ku = (_ABS_SUM_RATIO * terms + _ROUNDINGS_PER_ROW) * 0.5 * _EPS
+        summed = _ROUNDINGS_PER_DEGREE * (sub.degree(n) + 1) + n_nodes - 1  # scale with sum |term|
+        ku = (_ABS_SUM_RATIO * summed + _ROUNDINGS_PER_ROW) * 0.5 * _EPS
         return estimate, QuadratureResult(raw, ku / (1.0 - ku) * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
     if rep.semi_infinite:
