@@ -2,11 +2,11 @@
 
 Every entry is a self-describing descriptor: an exact-rational prefactor
 (times an optional 1/pi), one integrand, the integration domain,
-singularity tags that set the tolerance class and the map a forced
-tanh-sinh rule integrates through, and a substitution x(theta).  The
-endpoint tags also say whether the integrand takes x or the endpoint
-distances (x - a, b - x), which keep full precision where it blows up;
-``at(n)`` gives it as a function of x either way.  Under the substitution,
+singularity tags and a substitution x(theta).  The domain and the endpoint
+tags set the tolerance class; under either rule the endpoint tags also say
+whether the integrand takes x or the endpoint distances (x - a, b - x),
+which keep full precision where it blows up; ``at(n)`` gives it as a
+function of x either way.  Under the substitution,
 integrand times Jacobian is a polynomial in cos(theta) of known degree, on
 some entries times sin(theta)^2, which the default Gauss-Chebyshev rule in
 theta integrates exactly.
@@ -35,7 +35,6 @@ from .quadrature import (
     chebyshev_nodes,
     chebyshev_sum_first,
     chebyshev_sum_second,
-    integrate_semi_infinite,
     tanh_sinh,
 )
 
@@ -103,10 +102,13 @@ def _linear(rep: Representation, thetas: Sequence[float]) -> NodeTable:
 
 
 def _tangent(rep: Representation, thetas: Sequence[float]) -> NodeTable:
-    """x = tan(m theta), m = 1/2 onto (0, inf) and 1/4 onto (0, 1)."""
-    m = 0.5 if rep.semi_infinite else 0.25
+    """x = lo + s tan(m theta): m = 1/2, s = 1 onto (lo, inf), m = 1/4,
+    s = hi - lo onto (lo, hi).  P(cos theta) only where lo = 0 and s = 1."""
+    lo, hi = rep.domain
+    m, s = (0.5, 1.0) if rep.semi_infinite else (0.25, hi - lo)
     cos, tan = math.cos, math.tan
-    return ([tan(m * t) for t in thetas],), [m / (c * c) for c in [cos(m * t) for t in thetas]]
+    columns = ([lo + s * tan(m * t) for t in thetas],)
+    return columns, [s * m / (c * c) for c in [cos(m * t) for t in thetas]]
 
 
 class Representation(NamedTuple):
@@ -147,7 +149,7 @@ class Representation(NamedTuple):
 
     @property
     def semi_infinite(self) -> bool:
-        return Singularity.SEMI_INFINITE in self.singularities
+        return self.domain[1] == math.inf
 
     @property
     def endpoint_singular(self) -> bool:
@@ -526,7 +528,7 @@ def default_tolerance(rep: Representation) -> float:
 # and the 9 transforms, not derived.  Under the theta rule cat.eq8's
 # prefactor 2^(2n+5) overflows at 510 and mot.13a/b go non-finite at 646;
 # under a forced engine mot.13a's ~3^n/sqrt(d) integrand overflows near an
-# endpoint from 311 (rel_tol 1e-16, max_levels 10).
+# endpoint from 313 (rel_tol 1e-15, the floor, at 5 to 16 levels).
 _THETA_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 _FORCED_LIMIT = 310
 
@@ -601,9 +603,7 @@ def _integrate(
         ku = (_ABS_SUM_RATIO * summed + _ROUNDINGS_PER_ROW) * 0.5 * _EPS
         return estimate, QuadratureResult(raw, ku / (1.0 - ku) * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
-    if rep.semi_infinite:
-        result = integrate_semi_infinite(rep.at(n), cfg)
-    elif rep.endpoint_singular:
+    if rep.endpoint_singular:
         result = tanh_sinh(None, lo, hi, cfg, singular=lambda da, db: rep.integrand(n, da, db))
     else:
         result = tanh_sinh(rep.at(n), lo, hi, cfg)

@@ -7,8 +7,8 @@ catalog:
   interior trapezoid sums over (0, pi), exact for P(cos theta), and for
   P(cos theta) sin(theta)^2, when deg P <= 2N-1.
 * tanh-sinh: double-exponential transformation for finite intervals with
-  integrable algebraic endpoint singularities, and for (0, +inf) through
-  x = u/(1 - u) on u in (0, 1).
+  integrable algebraic endpoint singularities, and for (a, +inf) through
+  x = a + u/(1 - u) on u in (0, 1).
 * adaptive Gauss-Kronrod 7/15: work-queue bisection for smooth integrands
   on finite intervals; ``lemma1`` is its one caller.
 
@@ -30,6 +30,12 @@ _HALF_PI = math.pi / 2.0
 # evaluations, so a sum that never converges stops after about 50k of them
 # at the default 12 levels and 0.8M at 16
 _MAX_DE_LEVEL = 16
+# the smallest rel_tol: near the double epsilon no level difference meets
+# it.  Measured on the 5,908 forced catalog rows (19 entries, n_min..310,
+# 12 levels, abs_tol 0): all converge at 1e-15 and at 5e-16, and so do the
+# 209 rows of n 300..310 at 16 levels and 1e-15; at 4e-16 cat.eq6 (n = 275,
+# 276) and mot.12d (n = 303) do not.  1e-15 leaves a 2x margin
+_MIN_REL_TOL = 1e-15
 # the Gauss-Kronrod subdivision budget, in intervals
 _MAX_SUBDIVISIONS = 2000
 
@@ -56,6 +62,8 @@ class QuadConfig(_QuadConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:g}, got {self.rel_tol!r}")
         if not 0.0 <= self.abs_tol < math.inf:
             raise ValueError("abs_tol must be nonnegative and finite")
         if not 3 <= self.max_levels <= _MAX_DE_LEVEL:
@@ -134,7 +142,7 @@ def chebyshev_sum_second(terms: Iterable[float], n_nodes: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# double-exponential rule: tanh-sinh on (a, b), and on (0, +inf) via x = u/(1-u)
+# double-exponential rule: tanh-sinh on (a, b), and on (a, +inf) via x = a + u/(1-u)
 # ---------------------------------------------------------------------------
 #
 # x = mid + halfwidth*tanh((pi/2) sinh t) has a derivative that decays
@@ -231,7 +239,7 @@ def tanh_sinh(
     cfg: QuadConfig = QuadConfig(),
     singular: Optional[Callable[[float, float], float]] = None,
 ) -> QuadratureResult:
-    """Integrate h over the finite interval (a, b).
+    """Integrate h over (a, b), a finite and b finite or +inf.
 
     Handles integrable algebraic endpoint singularities milder than
     1/(x - a).  Convergence is declared when successive level sums agree to
@@ -244,9 +252,22 @@ def tanh_sinh(
     ``singular(dist_a, dist_b)``: it receives the distances to both
     endpoints, the nearer one exact to full relative precision, and is used
     instead of ``h`` at every node.
+
+    On (a, +inf) the sum runs in u over (0, 1), dx = du/(1 - u)**2 and
+    x = a + u/(1 - u) from the exact distances u and 1 - u; a node whose x
+    overflows or rounds onto a adds 0 and is not evaluated.  Needs decay
+    faster than 1/x at infinity, and no ``singular``.
     """
-    if not (a < b) or math.isinf(a) or math.isinf(b):
-        raise ValueError("tanh_sinh requires finite a < b")
+    if not a < b or math.isinf(a):
+        raise ValueError("tanh_sinh requires a finite a < b")
+    if b == math.inf:
+        if singular is not None:
+            raise ValueError("tanh_sinh takes singular only on a finite interval")
+        def semi_infinite(u: float, v: float) -> Optional[float]:
+            x, inv = a + u / v, 1.0 / v
+            return None if x == a or x == math.inf else h(x) * inv * inv
+
+        return _tanh_sinh(semi_infinite, 0.0, 1.0, cfg)
     if singular is None:
         def singular(da: float, db: float) -> Optional[float]:
             x = a + da if da <= db else b - db
@@ -258,22 +279,8 @@ def integrate_semi_infinite(
     h: Callable[[float], float],
     cfg: QuadConfig = QuadConfig(),
 ) -> QuadratureResult:
-    """Integrate h over (0, +inf) by tanh-sinh in u over (0, 1), x = u/(1 - u).
-
-    dx = du/(1 - u)**2, and x is formed from the exact distances u and
-    1 - u, so both ends keep full relative precision.  A node whose x
-    overflows adds 0 and is not evaluated.  Requires an integrable origin
-    and decay faster than 1/x at infinity.  Same level-doubling convergence
-    contract as :func:`tanh_sinh`.
-    """
-    def f(u: float, v: float) -> Optional[float]:
-        x = u / v
-        if x == math.inf:
-            return None
-        inv = 1.0 / v
-        return h(x) * inv * inv
-
-    return _tanh_sinh(f, 0.0, 1.0, cfg)
+    """:func:`tanh_sinh` over (0, +inf), a name the benchmark's tracer wraps."""
+    return tanh_sinh(h, 0.0, math.inf, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,10 @@ def get_form(catalan_id: str) -> CatalanForm:
 
 
 def _sample_points(source: Representation, count: int) -> list[float]:
-    if source.semi_infinite:
-        # map (0,1) midpoints through u/(1-u) to cover (0, inf)
-        return [u / (1.0 - u) for u in ((i + 0.5) / count for i in range(count))]
     lo, hi = source.domain
+    if source.semi_infinite:
+        # map (0,1) midpoints through lo + u/(1-u) to cover (lo, inf)
+        return [lo + u / (1.0 - u) for u in ((i + 0.5) / count for i in range(count))]
     return [lo + (hi - lo) * (i + 0.5) / count for i in range(count)]
 
 

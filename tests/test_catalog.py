@@ -17,7 +17,7 @@ from catmot.catalog import (
     verify,
 )
 from catmot.exact import catalan, motzkin
-from catmot.quadrature import QuadConfig
+from catmot.quadrature import QuadConfig, chebyshev_nodes, tanh_sinh
 from catmot.transform import FORMS, motzkin_representation
 
 # the 19 catalog entries and the 9 derived transforms
@@ -195,10 +195,10 @@ def test_rule_override_validation():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    # no level difference meets rel_tol 1e-300 with a zero floor, while the
+    # three levels do not meet rel_tol 1e-12 with a zero floor, while the
     # estimate itself is good to an ulp: the row fails on convergence alone
     rep = get_representation("cat.eq9")
-    cfg = QuadConfig(rel_tol=1e-300, abs_tol=0.0, max_levels=3)
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=0.0, max_levels=3)
     row = verify(rep, 2, cfg, rule="tanh-sinh")
     assert row.rel_err <= default_tolerance(rep)
     assert not row.converged
@@ -265,6 +265,55 @@ def test_a_copy_on_another_domain_integrates_that_domain_under_both_rules():
         theta, forced = verify(wider, n), verify(wider, n, rule="tanh-sinh")
         assert abs(theta.estimate - forced.estimate) <= 1e-12 * abs(forced.estimate), n
         assert theta.estimate == pytest.approx(catalan(n) * 2**n, rel=1e-12), n
+
+
+def test_a_half_line_copy_integrates_its_own_domain():
+    # the forced engine reads the lower end from the entry: cat.eq6 on
+    # (1, inf) is its (0, inf) value less the prefactor times (0, 1)
+    rep = get_representation("cat.eq6")
+    shifted = rep._replace(domain=(1.0, math.inf))
+    for n in (3, 10):
+        head = rep.prefactor_float(n) * tanh_sinh(rep.at(n), 0.0, 1.0).value
+        expected = verify(rep, n, rule="tanh-sinh").estimate - head
+        row = verify(shifted, n, rule="tanh-sinh")
+        assert row.converged and abs(row.estimate - expected) <= 1e-12 * expected, n
+
+
+@pytest.mark.parametrize(
+    "rep_id, domain",
+    [("cat.eq8", (0.0, 2.0)), ("cat.eq6", (1.0, math.inf)), ("cat.eq8", (0.0, math.inf))],
+    ids=["cat.eq8-0..2", "cat.eq6-1..inf", "cat.eq8-0..inf"],
+)
+def test_tangent_copies_map_theta_onto_their_own_domain(rep_id, domain):
+    # x = lo + (hi - lo) tan(theta/4) onto (lo, hi), lo + tan(theta/2) onto
+    # (lo, inf), whatever the tags say (cat.eq8 has no semi-infinite tag):
+    # the nodes rise through the copy's domain towards both ends
+    copy = get_representation(rep_id)._replace(domain=domain)
+    lo, hi = domain
+    thetas = chebyshev_nodes(1, 400)
+    [xs], jacobians = copy.substitution.tabulate(copy, thetas)
+    assert all(lo < x < hi for x in xs) and xs == sorted(xs)
+    assert all(j > 0.0 for j in jacobians)
+    assert xs[0] - lo < 1e-2 and (xs[-1] > 100.0 if hi == math.inf else hi - xs[-1] < 1e-2)
+    if hi < math.inf:  # the Jacobian integrates to the width
+        assert math.pi * sum(jacobians) / len(thetas) == pytest.approx(hi - lo, rel=1e-4)
+
+
+def test_a_tangent_copy_fails_its_row_instead_of_reading_another_interval():
+    # integrand x Jacobian is P(cos theta) only on (0, 1) and (0, inf): on
+    # cat.eq8's (0, 2) copy the theta rule is not exact, and no longer reads
+    # C(3) = 5 of (0, 1); the forced engine converges to the copy's 5.276
+    copy = get_representation("cat.eq8")._replace(domain=(0.0, 2.0))
+    theta, forced = verify(copy, 3), verify(copy, 3, rule="tanh-sinh")
+    assert not theta.passed and abs(theta.estimate - 5.0) > 1.0
+    assert forced.converged and not forced.passed
+    assert forced.estimate == pytest.approx(5.276252, rel=1e-6)
+
+
+def test_the_semi_infinite_tag_describes_the_domain():
+    for rep in ENTRIES.values():
+        assert (Singularity.SEMI_INFINITE in rep.singularities) == (rep.domain[1] == math.inf), rep.id
+        assert rep.semi_infinite == (rep.domain[1] == math.inf), rep.id
 
 
 def test_substitution_maps_theta_into_the_domain():

@@ -240,8 +240,7 @@ def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
     def engine_called(*args, **kwargs):
         raise AssertionError("an engine ran before the rule was refused")
 
-    for name in ("tanh_sinh", "integrate_semi_infinite",
-                 "chebyshev_sum_first", "chebyshev_sum_second"):
+    for name in ("tanh_sinh", "chebyshev_sum_first", "chebyshev_sum_second"):
         monkeypatch.setattr(catmot.catalog, name, engine_called)
     code, out, err = run(capsys, "verify", "all", "--rule", "tanh-sinh",
                          "--n-range", "0..311", "--n-max", "400")
@@ -503,7 +502,7 @@ def _small_report():
     ]
     # include a non-converged row so serialization covers the failure shape;
     # its estimate is within tolerance, so only convergence fails it
-    cfg = QuadConfig(rel_tol=1e-300, abs_tol=0.0, max_levels=3)
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=0.0, max_levels=3)
     rows.append(verify(get_representation("cat.eq9"), 2, cfg, rule="tanh-sinh"))
     return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
 
@@ -654,6 +653,27 @@ def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2")
     assert (code, out) == (2, "")
     assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
+    # no forced row is sure to converge below 1e-15: refused before any row runs
+    argv = ["verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300"]
+    monkeypatch.delenv(ENV_PREFIX + "REL_TOL", raising=False)
+    if source == "flag":
+        argv += ["--rel-tol", "1e-16"]
+    elif source == "env":
+        monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "1e-16")
+    else:
+        cfg = tmp_path / "catmot.conf"
+        cfg.write_text("rel_tol = 1e-16\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "catmot verify: error: rel_tol must be at least 1e-15, got 1e-16\n"
+    # the floor itself runs, and the row converges
+    code, out, err = run(capsys, *argv[:8], "--rel-tol", "1e-15", "--abs-tol", "0")
+    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

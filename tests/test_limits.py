@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from catmot.catalog import VALID_RULE_OVERRIDES, list_representations
 from catmot.cli import main
+from catmot.quadrature import _MIN_REL_TOL
 from catmot.transform import FORMS
 
 ENTRY_IDS = [rep.id for rep in list_representations()]
@@ -44,7 +45,7 @@ def verify_requests(draw):
     levels = draw(st.none() | st.integers(3, 8 if rule and selector == "all" else 16))
     for flag, value in (
         ("--tol", draw(st.sampled_from([None, 1e-13, 1e-9, 1e-6]))),
-        ("--rel-tol", draw(st.sampled_from([None, 1e-16, 1e-11, 1e-6]))),
+        ("--rel-tol", draw(st.sampled_from([None, _MIN_REL_TOL, 1e-11, 1e-6]))),
         ("--abs-tol", draw(st.sampled_from([None, 0.0]))),
         ("--max-levels", levels),
     ):
@@ -88,7 +89,7 @@ def _row_values(fmt, out):
 @example(["verify", "cat.eq7", "--n-range", "512..512", "--n-max", "600", "--format", "json"])
 @example(["verify", "mot.13a", "--n-range", "646..646", "--n-max", "700"])
 @example(["verify", "mot.13a", "--rule", "tanh-sinh", "--n-range", "311..311",
-          "--n-max", "400", "--rel-tol", "1e-16", "--max-levels", "10"])
+          "--n-max", "400", "--rel-tol", str(_MIN_REL_TOL), "--max-levels", "10"])
 @example(["transform", "cat.eq2", "--n", "646"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_a_request_runs_finite_or_is_refused_up_front(argv):

@@ -142,47 +142,37 @@ def test_tanh_sinh_never_hits_endpoints():
 
 def test_tanh_sinh_requires_finite_interval():
     with pytest.raises(ValueError):
-        tanh_sinh(lambda x: x, 0.0, math.inf)
-    with pytest.raises(ValueError):
         tanh_sinh(lambda x: x, 1.0, 1.0)
+    # a half-line must start at a finite a, and the distance form needs a
+    # finite b: no node is evaluated before either refusal
+    probe = Counter(lambda *args: 1.0)
+    with pytest.raises(ValueError, match="finite a < b"):
+        tanh_sinh(probe, -math.inf, 0.0)
+    with pytest.raises(ValueError, match="singular only on a finite interval"):
+        tanh_sinh(None, 0.0, math.inf, singular=probe)
+    assert probe.calls == 0
 
 
 def test_tanh_sinh_level_refinement_never_hurts():
     # more levels never increase the true error against exact-count oracles,
-    # up to the rounding plateau
+    # up to the rounding plateau.  At the rel_tol floor with no absolute
+    # floor the small n converge at level 4, cat.eq4 at n = 300 at level 7
     from catmot.catalog import get_representation
 
-    cases = []  # (integrand over distances, (a, b), exact integral value)
-    rep = get_representation("cat.eq4")
-    n = 3
-    cases.append(
-        (
-            lambda da, db: rep.integrand(n, da, db),
-            rep.domain,
-            float(catalan(n)) / rep.prefactor_float(n),
-        )
-    )
-    rep5 = get_representation("cat.eq5")
-    m = 2
-    cases.append(
-        (
-            lambda da, db: rep5.integrand(m, da, db),
-            rep5.domain,
-            float(catalan(m)) / rep5.prefactor_float(m),
-        )
-    )
-    cfg_base = QuadConfig(rel_tol=1e-30, max_levels=3)
-    for integrand, (a, b), exact in cases:
+    cfg_base = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, abs_tol=0.0, max_levels=3)
+    for rep_id, n in (("cat.eq4", 3), ("cat.eq5", 2), ("cat.eq4", 300)):
+        rep = get_representation(rep_id)
+        exact = float(catalan(n)) / rep.prefactor_float(n)
         errors = []
         for levels in range(3, 11):
             res = tanh_sinh(
-                None, a, b, cfg_base._replace(max_levels=levels),
-                singular=integrand,
+                None, *rep.domain, cfg_base._replace(max_levels=levels),
+                singular=lambda da, db: rep.integrand(n, da, db),
             )
             errors.append(abs(res.value - exact))
         floor = 8.0 * 2.220446049250313e-16 * exact
         for before, after in zip(errors, errors[1:]):
-            assert after <= before or after <= floor
+            assert after <= before or after <= floor, (rep_id, n)
 
 
 def test_tanh_sinh_nonconvergence_reported():
@@ -210,7 +200,7 @@ def test_tanh_sinh_overflowed_sum_is_not_converged():
 @pytest.mark.parametrize("rep_id", ["mot.13a", "mot.13b"])
 def test_forced_engine_refuses_n_past_its_limit(rep_id):
     # the ~3^n/sqrt(d) distance integrands overflow near an endpoint from
-    # n = 311 (mot.13a at rel_tol 1e-16, max_levels 10): a forced engine
+    # n = 313 (mot.13a at rel_tol 1e-15, 5 to 16 levels): a forced engine
     # takes n <= 310, and no n past it reaches the integrand
     rep = get_representation(rep_id)
     seen = set()
@@ -220,7 +210,7 @@ def test_forced_engine_refuses_n_past_its_limit(rep_id):
         return rep.integrand(n, da, db)
 
     counted = rep._replace(integrand=integrand)
-    cfg = QuadConfig(rel_tol=1e-16, max_levels=10)
+    cfg = QuadConfig(rel_tol=1e-15, max_levels=10)
     row = verify(counted, 310, cfg, rule="tanh-sinh")
     assert math.isfinite(row.estimate) and math.isfinite(row.rel_err)
     for n in (311, 313, 314, 361):
@@ -265,6 +255,18 @@ def test_semi_infinite_skips_nodes_whose_x_overflows():
     assert res.value == pytest.approx(math.pi / 2.0, rel=1e-13)
     assert all(0.0 < x < math.inf for x in seen)
     assert max(seen) > 1e300
+
+
+def test_tanh_sinh_on_a_half_line():
+    # (1, inf) through x = 1 + u/(1 - u): the nodes stay inside, reach far
+    # out, and never round onto the finite end
+    c = Counter(lambda x: 1.0 / (1.0 + x * x))
+    seen = []
+    res = tanh_sinh(lambda x: seen.append(x) or c(x), 1.0, math.inf)
+    assert res.converged and res.evaluations == c.calls == len(seen)
+    assert abs(res.value - math.pi / 4.0) <= 1e-14 * (math.pi / 4.0)
+    assert all(1.0 < x < math.inf for x in seen)
+    assert min(seen) - 1.0 < 1e-10 and max(seen) > 1e100
 
 
 # -- adaptive Gauss-Kronrod ---------------------------------------------------
@@ -377,6 +379,19 @@ def test_quad_config_validation():
             cfg._replace(**bad)
 
 
+def test_quad_config_refuses_rel_tol_below_the_floor():
+    # below the measured floor some forced row cannot converge: refused up
+    # front, on copies too, while the floor itself is taken
+    floor = quadrature._MIN_REL_TOL
+    assert QuadConfig(rel_tol=floor).rel_tol == floor
+    for bad in (math.nextafter(floor, 0.0), 1e-16, 5e-324):
+        with pytest.raises(ValueError) as refused:
+            QuadConfig(rel_tol=bad)
+        assert str(refused.value) == f"rel_tol must be at least 1e-15, got {bad!r}"
+        with pytest.raises(ValueError, match="at least"):
+            QuadConfig()._replace(rel_tol=bad)
+
+
 # -- engine contracts on closed forms -------------------------------------------
 #
 # Each engine either converges to within 100 times its own tolerance, or its
@@ -461,7 +476,7 @@ def test_lazy_de_nodes_match_eager_tables():
         else:
             filled.append(len(nodes))
     assert filled[-1] < len(eager[-1])  # the deep levels reach the underflow
-    cfg = QuadConfig(rel_tol=1e-300, abs_tol=0.0, max_levels=12)
+    cfg = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, abs_tol=0.0, max_levels=12)
     walks = []
 
     def walk():

@@ -13,8 +13,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import catmot
-import catmot.transform
 from catmot.catalog import list_representations
 from catmot.transform import FORMS
 
@@ -79,8 +77,16 @@ def test_runtime_imports_only_the_standard_library():
 
 # public top-level names that no command runs, each with the reason it stays
 TEST_ONLY_ALLOWED = {
+    # acceptance criterion 6 imports it
+    "check_lemma1",
+    # acceptance criterion 7 imports it
+    "psi_difference",
+    # criterion 1's independent Motzkin oracle
+    "motzkin_oracle",
     # perfbench/tracer.py reads it eagerly for its polys.coeff span
     "PhiEvaluator",
+    # perfbench/tracer.py's quadrature.exp_sinh span wraps it
+    "integrate_semi_infinite",
 }
 
 
@@ -95,19 +101,19 @@ def _references(node) -> Counter:
 
 def test_runtime_has_no_test_only_functions():
     # every public function or class of the runtime is called by the program
-    # (referenced outside its own body), or exported; the exact references
-    # that only the tests compare against live under tests/
+    # (referenced outside its own body), or named above with its reason; an
+    # export alone is no reason.  The exact references that only the tests
+    # compare against live under tests/
     trees = [ast.parse(path.read_text(), str(path))
              for path in sorted((ROOT / "src" / "catmot").glob("*.py"))]
     referenced = sum(map(_references, trees), Counter())
-    exported = {*catmot.__all__, *catmot.transform.__all__, *TEST_ONLY_ALLOWED}
     unused = [
         node.name
         for tree in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in exported
+        and node.name not in TEST_ONLY_ALLOWED
         and referenced[node.name] == _references(node)[node.name]
     ]
     assert unused == []
