@@ -17,11 +17,9 @@ _SUBMODULE = {
     "Singularity": "catalog",
     "Substitution": "catalog",
     "VerificationRow": "catalog",
-    "adaptive_gk": "quadrature",
     "catalan": "exact",
     "check_lemma1": "transform",
     "get_representation": "catalog",
-    "integrate_semi_infinite": "quadrature",
     "list_representations": "catalog",
     "motzkin": "exact",
     "motzkin_oracle": "exact",

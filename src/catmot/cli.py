@@ -34,8 +34,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one stderr line, as every refusal, without the usage
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catmot",
         description="Catalan/Motzkin integral representation verifier",
     )
@@ -62,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
     cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
     cfg_group.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
-    cfg_group.add_argument("--abs-tol", type=float, dest="abs_tol", help="quadrature absolute floor")
     cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh level cap (3..16)")
 
     p_tr = sub.add_parser("transform", help="check a transform against its catalog pairing")
@@ -205,8 +209,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    if args.check_points < 1:
-        raise ValueError("--check-points must be at least 1")
+    if not 1 <= args.check_points <= 100_000:  # 10**5 points take 2 s at n = 645
+        raise ValueError(f"--check-points must be at least 1 and at most 100000, got {args.check_points}")
     pairing = PAIRS.get(args.catalan_id)
     # formatted whole before any of it is written: a failure leaves no partial output
     out = [f"catalan form : {args.catalan_id} ({flavor} transform)"]
@@ -235,17 +239,21 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma1(args: argparse.Namespace) -> int:
-    from .transform import _lemma1_holds, lemma1_sides
+    from .transform import check_lemma1
 
-    left, right = lemma1_sides(args.r, args.s, args.a)
+    check = check_lemma1(args.r, args.s, args.a, args.tol)
+    left, right = check.left.value, check.right.value
     sign = 1 if args.r % 2 == 0 else -1
-    ok = _lemma1_holds(args.r, left, right, args.tol)
     print(f"int over (0, a/2)   : {left!r}")
     print(f"int over (a/2, a)   : {right!r}")
     print(f"sign factor (-1)^r  : {sign:+d}")
     print(f"|left - sign*right| : {abs(left - sign * right):.3e} (tol {args.tol:g})")
-    print("result              : " + ("OK" if ok else "MISMATCH"))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    for span, side, exact, err in zip(("(0, a/2)", "(a/2, a)"), (check.left, check.right),
+                                      (check.exact, sign * check.exact), check.rel_errors):
+        print(f"exact over {span} : {exact!r}")
+        print(f"rel err {span}    : {err:.3e} ({'' if side.converged else 'not '}converged)")
+    print("result              : " + ("OK" if check else "MISMATCH"))
+    return EXIT_OK if check else EXIT_CHECK_FAILED
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -21,7 +21,6 @@ class Settings(NamedTuple):
     # n_max, then QuadConfig's fields under its names and defaults
     n_max: int = 30
     rel_tol: float = _ENGINE_DEFAULTS.rel_tol
-    abs_tol: float = _ENGINE_DEFAULTS.abs_tol
     max_levels: int = _ENGINE_DEFAULTS.max_levels
 
     def quad_config(self) -> QuadConfig:

@@ -9,8 +9,8 @@ catalog:
 * tanh-sinh: double-exponential transformation for finite intervals with
   integrable algebraic endpoint singularities, and for (a, +inf) through
   x = a + u/(1 - u) on u in (0, 1).
-* adaptive Gauss-Kronrod 7/15: work-queue bisection for smooth integrands
-  on finite intervals; ``lemma1`` is its one caller.
+* adaptive Gauss-Kronrod 7/15 for smooth integrands on finite intervals: no
+  command runs it; it stays while the benchmark's tracer wraps it (ROADMAP item 1a).
 
 All rules report the true number of integrand evaluations and are
 deterministic: identical inputs produce bit-identical results.
@@ -31,10 +31,10 @@ _HALF_PI = math.pi / 2.0
 # at the default 12 levels and 0.8M at 16
 _MAX_DE_LEVEL = 16
 # the smallest rel_tol: near the double epsilon no level difference meets
-# it.  Measured on the 5,908 forced catalog rows (19 entries, n_min..310,
-# 12 levels, abs_tol 0): all converge at 1e-15 and at 5e-16, and so do the
-# 209 rows of n 300..310 at 16 levels and 1e-15; at 4e-16 cat.eq6 (n = 275,
-# 276) and mot.12d (n = 303) do not.  1e-15 leaves a 2x margin
+# it.  Measured on the 5,908 forced catalog rows (19 entries, n_min..310, 12
+# levels): all converge at 1e-15 and at 5e-16, and so do the 209 rows of n
+# 300..310 at 16 levels and 1e-15; at 4e-16 cat.eq6 (n = 275, 276) and
+# mot.12d (n = 303) do not.  1e-15 leaves a 2x margin
 _MIN_REL_TOL = 1e-15
 # the Gauss-Kronrod subdivision budget, in intervals
 _MAX_SUBDIVISIONS = 2000
@@ -42,7 +42,6 @@ _MAX_SUBDIVISIONS = 2000
 
 class _QuadConfigFields(NamedTuple):
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-300
     max_levels: int = 12
 
 
@@ -50,10 +49,9 @@ class QuadConfig(_QuadConfigFields):
     """Engine tolerances and caps shared by all adaptive rules; which rule
     runs is the caller's choice (``catalog.verify`` picks it per entry).
 
-    Convergence everywhere means: error_estimate <= max(rel_tol * |value|,
-    abs_tol).  The defaults suit integrands whose values span many orders of
-    magnitude, which is the normal case here.  Every instance is validated,
-    copies made with ``_replace`` included.
+    Convergence everywhere means error_estimate <= rel_tol * |value|: no
+    absolute floor suits integrals that span many orders of magnitude.
+    Every instance is validated, copies made with ``_replace`` included.
     """
 
     __slots__ = ()
@@ -64,8 +62,6 @@ class QuadConfig(_QuadConfigFields):
             raise ValueError("rel_tol must be positive and finite")
         if self.rel_tol < _MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:g}, got {self.rel_tol!r}")
-        if not 0.0 <= self.abs_tol < math.inf:
-            raise ValueError("abs_tol must be nonnegative and finite")
         if not 3 <= self.max_levels <= _MAX_DE_LEVEL:
             raise ValueError(f"max_levels must be in 3..{_MAX_DE_LEVEL}")
         return self
@@ -81,10 +77,6 @@ class QuadratureResult(NamedTuple):
     evaluations: int
     rule: str
     converged: bool
-
-
-def _tolerance(cfg: QuadConfig, value: float) -> float:
-    return max(cfg.rel_tol * abs(value), cfg.abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +217,7 @@ def _tanh_sinh(
         if level:
             err = abs(weighted - prev) * halfwidth
             # two refinements minimum guards against accidental level-0/1 agreement
-            converged = level >= 2 and err <= _tolerance(cfg, weighted * halfwidth)
+            converged = level >= 2 and err <= cfg.rel_tol * abs(weighted * halfwidth)
             if converged:
                 break
         prev = weighted
@@ -387,7 +379,7 @@ def adaptive_gk(
     counter = 1
     min_width = 200.0 * _EPS * max(1.0, abs(a), abs(b))
 
-    converged = total_err <= _tolerance(cfg, total_val)
+    converged = total_err <= cfg.rel_tol * abs(total_val)
     while not converged and heap and len(heap) + len(frozen) < _MAX_SUBDIVISIONS:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < min_width:
@@ -402,7 +394,7 @@ def adaptive_gk(
         counter += 1
         total_val += val_l + val_r - val
         total_err += err_l + err_r - err
-        converged = total_err <= _tolerance(cfg, total_val)
+        converged = total_err <= cfg.rel_tol * abs(total_val)
 
     # deterministic final summation, ordered by interval position
     intervals = sorted(
@@ -414,4 +406,4 @@ def adaptive_gk(
         value += val
         error += err
     rule = f"gauss-kronrod[intervals={len(intervals)}]"
-    return QuadratureResult(value, error, evals, rule, error <= _tolerance(cfg, value))
+    return QuadratureResult(value, error, evals, rule, error <= cfg.rel_tol * abs(value))

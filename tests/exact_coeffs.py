@@ -1,7 +1,9 @@
-"""Exact rational coefficients of the transform kernels' difference
-polynomials: the references that the float coefficients in ``catmot.polys``
-are checked against.  The runtime evaluates only the floats."""
+"""Exact references that the runtime's floats are checked against: the
+rational coefficients of the transform kernels' difference polynomials,
+whose floats ``catmot.polys`` evaluates, and the Wallis integral behind
+``lemma1``."""
 
+import math
 from fractions import Fraction
 
 
@@ -36,3 +38,11 @@ def psi_diff_coeffs(n: int) -> tuple[Fraction, ...]:
     a, b = n + 1, n + 2
     hi, lo = _binomial_row(b), _binomial_row(a)
     return tuple(Fraction(a * hi[j] - b * lo[j], a * b) for j in range(2, b + 1))
+
+
+def wallis(r: int, s: int) -> float:
+    """The integral of cos^r sin^s over (0, pi/2) from its double factorials,
+    (r-1)!!(s-1)!!/(r+s)!!, times pi/2 when r and s are both even."""
+    ratio = math.prod(range(r - 1, 0, -2)) * math.prod(range(s - 1, 0, -2)) / math.prod(
+        range(r + s, 0, -2))
+    return ratio * math.pi / 2 if r % 2 == 0 and s % 2 == 0 else ratio

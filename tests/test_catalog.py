@@ -195,10 +195,10 @@ def test_rule_override_validation():
 
 
 def test_nonconvergence_is_flagged_not_raised():
-    # three levels do not meet rel_tol 1e-12 with a zero floor, while the
-    # estimate itself is good to an ulp: the row fails on convergence alone
+    # three levels do not meet rel_tol 1e-12, while the estimate itself is
+    # good to an ulp: the row fails on convergence alone
     rep = get_representation("cat.eq9")
-    cfg = QuadConfig(rel_tol=1e-12, abs_tol=0.0, max_levels=3)
+    cfg = QuadConfig(rel_tol=1e-12, max_levels=3)
     row = verify(rep, 2, cfg, rule="tanh-sinh")
     assert row.rel_err <= default_tolerance(rep)
     assert not row.converged

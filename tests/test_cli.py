@@ -17,6 +17,7 @@ from catmot.exact import motzkin, motzkin_oracle
 from catmot.quadrature import QuadConfig
 from catmot.report import CSV_HEADER, Report
 from catmot.transform import get_form, motzkin_representation
+from exact_coeffs import wallis
 
 
 def run(capsys, *argv):
@@ -217,6 +218,27 @@ def test_removed_gauss_kronrod_options_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
+    # every engine test is relative; no caller set the absolute floor
+    argv = ["verify", "cat.eq9", "--n-range", "2..2"]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--abs-tol", "0"])
+        code, out, err = exc.value.code, *capsys.readouterr()
+        message = "catmot: error: unrecognized arguments: --abs-tol 0\n"
+    elif source == "env":
+        monkeypatch.setenv(ENV_PREFIX + "ABS_TOL", "0")
+        code, out, err = run(capsys, *argv)
+        message = f"catmot verify: error: unknown environment variable '{ENV_PREFIX}ABS_TOL'\n"
+    else:
+        cfg = tmp_path / "catmot.conf"
+        cfg.write_text("abs_tol=0\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        message = "catmot verify: error: unknown config key 'abs_tol'\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_removed_config_key_is_refused(capsys, tmp_path):
     cfg = tmp_path / "catmot.conf"
     cfg.write_text("max_subdivisions=2000\n", encoding="utf-8")
@@ -299,7 +321,7 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
     assert set(threads) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--abs-tol", "nan")])
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--rel-tol", "nan")])
 def test_verify_non_finite_tolerance_exits_2(capsys, flag, value):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", flag, value)
     assert code == 2
@@ -438,6 +460,14 @@ def test_transform_check_points_below_one_exits_2(capsys, catalan_id, points):
     assert "--check-points must be at least 1" in err
 
 
+def test_transform_check_points_above_the_cap_exits_2(capsys):
+    # refused before any sample point is built
+    code, out, err = run(capsys, "transform", "cat.eq5", "--check-points", "100001")
+    assert (code, out) == (2, "")
+    assert err == ("catmot transform: error: --check-points must be at least 1 "
+                   "and at most 100000, got 100001\n")
+
+
 # -- lemma1 ----------------------------------------------------------------------
 
 def test_lemma1_even_instance(capsys):
@@ -480,16 +510,53 @@ def test_lemma1_infinite_tol_exits_2(capsys):
 
 
 def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
-    import catmot.transform
+    import catmot.quadrature
 
     calls = []
-    gk = catmot.transform.adaptive_gk
+    engine = catmot.quadrature.tanh_sinh
     monkeypatch.setattr(
-        catmot.transform, "adaptive_gk", lambda *a: calls.append(a[1:3]) or gk(*a)
+        catmot.quadrature, "tanh_sinh", lambda *a: calls.append(a[1:3]) or engine(*a)
     )
     code, out, _ = run(capsys, "lemma1", "2", "1")
     assert code == 0 and "OK" in out
     assert calls == [(0.0, 0.5), (0.5, 1.0)]
+
+
+def test_lemma1_sides_match_the_wallis_integral(capsys):
+    # at r = s = 50 each side is 5e-17: an absolute floor of 1e-16 let both
+    # read 5.4% off, and an absolute comparison below tol passed them
+    code, out, err = run(capsys, "lemma1", "50", "50")
+    assert (code, err) == (0, "")
+    lines = {key.strip(): value for key, value in (line.split(" : ") for line in out.splitlines())}
+    exact = wallis(50, 50) / math.pi
+    for span in ("(0, a/2)", "(a/2, a)"):
+        assert abs(float(lines[f"int over {span}"]) - exact) <= 1e-10 * exact
+        assert float(lines[f"exact over {span}"]) == pytest.approx(exact, rel=1e-14)
+        rel_err, state = lines[f"rel err {span}"].split(" (")
+        assert float(rel_err) <= 1e-10 and state == "converged)"
+    assert lines["result"] == "OK"
+
+
+def test_lemma1_non_converged_side_is_a_mismatch(capsys, monkeypatch):
+    import catmot.quadrature
+
+    engine = catmot.quadrature.tanh_sinh
+    monkeypatch.setattr(catmot.quadrature, "tanh_sinh",
+                        lambda *a: engine(*a)._replace(converged=False))
+    code, out, err = run(capsys, "lemma1", "7", "3")
+    assert (code, err) == (1, "")
+    assert out.count("(not converged)") == 2
+    assert out.splitlines()[-1] == "result              : MISMATCH"
+
+
+@pytest.mark.parametrize("r, s, message", [
+    # past the largest r + s, and an exact side that underflows
+    ("0", "10000000", "r and s must be nonnegative with r + s <= 20000, got 0 and 10000000"),
+    ("5000", "5000", "the exact side (a/pi)*W(5000, 5000) = 0.0 is not a normal float"),
+])
+def test_lemma1_out_of_reach_is_refused(capsys, r, s, message):
+    code, out, err = run(capsys, "lemma1", r, s)
+    assert (code, out, err) == (2, "", f"catmot lemma1: error: {message}\n")
 
 
 # -- report serialization ---------------------------------------------------------
@@ -502,7 +569,7 @@ def _small_report():
     ]
     # include a non-converged row so serialization covers the failure shape;
     # its estimate is within tolerance, so only convergence fails it
-    cfg = QuadConfig(rel_tol=1e-12, abs_tol=0.0, max_levels=3)
+    cfg = QuadConfig(rel_tol=1e-12, max_levels=3)
     rows.append(verify(get_representation("cat.eq9"), 2, cfg, rule="tanh-sinh"))
     return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
 
@@ -672,7 +739,7 @@ def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, cap
     assert (code, out) == (2, "")
     assert err == "catmot verify: error: rel_tol must be at least 1e-15, got 1e-16\n"
     # the floor itself runs, and the row converges
-    code, out, err = run(capsys, *argv[:8], "--rel-tol", "1e-15", "--abs-tol", "0")
+    code, out, err = run(capsys, *argv[:8], "--rel-tol", "1e-15")
     assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
 
 

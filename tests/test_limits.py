@@ -46,7 +46,6 @@ def verify_requests(draw):
     for flag, value in (
         ("--tol", draw(st.sampled_from([None, 1e-13, 1e-9, 1e-6]))),
         ("--rel-tol", draw(st.sampled_from([None, _MIN_REL_TOL, 1e-11, 1e-6]))),
-        ("--abs-tol", draw(st.sampled_from([None, 0.0]))),
         ("--max-levels", levels),
     ):
         if value is not None:

@@ -155,11 +155,11 @@ def test_tanh_sinh_requires_finite_interval():
 
 def test_tanh_sinh_level_refinement_never_hurts():
     # more levels never increase the true error against exact-count oracles,
-    # up to the rounding plateau.  At the rel_tol floor with no absolute
-    # floor the small n converge at level 4, cat.eq4 at n = 300 at level 7
+    # up to the rounding plateau.  At the rel_tol floor the small n
+    # converge at level 4, cat.eq4 at n = 300 at level 7
     from catmot.catalog import get_representation
 
-    cfg_base = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, abs_tol=0.0, max_levels=3)
+    cfg_base = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, max_levels=3)
     for rep_id, n in (("cat.eq4", 3), ("cat.eq5", 2), ("cat.eq4", 300)):
         rep = get_representation(rep_id)
         exact = float(catalan(n)) / rep.prefactor_float(n)
@@ -353,7 +353,7 @@ def test_converged_respects_tolerance_contract():
     cfg = QuadConfig(rel_tol=1e-9)
     res = tanh_sinh(lambda x: math.exp(-x), 0.0, 5.0, cfg)
     assert res.converged
-    assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
+    assert res.error_estimate <= cfg.rel_tol * abs(res.value)
     assert res.evaluations > 0
 
 
@@ -364,13 +364,9 @@ def test_quad_config_validation():
         with pytest.raises(ValueError, match=r"3\.\.16"):
             QuadConfig(max_levels=bad)
     assert QuadConfig(max_levels=16).max_levels == 16
-    with pytest.raises(ValueError):
-        QuadConfig(abs_tol=-1.0)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             QuadConfig(rel_tol=bad)
-        with pytest.raises(ValueError):
-            QuadConfig(abs_tol=bad)
     # copies are validated like new configs
     cfg = QuadConfig()
     assert cfg._replace(max_levels=5) == QuadConfig(max_levels=5)
@@ -408,7 +404,7 @@ def _beta(p, q):
 def _assert_contract(res, truth, cfg=QuadConfig()):
     assert not math.isnan(res.value) and not math.isnan(res.error_estimate)
     assert res.converged, (res, truth)
-    bound = 100.0 * max(res.error_estimate, cfg.rel_tol * abs(res.value), cfg.abs_tol)
+    bound = 100.0 * max(res.error_estimate, cfg.rel_tol * abs(res.value))
     assert abs(res.value - truth) <= bound, (res, truth)
 
 
@@ -476,7 +472,7 @@ def test_lazy_de_nodes_match_eager_tables():
         else:
             filled.append(len(nodes))
     assert filled[-1] < len(eager[-1])  # the deep levels reach the underflow
-    cfg = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, abs_tol=0.0, max_levels=12)
+    cfg = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, max_levels=12)
     walks = []
 
     def walk():

@@ -12,11 +12,10 @@ from catmot.transform import (
     _sample_points,
     check_lemma1,
     get_form,
-    lemma1_sides,
     motzkin_representation,
     transform_deviation,
 )
-from exact_coeffs import phi_diff_coeffs
+from exact_coeffs import phi_diff_coeffs, wallis
 
 _PI = math.pi
 
@@ -221,10 +220,12 @@ def test_transform_refuses_n_past_the_motzkin_limit(monkeypatch, catalan_id, mot
 # -- lemma 1 ------------------------------------------------------------------
 
 def test_lemma1_constant_case():
-    left, right = lemma1_sides(0, 0, 1.0)
-    assert left == pytest.approx(0.5, rel=1e-13)
-    assert right == pytest.approx(0.5, rel=1e-13)
-    assert check_lemma1(0, 0, 1.0, 1e-10)
+    check = check_lemma1(0, 0, 1.0, 1e-10)
+    assert check.exact == 0.5
+    assert check.left.value == pytest.approx(0.5, rel=1e-13)
+    assert check.right.value == pytest.approx(0.5, rel=1e-13)
+    # a check is true exactly when it holds, so `not check` finds a mismatch
+    assert check.holds and check and not check._replace(holds=False)
 
 
 def test_lemma1_even_cosine_power():
@@ -233,28 +234,85 @@ def test_lemma1_even_cosine_power():
 
 
 def test_lemma1_odd_case_has_opposite_signs():
-    left, right = lemma1_sides(1, 1, 2.0)
+    check = check_lemma1(1, 1, 2.0, 1e-10)
+    left, right = check.left.value, check.right.value
     assert left > 0.0 > right
     assert left == pytest.approx(-right, rel=1e-12)
-    assert check_lemma1(1, 1, 2.0, 1e-10)
+    assert check
 
 
-def test_lemma1_grid():
+def test_lemma1_grid(monkeypatch):
+    # criterion 6's grid, with the Gauss-Kronrod engine out of reach
+    import catmot.quadrature
+    import catmot.transform
+
+    def unreachable(*args):
+        raise AssertionError("lemma1 ran adaptive_gk")
+
+    monkeypatch.setattr(catmot.quadrature, "adaptive_gk", unreachable)
+    monkeypatch.setattr(catmot.transform, "adaptive_gk", unreachable, raising=False)
     for r in range(7):
         for s in range(7):
             for a in (1.0, 2.5, _PI):
                 assert check_lemma1(r, s, a, 1e-10), (r, s, a)
 
 
+@pytest.mark.parametrize("r, s", [
+    (0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (6, 5), (50, 50),
+    # at the limit r + s = 20000, where W still is a normal float
+    (0, 20000), (3, 19997), (19996, 4),
+])
+def test_lemma1_matches_the_wallis_integral(r, s):
+    for a in (1.0, 2.5, _PI):
+        check = check_lemma1(r, s, a, 1e-10)
+        exact = a / _PI * wallis(r, s)
+        assert check.exact == pytest.approx(exact, rel=1e-15)
+        sides = (check.left, check.right)
+        mirrored = (1, 1 if r % 2 == 0 else -1)
+        for side, sign, rel_err in zip(sides, mirrored, check.rel_errors):
+            assert side.converged and abs(side.value - sign * exact) <= 1e-12 * exact
+            assert rel_err == pytest.approx(abs(side.value - sign * check.exact) / check.exact)
+        assert check.holds
+
+
+@pytest.mark.parametrize("left, right, converged, holds", [
+    (1.0, 1.0, (True, True), True),
+    # each side within tol of its exact value, the two 1.8 tol apart
+    (1.0 + 9e-11, 1.0 - 9e-11, (True, True), False),
+    # exact sides, one not converged
+    (1.0, 1.0, (False, True), False),
+    (1.0, 1.0, (True, False), False),
+])
+def test_lemma1_verdict(monkeypatch, left, right, converged, holds):
+    import catmot.quadrature
+    from catmot.quadrature import QuadratureResult
+
+    exact = check_lemma1(2, 0, 1.0, 1e-10).exact
+    sides = iter(zip((left, right), converged))
+
+    def engine(*args):
+        scale, ok = next(sides)
+        return QuadratureResult(scale * exact, 0.0, 1, "stub", ok)
+
+    monkeypatch.setattr(catmot.quadrature, "tanh_sinh", engine)
+    assert check_lemma1(2, 0, 1.0, 1e-10).holds is holds
+
+
 def test_lemma1_preconditions():
     with pytest.raises(ValueError):
         check_lemma1(-1, 0, 1.0, 1e-10)
     # a/2 underflows to 0 at the smallest subnormal, and pi*a overflows above
-    # ~5.72e307, while 1e-323 and 5.7e307 still run
+    # ~5.72e307, while 5.7e307 still runs; at 1e-323 the exact side, 4e-325,
+    # underflows, and tanh-sinh would return a converged 0.0 for it
     for a in (-1.0, 5e-324, 5.8e307):
         with pytest.raises(ValueError, match="a must"):
             check_lemma1(0, 0, a, 1e-10)
-    assert check_lemma1(3, 2, 1e-323, 1e-10) and check_lemma1(3, 2, 5.7e307, 1e-10)
+    with pytest.raises(ValueError, match="is not a normal float"):
+        check_lemma1(3, 2, 1e-323, 1e-10)
+    assert check_lemma1(3, 2, 5.7e307, 1e-10)
+    # past r + s = 20000 the 1e-13 engine test fails on correct sides
+    with pytest.raises(ValueError, match="r \\+ s <= 20000, got 1 and 20000"):
+        check_lemma1(1, 20000, 1.0, 1e-10)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             check_lemma1(0, 0, 1.0, tol)
