@@ -11,7 +11,6 @@ _SUBMODULE = {
     "CatalanForm": "transform",
     "ComparisonMode": "transform",
     "Family": "catalog",
-    "QuadConfig": "quadrature",
     "QuadratureResult": "quadrature",
     "Representation": "catalog",
     "Singularity": "catalog",

@@ -30,7 +30,6 @@ from .exact import catalan, catalan_numbers, motzkin, motzkin_numbers
 from .polys import phi_diff_over_square, psi_difference_over_square
 from .quadrature import (
     _EPS,
-    QuadConfig,
     QuadratureResult,
     chebyshev_nodes,
     chebyshev_sum_first,
@@ -527,8 +526,8 @@ def default_tolerance(rep: Representation) -> float:
 # The largest n every entry of a family takes, measured on the 19 entries
 # and the 9 transforms, not derived.  Under the theta rule cat.eq8's
 # prefactor 2^(2n+5) overflows at 510 and mot.13a/b go non-finite at 646;
-# under a forced engine mot.13a's ~3^n/sqrt(d) integrand overflows near an
-# endpoint from 313 (rel_tol 1e-15, the floor, at 5 to 16 levels).
+# under a forced tanh-sinh mot.13a's ~3^n/sqrt(d) integrand overflows near an
+# endpoint from 313, at level 5 of the 12 (at rel_tol 1e-11 and at 1e-15).
 _THETA_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 _FORCED_LIMIT = 310
 
@@ -585,9 +584,7 @@ def _theta_sum(rep: Representation, n: int, n_nodes: int) -> float:
 _ROUNDINGS_PER_DEGREE, _ABS_SUM_RATIO, _ROUNDINGS_PER_ROW = 24, 2, 6
 
 
-def _integrate(
-    rep: Representation, n: int, cfg: QuadConfig, rule: str
-) -> tuple[float, QuadratureResult]:
+def _integrate(rep: Representation, n: int, rule: str) -> tuple[float, QuadratureResult]:
     """Estimate of prefactor * integral, plus the raw engine result."""
     if rule == _RULE_CHEBYSHEV:
         sub = rep.substitution
@@ -604,9 +601,9 @@ def _integrate(
         return estimate, QuadratureResult(raw, ku / (1.0 - ku) * abs(raw), n_nodes, label, True)
     lo, hi = rep.domain
     if rep.endpoint_singular:
-        result = tanh_sinh(None, lo, hi, cfg, singular=lambda da, db: rep.integrand(n, da, db))
+        result = tanh_sinh(None, lo, hi, singular=lambda da, db: rep.integrand(n, da, db))
     else:
-        result = tanh_sinh(rep.at(n), lo, hi, cfg)
+        result = tanh_sinh(rep.at(n), lo, hi)
     estimate = rep.prefactor_float(n) * result.value
     return estimate, result
 
@@ -614,7 +611,6 @@ def _integrate(
 def verify(
     rep: Representation,
     n: int,
-    cfg: QuadConfig = QuadConfig(),
     tol: Optional[float] = None,
     rule: Optional[str] = None,
 ) -> VerificationRow:
@@ -622,16 +618,16 @@ def verify(
 
     ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the entry's
     substitution runs the exact Gauss-Chebyshev rule in theta, and
-    :func:`check_request` refuses an n past the rule's limit.  ``cfg`` holds
-    the engine tolerances.  ``tol`` defaults to the singularity-class
-    tolerance; a given one must be positive and finite.
+    :func:`check_request` refuses an n past the rule's limit.  A forced
+    tanh-sinh runs at its defaults.  ``tol`` defaults to the
+    singularity-class tolerance; a given one must be positive and finite.
     """
     rule = check_request(rep, n, rule)
     if tol is None:
         tol = default_tolerance(rep)
     elif not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    estimate, result = _integrate(rep, n, cfg, rule)
+    estimate, result = _integrate(rep, n, rule)
     exact = rep.exact_value(n)
     rel_err = abs(estimate - float(exact)) / float(exact)
     label = result.rule if result.converged else result.rule + "[non-converged]"

@@ -7,6 +7,9 @@ Subcommands:
     lemma1     check the half-range cosine/sine reflection identity
     table      print exact Catalan and Motzkin numbers
 
+Only verify is configured, and only its n_max (--n-max, CATMOT_N_MAX or a
+--config file); every command integrates at the engines' fixed settings.
+
 Exit codes: 0 all checks passed, 1 at least one verification failure or
 non-convergence, 2 usage or configuration error.
 """
@@ -66,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg_group = p_verify.add_argument_group("configuration")
     cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
     cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
-    cfg_group.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
-    cfg_group.add_argument("--max-levels", type=int, dest="max_levels", help="tanh-sinh level cap (3..16)")
 
     p_tr = sub.add_parser("transform", help="check a transform against its catalog pairing")
     p_tr.add_argument("catalan_id", help="registered Catalan form id, e.g. cat.eq5")
@@ -177,12 +178,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # an entry with no rows in the range (n_min > hi) is checked at its n_min
     for rep in reps:
         check_request(rep, max(hi, rep.n_min), args.rule)
-    cfg = settings.quad_config()
     # every row runs on this thread, whatever --jobs says: under the GIL a
     # thread pool only adds contention, and a process pool measured slower
     # (see the README on --jobs).  Rows run n by n to share theta nodes
     rows = [
-        verify(rep, n, cfg, args.tol, args.rule)
+        verify(rep, n, args.tol, args.rule)
         for n in range(lo, hi + 1)
         for rep in reps
         if n >= rep.n_min
@@ -205,12 +205,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from .catalog import verify
-    from .transform import PAIRS, ComparisonMode, get_form, motzkin_representation, transform_deviation
+    from .transform import (
+        PAIRS, ComparisonMode, check_point_count, get_form, motzkin_representation, transform_deviation,
+    )
 
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    if not 1 <= args.check_points <= 100_000:  # 10**5 points take 2 s at n = 645
-        raise ValueError(f"--check-points must be at least 1 and at most 100000, got {args.check_points}")
+    check_point_count(args.check_points)  # every form, paired or not
     pairing = PAIRS.get(args.catalan_id)
     # formatted whole before any of it is written: a failure leaves no partial output
     out = [f"catalan form : {args.catalan_id} ({flavor} transform)"]
@@ -242,12 +243,11 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
     from .transform import check_lemma1
 
     check = check_lemma1(args.r, args.s, args.a, args.tol)
-    left, right = check.left.value, check.right.value
     sign = 1 if args.r % 2 == 0 else -1
-    print(f"int over (0, a/2)   : {left!r}")
-    print(f"int over (a/2, a)   : {right!r}")
+    print(f"int over (0, a/2)   : {check.left.value!r}")
+    print(f"int over (a/2, a)   : {check.right.value!r}")
     print(f"sign factor (-1)^r  : {sign:+d}")
-    print(f"|left - sign*right| : {abs(left - sign * right):.3e} (tol {args.tol:g})")
+    print(f"mirrored rel diff   : {check.mirrored:.3e} (tol {args.tol:g})")
     for span, side, exact, err in zip(("(0, a/2)", "(a/2, a)"), (check.left, check.right),
                                       (check.exact, sign * check.exact), check.rel_errors):
         print(f"exact over {span} : {exact!r}")

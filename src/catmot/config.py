@@ -1,9 +1,10 @@
-"""Layered run configuration.
+"""Layered run configuration of ``verify``: one value, n_max.
 
-Precedence, lowest to highest: built-in defaults, config file (plain
-key=value lines), environment variables (CATMOT_ prefix), command-line
-flags.  The effective values are echoed into every report so a run can be
-reproduced from its output alone.
+Precedence, lowest to highest: built-in default, config file (plain
+key=value lines), environment variable (CATMOT_ prefix), command-line
+flag.  Any other key or CATMOT_ variable is refused.  The effective value
+is echoed into every report so a run can be reproduced from its output
+alone.
 """
 
 from __future__ import annotations
@@ -11,26 +12,17 @@ from __future__ import annotations
 import os
 from typing import Mapping, NamedTuple, Optional
 
-from .quadrature import QuadConfig
-
 ENV_PREFIX = "CATMOT_"
-_ENGINE_DEFAULTS = QuadConfig()
 
 
 class Settings(NamedTuple):
-    # n_max, then QuadConfig's fields under its names and defaults
     n_max: int = 30
-    rel_tol: float = _ENGINE_DEFAULTS.rel_tol
-    max_levels: int = _ENGINE_DEFAULTS.max_levels
-
-    def quad_config(self) -> QuadConfig:
-        return QuadConfig(*self[1:])
 
     def echo(self) -> dict[str, str]:
         return {name: str(value) for name, value in zip(self._fields, self)}
 
 
-# every default is an int or a float, and values parse to that type
+# every default is an int, and values parse to that type
 _FIELD_TYPES = {name: type(value) for name, value in Settings._field_defaults.items()}
 
 
@@ -80,7 +72,6 @@ def load_settings(
     if flag_overrides:
         values.update({k: v for k, v in flag_overrides.items() if v is not None})
     settings = Settings(**values)
-    # the engine values are checked by quad_config(); n_max by no one else
     if settings.n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {settings.n_max}")
     return settings

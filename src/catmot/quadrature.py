@@ -12,6 +12,10 @@ catalog:
 * adaptive Gauss-Kronrod 7/15 for smooth integrands on finite intervals: no
   command runs it; it stays while the benchmark's tracer wraps it (ROADMAP item 1a).
 
+The two adaptive rules take one setting, ``rel_tol`` (finite, at least
+1e-15): they converge when error_estimate <= rel_tol * |value|.  tanh-sinh
+refines up to a fixed cap of 12 levels.
+
 All rules report the true number of integrand evaluations and are
 deterministic: identical inputs produce bit-identical results.
 """
@@ -26,49 +30,22 @@ from typing import Callable, Iterable, NamedTuple, Optional
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _HALF_PI = math.pi / 2.0
-# deepest double-exponential level: level L runs to t_max, about 6.2 * 2**L
+# the double-exponential level cap: level L runs to t_max, about 6.2 * 2**L
 # evaluations, so a sum that never converges stops after about 50k of them
-# at the default 12 levels and 0.8M at 16
-_MAX_DE_LEVEL = 16
+_MAX_LEVELS = 12
 # the smallest rel_tol: near the double epsilon no level difference meets
 # it.  Measured on the 5,908 forced catalog rows (19 entries, n_min..310, 12
-# levels): all converge at 1e-15 and at 5e-16, and so do the 209 rows of n
-# 300..310 at 16 levels and 1e-15; at 4e-16 cat.eq6 (n = 275, 276) and
-# mot.12d (n = 303) do not.  1e-15 leaves a 2x margin
+# levels): all converge at 1e-15 and at 5e-16; at 4e-16 cat.eq6 (n = 275,
+# 276) and mot.12d (n = 303) do not.  1e-15 leaves a 2x margin
 _MIN_REL_TOL = 1e-15
 # the Gauss-Kronrod subdivision budget, in intervals
 _MAX_SUBDIVISIONS = 2000
 
 
-class _QuadConfigFields(NamedTuple):
-    rel_tol: float = 1e-11
-    max_levels: int = 12
-
-
-class QuadConfig(_QuadConfigFields):
-    """Engine tolerances and caps shared by all adaptive rules; which rule
-    runs is the caller's choice (``catalog.verify`` picks it per entry).
-
-    Convergence everywhere means error_estimate <= rel_tol * |value|: no
-    absolute floor suits integrals that span many orders of magnitude.
-    Every instance is validated, copies made with ``_replace`` included.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be positive and finite")
-        if self.rel_tol < _MIN_REL_TOL:
-            raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:g}, got {self.rel_tol!r}")
-        if not 3 <= self.max_levels <= _MAX_DE_LEVEL:
-            raise ValueError(f"max_levels must be in 3..{_MAX_DE_LEVEL}")
-        return self
-
-    def _replace(self, **changes) -> QuadConfig:
-        # the inherited _replace builds its copy without calling __new__
-        return type(self)(*super()._replace(**changes))
+def _check_rel_tol(rel_tol: float) -> None:
+    # relative only: no absolute floor suits integrals that span many orders of magnitude
+    if not _MIN_REL_TOL <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and at least {_MIN_REL_TOL:g}, got {rel_tol!r}")
 
 
 class QuadratureResult(NamedTuple):
@@ -163,7 +140,7 @@ def _de_node(t: float) -> tuple[float, float]:
 _T_MAX = 6.2
 
 
-@lru_cache(maxsize=_MAX_DE_LEVEL + 1)
+@lru_cache(maxsize=_MAX_LEVELS + 1)
 def _de_level(level: int) -> tuple[tuple[float, float], ...]:
     """The nodes (d, w) that a level adds below t_max, in increasing t:
     t = 1, 2, ... at level 0, the odd multiples of 2**-L at level L (each a
@@ -176,7 +153,7 @@ def _de_level(level: int) -> tuple[tuple[float, float], ...]:
 
 
 def _tanh_sinh(
-    f: Callable[[float, float], Optional[float]], a: float, b: float, cfg: QuadConfig
+    f: Callable[[float, float], Optional[float]], a: float, b: float, rel_tol: float
 ) -> QuadratureResult:
     """Level-doubling tanh-sinh sums of ``f(x - a, b - x)`` over (a, b).
 
@@ -199,7 +176,7 @@ def _tanh_sinh(
     # level 0 and the Jacobian factor halfwidth are folded in later
     raw = _HALF_PI * sample(halfwidth, halfwidth)
     comp = 0.0  # Kahan compensation keeps the refinement plateau at a few ulps
-    for level in range(cfg.max_levels + 1):  # max_levels >= 3
+    for level in range(_MAX_LEVELS + 1):
         for d, w in _de_level(level):
             near = halfwidth * d
             if near == 0.0 or w == 0.0:
@@ -217,7 +194,7 @@ def _tanh_sinh(
         if level:
             err = abs(weighted - prev) * halfwidth
             # two refinements minimum guards against accidental level-0/1 agreement
-            converged = level >= 2 and err <= cfg.rel_tol * abs(weighted * halfwidth)
+            converged = level >= 2 and err <= rel_tol * abs(weighted * halfwidth)
             if converged:
                 break
         prev = weighted
@@ -228,15 +205,16 @@ def tanh_sinh(
     h: Optional[Callable[[float], float]],
     a: float,
     b: float,
-    cfg: QuadConfig = QuadConfig(),
+    rel_tol: float = 1e-11,
     singular: Optional[Callable[[float, float], float]] = None,
 ) -> QuadratureResult:
     """Integrate h over (a, b), a finite and b finite or +inf.
 
     Handles integrable algebraic endpoint singularities milder than
     1/(x - a).  Convergence is declared when successive level sums agree to
-    the configured tolerance; each level halves the trapezoid spacing in t.
-    A level whose sum is not finite ends the loop, non-converged.
+    ``rel_tol`` relative to the value; each level halves the trapezoid
+    spacing in t, up to ``_MAX_LEVELS``.  A level whose sum is not finite
+    ends the loop, non-converged.
 
     A plain ``h(x)`` cannot see distances to an endpoint below about
     sqrt(eps), because ``b - tiny`` rounds; integrands that blow up at an
@@ -252,6 +230,7 @@ def tanh_sinh(
     """
     if not a < b or math.isinf(a):
         raise ValueError("tanh_sinh requires a finite a < b")
+    _check_rel_tol(rel_tol)
     if b == math.inf:
         if singular is not None:
             raise ValueError("tanh_sinh takes singular only on a finite interval")
@@ -259,20 +238,19 @@ def tanh_sinh(
             x, inv = a + u / v, 1.0 / v
             return None if x == a or x == math.inf else h(x) * inv * inv
 
-        return _tanh_sinh(semi_infinite, 0.0, 1.0, cfg)
+        return _tanh_sinh(semi_infinite, 0.0, 1.0, rel_tol)
     if singular is None:
         def singular(da: float, db: float) -> Optional[float]:
             x = a + da if da <= db else b - db
             return None if x == a or x == b else h(x)
-    return _tanh_sinh(singular, a, b, cfg)
+    return _tanh_sinh(singular, a, b, rel_tol)
 
 
 def integrate_semi_infinite(
-    h: Callable[[float], float],
-    cfg: QuadConfig = QuadConfig(),
+    h: Callable[[float], float], rel_tol: float = 1e-11
 ) -> QuadratureResult:
     """:func:`tanh_sinh` over (0, +inf), a name the benchmark's tracer wraps."""
-    return tanh_sinh(h, 0.0, math.inf, cfg)
+    return tanh_sinh(h, 0.0, math.inf, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +332,7 @@ def adaptive_gk(
     h: Callable[[float], float],
     a: float,
     b: float,
-    cfg: QuadConfig = QuadConfig(),
+    rel_tol: float = 1e-11,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of h over finite [a, b].
 
@@ -366,6 +344,7 @@ def adaptive_gk(
     """
     if not (a < b) or math.isinf(a) or math.isinf(b):
         raise ValueError("adaptive_gk requires finite a < b")
+    _check_rel_tol(rel_tol)
     evals = 0
 
     def sample(x: float) -> float:
@@ -379,7 +358,7 @@ def adaptive_gk(
     counter = 1
     min_width = 200.0 * _EPS * max(1.0, abs(a), abs(b))
 
-    converged = total_err <= cfg.rel_tol * abs(total_val)
+    converged = total_err <= rel_tol * abs(total_val)
     while not converged and heap and len(heap) + len(frozen) < _MAX_SUBDIVISIONS:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         if hi - lo < min_width:
@@ -394,7 +373,7 @@ def adaptive_gk(
         counter += 1
         total_val += val_l + val_r - val
         total_err += err_l + err_r - err
-        converged = total_err <= cfg.rel_tol * abs(total_val)
+        converged = total_err <= rel_tol * abs(total_val)
 
     # deterministic final summation, ordered by interval position
     intervals = sorted(
@@ -406,4 +385,4 @@ def adaptive_gk(
         value += val
         error += err
     rule = f"gauss-kronrod[intervals={len(intervals)}]"
-    return QuadratureResult(value, error, evals, rule, error <= cfg.rel_tol * abs(value))
+    return QuadratureResult(value, error, evals, rule, error <= rel_tol * abs(value))

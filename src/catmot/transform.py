@@ -140,6 +140,18 @@ def get_form(catalan_id: str) -> CatalanForm:
         ) from None
 
 
+# 10**5 points take 0.3 s at n = 5 and 2 s at n = 645
+_MAX_CHECK_POINTS = 100_000
+
+
+def check_point_count(check_points: int) -> None:
+    """Refuse a pointwise sample count outside 1..100,000 with ValueError."""
+    if not 1 <= check_points <= _MAX_CHECK_POINTS:
+        raise ValueError(
+            f"check_points must be at least 1 and at most {_MAX_CHECK_POINTS}, got {check_points}"
+        )
+
+
 def _sample_points(source: Representation, count: int) -> list[float]:
     lo, hi = source.domain
     if source.semi_infinite:
@@ -158,13 +170,13 @@ def transform_deviation(
     """Relative deviation between the transform of the registered form and
     the Motzkin catalog entry: maximum over sample points (pointwise mode)
     or between integral values (value-only mode, inf when either integral
-    did not converge, since two wrong values may agree)."""
+    did not converge, since two wrong values may agree).  ``check_points``
+    must be in 1..100,000 in either mode."""
+    check_point_count(check_points)
     derived = motzkin_representation(get_form(catalan_id))
     check_request(derived, n)  # refuses an n past the Motzkin limit up front
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
-        if check_points < 1:
-            raise ValueError("need at least one sample point")
         scale = rep.prefactor_float(n)
         derived_at, rep_at = derived.at(n), rep.at(n)
         worst = 0.0
@@ -182,11 +194,13 @@ def transform_deviation(
 
 
 class Lemma1Check(NamedTuple):
-    """Lemma 1's sides, the first's exact value, their relative errors and the verdict."""
+    """Lemma 1's sides, the first's exact value, their relative errors, the
+    relative mirrored difference |left - (-1)^r right| / exact and the verdict."""
     left: quadrature.QuadratureResult
     right: quadrature.QuadratureResult
     exact: float
     rel_errors: tuple[float, float]
+    mirrored: float
     holds: bool
 
     def __bool__(self) -> bool:
@@ -220,12 +234,13 @@ def check_lemma1(r: int, s: int, a: float, tol: float) -> Lemma1Check:
     def integrand(x: float) -> float:
         return math.cos(_PI * x / a) ** r * math.sin(_PI * x / a) ** s
 
-    cfg, sign = quadrature.QuadConfig(rel_tol=1e-13), 1 if r % 2 == 0 else -1
-    left, right = (quadrature.tanh_sinh(integrand, *ends, cfg) for ends in ((0.0, a / 2), (a / 2, a)))
+    sign = 1 if r % 2 == 0 else -1
+    halves = ((0.0, a / 2), (a / 2, a))
+    left, right = (quadrature.tanh_sinh(integrand, lo, hi, rel_tol=1e-13) for lo, hi in halves)
     rel_errors = (abs(left.value - exact) / exact, abs(sign * right.value - exact) / exact)
     mirrored = abs(left.value - sign * right.value) / exact
     holds = left.converged and right.converged and max(*rel_errors, mirrored) <= tol
-    return Lemma1Check(left, right, exact, rel_errors, holds)
+    return Lemma1Check(left, right, exact, rel_errors, mirrored, holds)
 
 
 __all__ = [
@@ -235,6 +250,7 @@ __all__ = [
     "Lemma1Check",
     "PAIRS",
     "check_lemma1",
+    "check_point_count",
     "get_form",
     "motzkin_representation",
     "transform_deviation",

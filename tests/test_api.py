@@ -10,13 +10,17 @@ import catmot
 import catmot.catalog
 import catmot.config
 import catmot.polys
+import catmot.quadrature
 import catmot.report
 import catmot.transform
 
 REMOVED = {
     catmot: ("PhiEvaluator", "check_transform_consistency", "motzkin_integrand",
              # the benchmark's tracer reads these from catmot.quadrature
-             "adaptive_gk", "integrate_semi_infinite"),
+             "adaptive_gk", "integrate_semi_infinite",
+             # the engines take rel_tol; the level cap is a constant
+             "QuadConfig"),
+    catmot.quadrature: ("QuadConfig", "_QuadConfigFields", "_MAX_DE_LEVEL"),
     catmot.transform: (
         "PhiEvaluator",
         "psi_difference",
@@ -64,11 +68,9 @@ REMOVED = {
                                     # Gauss-Kronrod no longer runs under verify
                                     "split_points"),
     catmot.report.Report: ("from_json",),
-    # verify takes the rule; QuadConfig holds only engine tolerances, and the
-    # Gauss-Kronrod budget is a constant of its engine.  Every convergence
-    # test is relative: no caller set the absolute floor
-    catmot.QuadConfig: ("rule_override", "max_subdivisions", "abs_tol"),
-    catmot.config.Settings: ("max_subdivisions", "abs_tol"),
+    # verify takes the rule, and the engines run at fixed settings: every
+    # convergence test is relative, and only lemma1 sets its own rel_tol
+    catmot.config.Settings: ("max_subdivisions", "abs_tol", "rel_tol", "max_levels", "quad_config"),
 }
 
 

@@ -6,15 +6,15 @@ import sys
 import threading
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from catmot import __version__
+from catmot import __version__, quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
 from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
 from catmot.exact import motzkin, motzkin_oracle
-from catmot.quadrature import QuadConfig
 from catmot.report import CSV_HEADER, Report
 from catmot.transform import get_form, motzkin_representation
 from exact_coeffs import wallis
@@ -220,23 +220,28 @@ def test_removed_gauss_kronrod_options_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
 def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # every engine test is relative; no caller set the absolute floor
+    # every engine test is relative, and a forced tanh-sinh runs at its fixed
+    # rel_tol and level cap: no request set any of the three
     argv = ["verify", "cat.eq9", "--n-range", "2..2"]
-    if source == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--abs-tol", "0"])
-        code, out, err = exc.value.code, *capsys.readouterr()
-        message = "catmot: error: unrecognized arguments: --abs-tol 0\n"
-    elif source == "env":
-        monkeypatch.setenv(ENV_PREFIX + "ABS_TOL", "0")
-        code, out, err = run(capsys, *argv)
-        message = f"catmot verify: error: unknown environment variable '{ENV_PREFIX}ABS_TOL'\n"
-    else:
-        cfg = tmp_path / "catmot.conf"
-        cfg.write_text("abs_tol=0\n", encoding="utf-8")
-        code, out, err = run(capsys, *argv, "--config", str(cfg))
-        message = "catmot verify: error: unknown config key 'abs_tol'\n"
-    assert (code, out, err) == (2, "", message)
+    for name, value in (("abs_tol", "0"), ("rel_tol", "1e-3"), ("max_levels", "5")):
+        if source == "flag":
+            flag = "--" + name.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, value])
+            code, out, err = exc.value.code, *capsys.readouterr()
+            message = f"catmot: error: unrecognized arguments: {flag} {value}\n"
+        elif source == "env":
+            variable = ENV_PREFIX + name.upper()
+            monkeypatch.setenv(variable, value)
+            code, out, err = run(capsys, *argv)
+            monkeypatch.delenv(variable)
+            message = f"catmot verify: error: unknown environment variable '{variable}'\n"
+        else:
+            cfg = tmp_path / "catmot.conf"
+            cfg.write_text(f"{name}={value}\n", encoding="utf-8")
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            message = f"catmot verify: error: unknown config key '{name}'\n"
+        assert (code, out, err) == (2, "", message)
 
 
 def test_removed_config_key_is_refused(capsys, tmp_path):
@@ -321,30 +326,6 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
     assert set(threads) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--rel-tol", "nan")])
-def test_verify_non_finite_tolerance_exits_2(capsys, flag, value):
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", flag, value)
-    assert code == 2
-    assert out == ""
-    assert flag[2:].replace("-", "_") in err
-
-
-def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "inf")
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
-    assert code == 2
-    assert out == ""
-    assert "rel_tol" in err
-
-
-def test_verify_max_levels_above_cap_exits_2(capsys):
-    # each double-exponential level runs to t_max: level 16 alone is ~0.4M evaluations
-    code, out, err = run(capsys, "verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17")
-    assert code == 2
-    assert out == ""
-    assert "max_levels must be in 3..16" in err
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_verify_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--tol", tol)
@@ -387,8 +368,8 @@ def test_verify_float_overflow_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("table", "3", "--n-max", "6"),
-    ("transform", "cat.eq5", "--rel-tol", "1e-3"),
-    ("lemma1", "2", "0", "--max-levels", "0"),
+    ("transform", "cat.eq5", "--config", "catmot.cfg"),
+    ("lemma1", "2", "0", "--n-max", "6"),
     ("list", "--config", "catmot.cfg"),
 ])
 def test_config_flags_only_on_verify(capsys, argv):
@@ -457,15 +438,18 @@ def test_transform_check_points_below_one_exits_2(capsys, catalan_id, points):
     code, out, err = run(capsys, "transform", catalan_id, "--check-points", points)
     assert code == 2
     assert out == ""
-    assert "--check-points must be at least 1" in err
+    assert err == ("catmot transform: error: check_points must be at least 1 "
+                   f"and at most 100000, got {points}\n")
 
 
 def test_transform_check_points_above_the_cap_exits_2(capsys):
-    # refused before any sample point is built
-    code, out, err = run(capsys, "transform", "cat.eq5", "--check-points", "100001")
-    assert (code, out) == (2, "")
-    assert err == ("catmot transform: error: --check-points must be at least 1 "
-                   "and at most 100000, got 100001\n")
+    # refused before any sample point is built or any integral runs, on a
+    # pointwise, a value-only and the unpaired form alike
+    for catalan_id in ("cat.eq5", "cat.eq2", "cat.eq3"):
+        code, out, err = run(capsys, "transform", catalan_id, "--check-points", "100001")
+        assert (code, out) == (2, "")
+        assert err == ("catmot transform: error: check_points must be at least 1 "
+                       "and at most 100000, got 100001\n")
 
 
 # -- lemma1 ----------------------------------------------------------------------
@@ -515,11 +499,12 @@ def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
     calls = []
     engine = catmot.quadrature.tanh_sinh
     monkeypatch.setattr(
-        catmot.quadrature, "tanh_sinh", lambda *a: calls.append(a[1:3]) or engine(*a)
+        catmot.quadrature, "tanh_sinh",
+        lambda *a, **k: calls.append((*a[1:3], k["rel_tol"])) or engine(*a, **k),
     )
     code, out, _ = run(capsys, "lemma1", "2", "1")
     assert code == 0 and "OK" in out
-    assert calls == [(0.0, 0.5), (0.5, 1.0)]
+    assert calls == [(0.0, 0.5, 1e-13), (0.5, 1.0, 1e-13)]
 
 
 def test_lemma1_sides_match_the_wallis_integral(capsys):
@@ -534,6 +519,12 @@ def test_lemma1_sides_match_the_wallis_integral(capsys):
         assert float(lines[f"exact over {span}"]) == pytest.approx(exact, rel=1e-14)
         rel_err, state = lines[f"rel err {span}"].split(" (")
         assert float(rel_err) <= 1e-10 and state == "converged)"
+    # the two sides' difference, relative to the exact value as the verdict reads it
+    diff, tol = lines["mirrored rel diff"].split(" (")
+    keys = ("int over (0, a/2)", "int over (a/2, a)", "exact over (0, a/2)")
+    left, right, first = (float(lines[key]) for key in keys)
+    assert float(diff) == pytest.approx(abs(left - right) / first, rel=1e-3, abs=0.0)
+    assert float(diff) <= 1e-10 and tol == "tol 1e-10)"
     assert lines["result"] == "OK"
 
 
@@ -542,7 +533,7 @@ def test_lemma1_non_converged_side_is_a_mismatch(capsys, monkeypatch):
 
     engine = catmot.quadrature.tanh_sinh
     monkeypatch.setattr(catmot.quadrature, "tanh_sinh",
-                        lambda *a: engine(*a)._replace(converged=False))
+                        lambda *a, **k: engine(*a, **k)._replace(converged=False))
     code, out, err = run(capsys, "lemma1", "7", "3")
     assert (code, err) == (1, "")
     assert out.count("(not converged)") == 2
@@ -568,9 +559,10 @@ def _small_report():
         for n in (0, 3)
     ]
     # include a non-converged row so serialization covers the failure shape;
-    # its estimate is within tolerance, so only convergence fails it
-    cfg = QuadConfig(rel_tol=1e-12, max_levels=3)
-    rows.append(verify(get_representation("cat.eq9"), 2, cfg, rule="tanh-sinh"))
+    # its estimate is within tolerance, so only convergence at 3 levels fails it
+    with mock.patch.object(quadrature, "_MAX_LEVELS", 3):
+        rows.append(verify(get_representation("cat.eq9"), 2, rule="tanh-sinh"))
+    assert rows[-1].rule == "tanh-sinh[level=3][non-converged]"
     return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
 
 
@@ -669,25 +661,22 @@ def test_report_csv_schema():
 
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "catmot.conf"
-    cfg.write_text("# comment\nrel_tol = 1e-5\nn_max=25\n", encoding="utf-8")
-    assert parse_config_file(str(cfg)) == {"rel_tol": 1e-5, "n_max": 25}
+    cfg.write_text("# comment\nn_max=25\n", encoding="utf-8")
+    assert parse_config_file(str(cfg)) == {"n_max": 25}
+    assert load_settings(str(cfg), environ={}).n_max == 25
 
-    s = load_settings(str(cfg), environ={})
-    assert s.rel_tol == 1e-5 and s.n_max == 25
-
-    env = {ENV_PREFIX + "REL_TOL": "1e-6"}
-    s = load_settings(str(cfg), environ=env)
-    assert s.rel_tol == 1e-6  # env beats file
-
-    s = load_settings(str(cfg), environ=env, flag_overrides={"rel_tol": 1e-7})
-    assert s.rel_tol == 1e-7  # flag beats env
+    env = {ENV_PREFIX + "N_MAX": "40"}
+    assert load_settings(str(cfg), environ=env).n_max == 40  # env beats file
+    s = load_settings(str(cfg), environ=env, flag_overrides={"n_max": 50})
+    assert s.n_max == 50  # flag beats env
 
     assert load_settings(environ={}) == Settings()
 
 
-def test_settings_defaults_are_the_engine_defaults():
-    assert Settings().quad_config() == QuadConfig()
-    assert Settings._fields[1:] == QuadConfig._fields
+def test_settings_hold_only_n_max():
+    # the engines run at fixed settings: nothing else is configured or echoed
+    assert Settings._fields == ("n_max",)
+    assert Settings().echo() == {"n_max": "30"}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -720,27 +709,6 @@ def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2")
     assert (code, out) == (2, "")
     assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
-
-
-@pytest.mark.parametrize("source", ["flag", "env", "file"])
-def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # no forced row is sure to converge below 1e-15: refused before any row runs
-    argv = ["verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300"]
-    monkeypatch.delenv(ENV_PREFIX + "REL_TOL", raising=False)
-    if source == "flag":
-        argv += ["--rel-tol", "1e-16"]
-    elif source == "env":
-        monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "1e-16")
-    else:
-        cfg = tmp_path / "catmot.conf"
-        cfg.write_text("rel_tol = 1e-16\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "catmot verify: error: rel_tol must be at least 1e-15, got 1e-16\n"
-    # the floor itself runs, and the row converges
-    code, out, err = run(capsys, *argv[:8], "--rel-tol", "1e-15")
-    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

@@ -3,8 +3,8 @@ finite, or is refused up front with exit 2 and one message.
 
 Requests are drawn near and past each measured limit (310 for a forced
 engine, 509 for the Catalan entries, 645 for the Motzkin entries and the
-transforms) with the engine settings that move where a float overflows.
-Every request runs in-process, so an uncaught exception fails the test.
+transforms).  Every request runs in-process, so an uncaught exception fails
+the test.
 """
 
 import csv
@@ -17,9 +17,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catmot import quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, list_representations
 from catmot.cli import main
-from catmot.quadrature import _MIN_REL_TOL
 from catmot.transform import FORMS
 
 ENTRY_IDS = [rep.id for rep in list_representations()]
@@ -40,16 +40,9 @@ def verify_requests(draw):
             "--n-max", str(hi + draw(st.integers(0, 500)))]
     if rule is not None:
         argv += ["--rule", rule]
-    # each level doubles a non-converging row's work: a forced engine on
-    # every entry at once stays at few levels to keep the test fast
-    levels = draw(st.none() | st.integers(3, 8 if rule and selector == "all" else 16))
-    for flag, value in (
-        ("--tol", draw(st.sampled_from([None, 1e-13, 1e-9, 1e-6]))),
-        ("--rel-tol", draw(st.sampled_from([None, _MIN_REL_TOL, 1e-11, 1e-6]))),
-        ("--max-levels", levels),
-    ):
-        if value is not None:
-            argv += [flag, str(value)]
+    tol = draw(st.sampled_from([None, 1e-13, 1e-9, 1e-6]))
+    if tol is not None:
+        argv += ["--tol", str(tol)]
     return argv + ["--format", draw(st.sampled_from(["csv", "json", "md"]))]
 
 
@@ -87,8 +80,7 @@ def _row_values(fmt, out):
 @example(["verify", "cat.eq8", "--n-range", "510..510", "--n-max", "600"])
 @example(["verify", "cat.eq7", "--n-range", "512..512", "--n-max", "600", "--format", "json"])
 @example(["verify", "mot.13a", "--n-range", "646..646", "--n-max", "700"])
-@example(["verify", "mot.13a", "--rule", "tanh-sinh", "--n-range", "311..311",
-          "--n-max", "400", "--rel-tol", str(_MIN_REL_TOL), "--max-levels", "10"])
+@example(["verify", "mot.13a", "--rule", "tanh-sinh", "--n-range", "311..311", "--n-max", "400"])
 @example(["transform", "cat.eq2", "--n", "646"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_a_request_runs_finite_or_is_refused_up_front(argv):
@@ -127,3 +119,16 @@ def test_theta_limits_hold_from_both_sides():
         assert (code, out) == (2, "")
         assert err == (f"catmot verify: error: {rep_id} takes n >= 0 and n <= {limit}"
                        f" with the chebyshev rule, got {n}\n")
+
+
+def test_non_converged_rows_near_the_forced_limit_stay_finite(monkeypatch):
+    # at three levels the forced rows at the limit do not converge: they
+    # exit 1 with finite values, labelled, not refused and not raised
+    monkeypatch.setattr(quadrature, "_MAX_LEVELS", 3)
+    argv = ["verify", "all", "--rule", "tanh-sinh", "--n-range", "310..310", "--n-max", "310"]
+    code, out, err = _run(argv + ["--format", "json"])
+    assert (code, err) == (1, "")
+    rows = json.loads(out, parse_constant=_reject)["rows"]
+    assert len(rows) == 19
+    assert any(not row["converged"] and row["rule"].endswith("[non-converged]") for row in rows)
+    assert all(math.isfinite(row["estimate"]) and math.isfinite(row["rel_err"]) for row in rows)

@@ -15,7 +15,6 @@ from catmot import quadrature
 from catmot.catalog import get_representation, verify
 from catmot.exact import catalan, motzkin
 from catmot.quadrature import (
-    QuadConfig,
     adaptive_gk,
     chebyshev_nodes,
     chebyshev_sum_first,
@@ -153,20 +152,20 @@ def test_tanh_sinh_requires_finite_interval():
     assert probe.calls == 0
 
 
-def test_tanh_sinh_level_refinement_never_hurts():
+def test_tanh_sinh_level_refinement_never_hurts(monkeypatch):
     # more levels never increase the true error against exact-count oracles,
     # up to the rounding plateau.  At the rel_tol floor the small n
     # converge at level 4, cat.eq4 at n = 300 at level 7
     from catmot.catalog import get_representation
 
-    cfg_base = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, max_levels=3)
     for rep_id, n in (("cat.eq4", 3), ("cat.eq5", 2), ("cat.eq4", 300)):
         rep = get_representation(rep_id)
         exact = float(catalan(n)) / rep.prefactor_float(n)
         errors = []
         for levels in range(3, 11):
+            monkeypatch.setattr(quadrature, "_MAX_LEVELS", levels)
             res = tanh_sinh(
-                None, *rep.domain, cfg_base._replace(max_levels=levels),
+                None, *rep.domain, quadrature._MIN_REL_TOL,
                 singular=lambda da, db: rep.integrand(n, da, db),
             )
             errors.append(abs(res.value - exact))
@@ -177,14 +176,10 @@ def test_tanh_sinh_level_refinement_never_hurts():
 
 def test_tanh_sinh_nonconvergence_reported():
     # the plain (non-distance) form of a singular integrand stalls near
-    # sqrt(eps) accuracy, so an 1e-14 demand cannot be met
-    res = tanh_sinh(
-        lambda x: 1.0 / math.sqrt(x * (1.0 - x)),
-        0.0,
-        1.0,
-        QuadConfig(rel_tol=1e-14, max_levels=6),
-    )
+    # sqrt(eps) accuracy, so an 1e-14 demand cannot be met within the 12 levels
+    res = tanh_sinh(lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, rel_tol=1e-14)
     assert not res.converged
+    assert res.rule == "tanh-sinh[level=12]"
     assert res.value == pytest.approx(math.pi, rel=1e-6)  # best estimate kept
 
 
@@ -200,8 +195,8 @@ def test_tanh_sinh_overflowed_sum_is_not_converged():
 @pytest.mark.parametrize("rep_id", ["mot.13a", "mot.13b"])
 def test_forced_engine_refuses_n_past_its_limit(rep_id):
     # the ~3^n/sqrt(d) distance integrands overflow near an endpoint from
-    # n = 313 (mot.13a at rel_tol 1e-15, 5 to 16 levels): a forced engine
-    # takes n <= 310, and no n past it reaches the integrand
+    # n = 313 (mot.13a, at level 5): a forced engine takes n <= 310, and no
+    # n past it reaches the integrand
     rep = get_representation(rep_id)
     seen = set()
 
@@ -210,12 +205,11 @@ def test_forced_engine_refuses_n_past_its_limit(rep_id):
         return rep.integrand(n, da, db)
 
     counted = rep._replace(integrand=integrand)
-    cfg = QuadConfig(rel_tol=1e-15, max_levels=10)
-    row = verify(counted, 310, cfg, rule="tanh-sinh")
+    row = verify(counted, 310, rule="tanh-sinh")
     assert math.isfinite(row.estimate) and math.isfinite(row.rel_err)
     for n in (311, 313, 314, 361):
         with pytest.raises(ValueError, match=f"n <= 310 with the tanh-sinh rule, got {n}$"):
-            verify(counted, n, cfg, rule="tanh-sinh")
+            verify(counted, n, rule="tanh-sinh")
     assert seen == {310}
 
 
@@ -314,7 +308,7 @@ def test_gk_budget_exhaustion_flagged():
     def nasty(x):
         return abs(x - 1.0 / 3.0) ** -0.5 if x != 1.0 / 3.0 else 0.0
     # the budget is 2000 intervals, each bisection 30 evaluations past the first 15
-    res = adaptive_gk(nasty, 0.0, 1.0, QuadConfig(rel_tol=1e-14))
+    res = adaptive_gk(nasty, 0.0, 1.0, rel_tol=1e-14)
     assert not res.converged
     assert res.evaluations == 15 + 30 * 1999
     assert res.rule == "gauss-kronrod[intervals=2000]"
@@ -350,42 +344,32 @@ def test_evaluation_counts_are_true_call_counts():
 
 
 def test_converged_respects_tolerance_contract():
-    cfg = QuadConfig(rel_tol=1e-9)
-    res = tanh_sinh(lambda x: math.exp(-x), 0.0, 5.0, cfg)
+    res = tanh_sinh(lambda x: math.exp(-x), 0.0, 5.0, rel_tol=1e-9)
     assert res.converged
-    assert res.error_estimate <= cfg.rel_tol * abs(res.value)
+    assert res.error_estimate <= 1e-9 * abs(res.value)
     assert res.evaluations > 0
 
 
-def test_quad_config_validation():
-    with pytest.raises(ValueError):
-        QuadConfig(rel_tol=0.0)
-    for bad in (2, 17):
-        with pytest.raises(ValueError, match=r"3\.\.16"):
-            QuadConfig(max_levels=bad)
-    assert QuadConfig(max_levels=16).max_levels == 16
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            QuadConfig(rel_tol=bad)
-    # copies are validated like new configs
-    cfg = QuadConfig()
-    assert cfg._replace(max_levels=5) == QuadConfig(max_levels=5)
-    for bad in ({"max_levels": 2}, {"max_levels": 17}, {"rel_tol": math.nan}):
-        with pytest.raises(ValueError):
-            cfg._replace(**bad)
-
-
-def test_quad_config_refuses_rel_tol_below_the_floor():
+@pytest.mark.parametrize("engine", [
+    lambda h, rel_tol: tanh_sinh(h, 0.0, 1.0, rel_tol),
+    lambda h, rel_tol: tanh_sinh(None, 0.0, 1.0, rel_tol, singular=lambda da, db: h(da)),
+    lambda h, rel_tol: integrate_semi_infinite(h, rel_tol),
+    lambda h, rel_tol: adaptive_gk(h, 0.0, 1.0, rel_tol=rel_tol),
+], ids=["tanh-sinh", "distance", "semi-infinite", "gauss-kronrod"])
+def test_engines_check_rel_tol(engine):
     # below the measured floor some forced row cannot converge: refused up
-    # front, on copies too, while the floor itself is taken
+    # front, before any evaluation, as a non-finite value is; the floor runs
+    # (Gauss-Kronrod's estimate never drops below 50 eps |value|, so it does
+    # not converge there)
     floor = quadrature._MIN_REL_TOL
-    assert QuadConfig(rel_tol=floor).rel_tol == floor
-    for bad in (math.nextafter(floor, 0.0), 1e-16, 5e-324):
+    probe = Counter(lambda x: math.exp(-x))
+    for bad in (0.0, -1e-11, math.nextafter(floor, 0.0), 1e-16, 5e-324, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError) as refused:
-            QuadConfig(rel_tol=bad)
-        assert str(refused.value) == f"rel_tol must be at least 1e-15, got {bad!r}"
-        with pytest.raises(ValueError, match="at least"):
-            QuadConfig()._replace(rel_tol=bad)
+            engine(probe, bad)
+        assert str(refused.value) == f"rel_tol must be finite and at least 1e-15, got {bad!r}"
+    assert probe.calls == 0
+    engine(probe, floor)
+    assert probe.calls > 0
 
 
 # -- engine contracts on closed forms -------------------------------------------
@@ -393,7 +377,7 @@ def test_quad_config_refuses_rel_tol_below_the_floor():
 # Each engine either converges to within 100 times its own tolerance, or its
 # error estimate where that is larger, of the truth, or says it did not
 # converge; it never returns NaN or raises.  These closed forms are all in
-# reach of the default config, so every case must also converge.  A tail
+# reach of the default rel_tol, so every case must also converge.  A tail
 # cutoff that stops at the first small terms fails them: the cos^(2n) cases
 # from n = 13, whose mass sits at both ends of (0, pi).
 
@@ -401,10 +385,10 @@ def _beta(p, q):
     return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
 
 
-def _assert_contract(res, truth, cfg=QuadConfig()):
+def _assert_contract(res, truth):
     assert not math.isnan(res.value) and not math.isnan(res.error_estimate)
     assert res.converged, (res, truth)
-    bound = 100.0 * max(res.error_estimate, cfg.rel_tol * abs(res.value))
+    bound = 100.0 * max(res.error_estimate, 1e-11 * abs(res.value))
     assert abs(res.value - truth) <= bound, (res, truth)
 
 
@@ -472,7 +456,6 @@ def test_lazy_de_nodes_match_eager_tables():
         else:
             filled.append(len(nodes))
     assert filled[-1] < len(eager[-1])  # the deep levels reach the underflow
-    cfg = QuadConfig(rel_tol=quadrature._MIN_REL_TOL, max_levels=12)
     walks = []
 
     def walk():
@@ -482,7 +465,7 @@ def test_lazy_de_nodes_match_eager_tables():
             seen.append((da, db))
             return float(len(seen))
 
-        walks.append((quadrature._tanh_sinh(f, 0.0, 1.0, cfg).converged, seen))
+        walks.append((quadrature._tanh_sinh(f, 0.0, 1.0, quadrature._MIN_REL_TOL).converged, seen))
 
     threads = [threading.Thread(target=walk) for _ in range(4)]
     interval = sys.getswitchinterval()

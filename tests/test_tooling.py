@@ -117,3 +117,15 @@ def test_runtime_has_no_test_only_functions():
         and referenced[node.name] == _references(node)[node.name]
     ]
     assert unused == []
+
+
+def test_report_echo_holds_the_settings_and_the_request(capsys):
+    # the echo carries what configures a run and nothing else: a value that
+    # no longer exists cannot linger in it
+    from catmot.cli import main
+    from catmot.config import Settings
+
+    assert main(["verify", "cat.eq9", "--n-range", "0..1", "--format", "json"]) == 0
+    echo = json.loads(capsys.readouterr().out)["config_echo"]
+    request = ("selector", "n_range", "tol", "rule", "jobs", "format")
+    assert sorted(echo) == sorted(Settings._fields + request)

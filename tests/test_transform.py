@@ -183,6 +183,22 @@ def test_pointwise_requires_samples():
         transform_deviation("cat.eq5", "mot.12a", ComparisonMode.POINTWISE, 2, 0)
 
 
+@pytest.mark.parametrize("points", [0, -5, 100_001, 10**9])
+def test_check_points_outside_the_cap_refused_in_every_mode(monkeypatch, points):
+    # the command line's rule: refused up front, before any point or integral
+    import catmot.transform
+
+    def unreachable(*args):
+        raise AssertionError("integrated a refused request")
+
+    monkeypatch.setattr(catmot.transform, "verify", unreachable)
+    monkeypatch.setattr(catmot.transform, "_sample_points", unreachable)
+    for cid, (mid, mode) in (("cat.eq5", PAIRS["cat.eq5"]), ("cat.eq2", PAIRS["cat.eq2"])):
+        with pytest.raises(ValueError) as refused:
+            transform_deviation(cid, mid, mode, 2, points)
+        assert str(refused.value) == f"check_points must be at least 1 and at most 100000, got {points}"
+
+
 def test_pointwise_samples_are_cell_midpoints():
     # count equal cells: a finite domain is sampled at their midpoints, and
     # (0, inf) at the images of the midpoints in u under x = u/(1 - u)
@@ -272,6 +288,7 @@ def test_lemma1_matches_the_wallis_integral(r, s):
         for side, sign, rel_err in zip(sides, mirrored, check.rel_errors):
             assert side.converged and abs(side.value - sign * exact) <= 1e-12 * exact
             assert rel_err == pytest.approx(abs(side.value - sign * check.exact) / check.exact)
+        assert check.mirrored == abs(check.left.value - mirrored[1] * check.right.value) / check.exact
         assert check.holds
 
 
@@ -290,7 +307,7 @@ def test_lemma1_verdict(monkeypatch, left, right, converged, holds):
     exact = check_lemma1(2, 0, 1.0, 1e-10).exact
     sides = iter(zip((left, right), converged))
 
-    def engine(*args):
+    def engine(*args, **kwargs):
         scale, ok = next(sides)
         return QuadratureResult(scale * exact, 0.0, 1, "stub", ok)
 
