@@ -326,6 +326,33 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
     assert set(threads) == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--rel-tol", "nan")])
+def test_verify_non_finite_tolerance_exits_2(capsys, flag, value):
+    # the engines run at a fixed rel_tol: no value of the flag is taken
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cat.eq9", "--n-range", "0..1", flag, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == f"catmot: error: unrecognized arguments: {flag} {value}\n"
+
+
+def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "inf")
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
+    assert (code, out) == (2, "")
+    assert err == f"catmot verify: error: unknown environment variable '{ENV_PREFIX}REL_TOL'\n"
+
+
+def test_verify_max_levels_above_cap_exits_2(capsys):
+    # the level cap is fixed at 12: each double-exponential level runs to
+    # t_max, and level 16 alone is ~0.4M evaluations, so no request raises it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == "catmot: error: unrecognized arguments: --max-levels 17\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_verify_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--tol", tol)
@@ -709,6 +736,33 @@ def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2")
     assert (code, out) == (2, "")
     assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
+    # no forced row is sure to converge below 1e-15, and no request sets
+    # rel_tol at all: refused before any row runs
+    argv = ["verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300"]
+    monkeypatch.delenv(ENV_PREFIX + "REL_TOL", raising=False)
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--rel-tol", "1e-16"])
+        code, out, err = exc.value.code, *capsys.readouterr()
+        message = "catmot: error: unrecognized arguments: --rel-tol 1e-16\n"
+    elif source == "env":
+        monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "1e-16")
+        code, out, err = run(capsys, *argv)
+        monkeypatch.delenv(ENV_PREFIX + "REL_TOL")
+        message = f"catmot verify: error: unknown environment variable '{ENV_PREFIX}REL_TOL'\n"
+    else:
+        cfg = tmp_path / "catmot.conf"
+        cfg.write_text("rel_tol = 1e-16\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        message = "catmot verify: error: unknown config key 'rel_tol'\n"
+    assert (code, out, err) == (2, "", message)
+    # the fixed settings run, and the row converges
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

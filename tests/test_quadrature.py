@@ -350,26 +350,44 @@ def test_converged_respects_tolerance_contract():
     assert res.evaluations > 0
 
 
-@pytest.mark.parametrize("engine", [
-    lambda h, rel_tol: tanh_sinh(h, 0.0, 1.0, rel_tol),
-    lambda h, rel_tol: tanh_sinh(None, 0.0, 1.0, rel_tol, singular=lambda da, db: h(da)),
-    lambda h, rel_tol: integrate_semi_infinite(h, rel_tol),
-    lambda h, rel_tol: adaptive_gk(h, 0.0, 1.0, rel_tol=rel_tol),
-], ids=["tanh-sinh", "distance", "semi-infinite", "gauss-kronrod"])
-def test_engines_check_rel_tol(engine):
+# each engine as the catalog and lemma1 call it; rel_tol is the one setting
+# a caller gives, the level cap is the constant _MAX_LEVELS
+_ENGINES = {
+    "tanh-sinh": lambda h, rel_tol: tanh_sinh(h, 0.0, 1.0, rel_tol),
+    "distance": lambda h, rel_tol: tanh_sinh(None, 0.0, 1.0, rel_tol,
+                                             singular=lambda da, db: h(da)),
+    "semi-infinite": lambda h, rel_tol: integrate_semi_infinite(h, rel_tol),
+    "gauss-kronrod": lambda h, rel_tol: adaptive_gk(h, 0.0, 1.0, rel_tol=rel_tol),
+}
+
+
+def _assert_rel_tol_refused(bad_values):
+    for engine in _ENGINES.values():
+        probe = Counter(lambda x: math.exp(-x))
+        for bad in bad_values:
+            with pytest.raises(ValueError) as refused:
+                engine(probe, bad)
+            assert str(refused.value) == f"rel_tol must be finite and at least 1e-15, got {bad!r}"
+        assert probe.calls == 0
+
+
+def test_quad_config_validation():
+    # a rel_tol that is not a positive finite number is refused by every
+    # engine before any evaluation; the level cap is fixed
+    assert quadrature._MAX_LEVELS == 12
+    _assert_rel_tol_refused((0.0, -1e-11, math.inf, -math.inf, math.nan))
+
+
+def test_quad_config_refuses_rel_tol_below_the_floor():
     # below the measured floor some forced row cannot converge: refused up
-    # front, before any evaluation, as a non-finite value is; the floor runs
-    # (Gauss-Kronrod's estimate never drops below 50 eps |value|, so it does
-    # not converge there)
+    # front, while the floor itself runs (Gauss-Kronrod's estimate never drops
+    # below 50 eps |value|, so it does not converge there)
     floor = quadrature._MIN_REL_TOL
-    probe = Counter(lambda x: math.exp(-x))
-    for bad in (0.0, -1e-11, math.nextafter(floor, 0.0), 1e-16, 5e-324, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError) as refused:
-            engine(probe, bad)
-        assert str(refused.value) == f"rel_tol must be finite and at least 1e-15, got {bad!r}"
-    assert probe.calls == 0
-    engine(probe, floor)
-    assert probe.calls > 0
+    _assert_rel_tol_refused((math.nextafter(floor, 0.0), 1e-16, 5e-324))
+    for engine in _ENGINES.values():
+        probe = Counter(lambda x: math.exp(-x))
+        engine(probe, floor)
+        assert probe.calls > 0
 
 
 # -- engine contracts on closed forms -------------------------------------------
