@@ -70,7 +70,8 @@ class Substitution(NamedTuple):
     # (rep, thetas) -> the integrand's arguments after n at every node, one
     # column per argument: x, or the endpoint distances x - a and b - x on an
     # endpoint-singular entry; and |dx/dtheta| at every node.  The domain and
-    # the tags are read from rep, so a copy on another domain integrates it
+    # the tags are read from rep; check_request refuses the theta rule on a
+    # copy on another domain, which only the forced rule integrates
     tabulate: Callable[[Representation, Sequence[float]], NodeTable]
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
@@ -545,12 +546,19 @@ def _nodes(kind: int, n_nodes: int) -> tuple[float, ...]:
 
 def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
     """The rule that ``verify`` runs for (rep, n, rule).  Refuses with
-    ValueError, before anything is integrated, an unknown rule and an n
-    outside n_min..the limit of that rule's float path."""
+    ValueError, before anything is integrated, an unknown rule, an n
+    outside n_min..the limit of that rule's float path, and the theta rule
+    on a copy of an entry (or of a transform's source) on another domain."""
     if rule is None:
         rule = _RULE_CHEBYSHEV
     elif rule not in VALID_RULE_OVERRIDES:
         raise ValueError(f"unknown rule override {rule!r}")
+    # the sum is exact only where the entry states its substitution; elsewhere
+    # it is off with an ulp-sized estimate.  A transform's source precedes "->"
+    entry = _BY_ID.get(rep.id.partition("->")[0])
+    if rule == _RULE_CHEBYSHEV and entry is not None and rep.domain != entry.domain:
+        raise ValueError(f"{rep.id} has domain {rep.domain}, not the catalog's {entry.domain}: "
+                         "the chebyshev rule is exact only on the catalog domain")
     limit = _THETA_LIMIT[rep.family] if rule == _RULE_CHEBYSHEV else _FORCED_LIMIT
     if not rep.n_min <= n <= limit:
         raise ValueError(

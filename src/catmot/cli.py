@@ -7,8 +7,8 @@ Subcommands:
     lemma1     check the half-range cosine/sine reflection identity
     table      print exact Catalan and Motzkin numbers
 
-Only verify is configured, and only its n_max (--n-max, CATMOT_N_MAX or a
---config file); every command integrates at the engines' fixed settings.
+Only verify is configured, and only its n_max, by the --n-max flag; every
+command integrates and compares at fixed settings.
 
 Exit codes: 0 all checks passed, 1 at least one verification failure or
 non-convergence, 2 usage or configuration error.
@@ -25,12 +25,14 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .catalog import Representation
-    from .config import Settings
 
 # catalog.VALID_RULE_OVERRIDES, spelled out so that building the parser does
 # not import the catalog: each command imports only the modules it calls.
 # Besides the theta rule, tanh-sinh is the one forced cross-check
 _RULES = ("chebyshev", "tanh-sinh")
+
+# the fixed settings of transform's pointwise samples and lemma1's relative tolerance
+_CHECK_POINTS, _LEMMA1_TOL = 64, 1e-10
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,32 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="echoed into the report; rows run on the calling thread")
-    cfg_group = p_verify.add_argument_group("configuration")
-    cfg_group.add_argument("--config", metavar="PATH", help="key=value config file")
-    cfg_group.add_argument("--n-max", type=int, dest="n_max", help="largest allowed n")
+    p_verify.add_argument("--n-max", type=int, help="largest allowed n (default 30)")
 
     p_tr = sub.add_parser("transform", help="check a transform against its catalog pairing")
     p_tr.add_argument("catalan_id", help="registered Catalan form id, e.g. cat.eq5")
     p_tr.add_argument("--n", type=int, default=5)
-    p_tr.add_argument("--check-points", type=int, default=64, dest="check_points")
 
     p_lm = sub.add_parser("lemma1", help="check the half-range reflection identity")
     p_lm.add_argument("r", type=int)
     p_lm.add_argument("s", type=int)
     p_lm.add_argument("--a", type=float, default=1.0, help="period parameter (a > 0)")
-    p_lm.add_argument("--tol", type=float, default=1e-10)
 
     p_tab = sub.add_parser("table", help="print exact Catalan and Motzkin numbers")
     p_tab.add_argument("n_max", type=int, nargs="?", default=20)
 
     return parser
-
-
-def _settings_from_args(args: argparse.Namespace) -> Settings:
-    from .config import Settings, load_settings
-
-    flags = {name: getattr(args, name) for name in Settings._fields}
-    return load_settings(config_path=args.config, flag_overrides=flags)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -157,9 +148,10 @@ def _parse_n_range(raw: str) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .catalog import check_request, get_representation, list_representations, verify
+    from .config import load_settings
     from .report import Report
 
-    settings = _settings_from_args(args)
+    settings = load_settings(args.n_max)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     explicit_range = args.n_range is not None
@@ -205,13 +197,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from .catalog import verify
-    from .transform import (
-        PAIRS, ComparisonMode, check_point_count, get_form, motzkin_representation, transform_deviation,
-    )
+    from .transform import PAIRS, ComparisonMode, get_form, motzkin_representation, transform_deviation
 
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
-    check_point_count(args.check_points)  # every form, paired or not
     pairing = PAIRS.get(args.catalan_id)
     # formatted whole before any of it is written: a failure leaves no partial output
     out = [f"catalan form : {args.catalan_id} ({flavor} transform)"]
@@ -225,10 +214,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
         out.append(f"rel deviation: {dev:.3e} (threshold {limit:g})")
     else:
         motzkin_id, mode = pairing
-        dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, args.check_points)
+        dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, _CHECK_POINTS)
         limit = mode.tolerance
         what = (
-            f"max deviation over {args.check_points} interior points"
+            f"max deviation over {_CHECK_POINTS} interior points"
             if mode is ComparisonMode.POINTWISE
             else "integral value deviation"
         )
@@ -242,12 +231,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_lemma1(args: argparse.Namespace) -> int:
     from .transform import check_lemma1
 
-    check = check_lemma1(args.r, args.s, args.a, args.tol)
+    check = check_lemma1(args.r, args.s, args.a, _LEMMA1_TOL)
     sign = 1 if args.r % 2 == 0 else -1
     print(f"int over (0, a/2)   : {check.left.value!r}")
     print(f"int over (a/2, a)   : {check.right.value!r}")
     print(f"sign factor (-1)^r  : {sign:+d}")
-    print(f"mirrored rel diff   : {check.mirrored:.3e} (tol {args.tol:g})")
+    print(f"mirrored rel diff   : {check.mirrored:.3e} (tol {_LEMMA1_TOL:g})")
     for span, side, exact, err in zip(("(0, a/2)", "(a/2, a)"), (check.left, check.right),
                                       (check.exact, sign * check.exact), check.rel_errors):
         print(f"exact over {span} : {exact!r}")

@@ -144,14 +144,6 @@ def get_form(catalan_id: str) -> CatalanForm:
 _MAX_CHECK_POINTS = 100_000
 
 
-def check_point_count(check_points: int) -> None:
-    """Refuse a pointwise sample count outside 1..100,000 with ValueError."""
-    if not 1 <= check_points <= _MAX_CHECK_POINTS:
-        raise ValueError(
-            f"check_points must be at least 1 and at most {_MAX_CHECK_POINTS}, got {check_points}"
-        )
-
-
 def _sample_points(source: Representation, count: int) -> list[float]:
     lo, hi = source.domain
     if source.semi_infinite:
@@ -172,7 +164,10 @@ def transform_deviation(
     or between integral values (value-only mode, inf when either integral
     did not converge, since two wrong values may agree).  ``check_points``
     must be in 1..100,000 in either mode."""
-    check_point_count(check_points)
+    if not 1 <= check_points <= _MAX_CHECK_POINTS:
+        raise ValueError(
+            f"check_points must be at least 1 and at most {_MAX_CHECK_POINTS}, got {check_points}"
+        )
     derived = motzkin_representation(get_form(catalan_id))
     check_request(derived, n)  # refuses an n past the Motzkin limit up front
     rep = get_representation(motzkin_id)
@@ -250,7 +245,6 @@ __all__ = [
     "Lemma1Check",
     "PAIRS",
     "check_lemma1",
-    "check_point_count",
     "get_form",
     "motzkin_representation",
     "transform_deviation",

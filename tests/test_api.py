@@ -8,6 +8,7 @@ from pathlib import Path
 
 import catmot
 import catmot.catalog
+import catmot.cli
 import catmot.config
 import catmot.polys
 import catmot.quadrature
@@ -40,6 +41,8 @@ REMOVED = {
         "_lemma1_holds",
         "lemma1_sides",
         "adaptive_gk",
+        # transform_deviation refuses a sample count outside 1..100,000 itself
+        "check_point_count",
     ),
     # g, its distance form and the domain come from the source catalog entry;
     # the n a transform takes is the derived Motzkin entry's
@@ -71,6 +74,9 @@ REMOVED = {
     # verify takes the rule, and the engines run at fixed settings: every
     # convergence test is relative, and only lemma1 sets its own rel_tol
     catmot.config.Settings: ("max_subdivisions", "abs_tol", "rel_tol", "max_levels", "quad_config"),
+    # n_max comes from the --n-max flag alone: no config file, no variable
+    catmot.config: ("parse_config_file", "_parse_value", "_FIELD_TYPES", "_env_overrides"),
+    catmot.cli: ("_settings_from_args",),
 }
 
 

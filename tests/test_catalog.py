@@ -12,6 +12,7 @@ from catmot.catalog import (
     Representation,
     Singularity,
     Substitution,
+    check_request,
     default_tolerance,
     get_representation,
     list_representations,
@@ -19,7 +20,7 @@ from catmot.catalog import (
 )
 from catmot.exact import catalan, motzkin
 from catmot.quadrature import chebyshev_nodes, tanh_sinh
-from catmot.transform import FORMS, motzkin_representation
+from catmot.transform import FORMS, get_form, motzkin_representation
 
 # the 19 catalog entries and the 9 derived transforms
 ENTRIES = {
@@ -258,14 +259,17 @@ def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
 
 
 def test_a_copy_on_another_domain_integrates_that_domain_under_both_rules():
-    # the theta map reads the domain from the entry, as the forced engine
-    # does, so both rules integrate the copy's (0, 2): 4^n/((n+1) pi) times
-    # the integral of x^n/sqrt(x(2 - x)), C(n) 2^n
+    # only the forced engine integrates a copy: it gives the copy's (0, 2),
+    # 4^n/((n+1) pi) times the integral of x^n/sqrt(x(2 - x)), C(n) 2^n.
+    # The theta rule refuses it up front, since it is exact only on the
+    # catalog domain (on an affine map as on the tangent one)
     wider = get_representation("cat.eq4")._replace(domain=(0.0, 2.0))
     for n in (3, 10):
-        theta, forced = verify(wider, n), verify(wider, n, rule="tanh-sinh")
-        assert abs(theta.estimate - forced.estimate) <= 1e-12 * abs(forced.estimate), n
-        assert theta.estimate == pytest.approx(catalan(n) * 2**n, rel=1e-12), n
+        forced = verify(wider, n, rule="tanh-sinh")
+        assert forced.estimate == pytest.approx(catalan(n) * 2**n, rel=1e-12), n
+        for rule in (None, "chebyshev"):
+            with pytest.raises(ValueError, match=r"^cat\.eq4 has domain \(0\.0, 2\.0\), not the"):
+                verify(wider, n, rule=rule)
 
 
 def test_a_half_line_copy_integrates_its_own_domain():
@@ -302,13 +306,52 @@ def test_tangent_copies_map_theta_onto_their_own_domain(rep_id, domain):
 
 def test_a_tangent_copy_fails_its_row_instead_of_reading_another_interval():
     # integrand x Jacobian is P(cos theta) only on (0, 1) and (0, inf): on
-    # cat.eq8's (0, 2) copy the theta rule is not exact, and no longer reads
-    # C(3) = 5 of (0, 1); the forced engine converges to the copy's 5.276
+    # cat.eq8's (0, 2) copy the theta rule is not exact (it read 8.706 and
+    # called itself converged), so it is refused; the forced engine
+    # converges to the copy's 5.276 and fails the row
     copy = get_representation("cat.eq8")._replace(domain=(0.0, 2.0))
-    theta, forced = verify(copy, 3), verify(copy, 3, rule="tanh-sinh")
-    assert not theta.passed and abs(theta.estimate - 5.0) > 1.0
+    with pytest.raises(ValueError) as refused:
+        verify(copy, 3)
+    assert str(refused.value) == (
+        "cat.eq8 has domain (0.0, 2.0), not the catalog's (0.0, 1.0): "
+        "the chebyshev rule is exact only on the catalog domain"
+    )
+    forced = verify(copy, 3, rule="tanh-sinh")
     assert forced.converged and not forced.passed
     assert forced.estimate == pytest.approx(5.276252, rel=1e-6)
+
+
+@pytest.mark.parametrize("rep_id, domain, exact_copy", [
+    ("cat.eq8", (0.0, 2.0), 5.276252),
+    ("cat.eq9", (0.0, 1.0), 2.5),
+    ("mot.12e", (0.0, 1.0), 3.952301),
+    ("cat.eq3", (0.0, 1.0), 2.488858),
+])
+def test_the_theta_rule_refuses_every_copy_on_another_domain(rep_id, domain, exact_copy):
+    # on each of these copies the theta sum was off at n = 3 (by 65%, 5e-7,
+    # 6.5e-3 and 1.2e-3 relative) with an ulp-sized error estimate and
+    # converged=True; the forced engine integrates the copy's own domain
+    copy = get_representation(rep_id)._replace(domain=domain)
+    with pytest.raises(ValueError, match="the chebyshev rule is exact only on the catalog domain"):
+        check_request(copy, 3)
+    forced = verify(copy, 3, rule="tanh-sinh")
+    assert forced.converged and forced.estimate == pytest.approx(exact_copy, rel=1e-6)
+    # the entry itself, and an id that is not in the catalog, pass unchanged
+    assert check_request(get_representation(rep_id), 3) == "chebyshev"
+    assert check_request(copy._replace(id="copy"), 3) == "chebyshev"
+
+
+def test_the_theta_rule_refuses_a_transform_copy_on_another_domain():
+    # a derived entry is checked against its source, the id before "->"
+    derived = motzkin_representation(get_form("cat.eq5"))
+    assert check_request(derived, 5) == "chebyshev" and verify(derived, 5).passed
+    copy = derived._replace(domain=(0.0, 1.0))
+    with pytest.raises(ValueError) as refused:
+        verify(copy, 5)
+    assert str(refused.value).startswith(
+        "cat.eq5->motzkin has domain (0.0, 1.0), not the catalog's (0.0, 4.0):"
+    )
+    assert check_request(copy, 5, "tanh-sinh") == "tanh-sinh"
 
 
 def test_the_semi_infinite_tag_describes_the_domain():

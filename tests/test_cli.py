@@ -13,7 +13,7 @@ import pytest
 from catmot import __version__, quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
-from catmot.config import ENV_PREFIX, Settings, load_settings, parse_config_file
+from catmot.config import ENV_PREFIX, Settings, load_settings
 from catmot.exact import motzkin, motzkin_oracle
 from catmot.report import CSV_HEADER, Report
 from catmot.transform import get_form, motzkin_representation
@@ -24,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_usage_error(capsys, *argv):
+    """A request that the parser refuses: its exit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, *capsys.readouterr()
 
 
 # -- start-up ------------------------------------------------------------------
@@ -226,9 +233,7 @@ def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, 
     for name, value in (("abs_tol", "0"), ("rel_tol", "1e-3"), ("max_levels", "5")):
         if source == "flag":
             flag = "--" + name.replace("_", "-")
-            with pytest.raises(SystemExit) as exc:
-                main(argv + [flag, value])
-            code, out, err = exc.value.code, *capsys.readouterr()
+            code, out, err = run_usage_error(capsys, *argv, flag, value)
             message = f"catmot: error: unrecognized arguments: {flag} {value}\n"
         elif source == "env":
             variable = ENV_PREFIX + name.upper()
@@ -236,20 +241,22 @@ def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, 
             code, out, err = run(capsys, *argv)
             monkeypatch.delenv(variable)
             message = f"catmot verify: error: unknown environment variable '{variable}'\n"
-        else:
+        else:  # the config file is gone with its flag, whatever it holds
             cfg = tmp_path / "catmot.conf"
             cfg.write_text(f"{name}={value}\n", encoding="utf-8")
-            code, out, err = run(capsys, *argv, "--config", str(cfg))
-            message = f"catmot verify: error: unknown config key '{name}'\n"
+            code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
+            message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
         assert (code, out, err) == (2, "", message)
 
 
 def test_removed_config_key_is_refused(capsys, tmp_path):
+    # no key is read from a file any more: the --config flag itself is refused
     cfg = tmp_path / "catmot.conf"
     cfg.write_text("max_subdivisions=2000\n", encoding="utf-8")
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2", "--config", str(cfg))
+    argv = ["verify", "cat.eq9", "--n-range", "2..2", "--config", str(cfg)]
+    code, out, err = run_usage_error(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "catmot verify: error: unknown config key 'max_subdivisions'\n"
+    assert err == f"catmot: error: unrecognized arguments: --config {cfg}\n"
 
 
 def test_rule_choices_are_the_catalogs():
@@ -400,7 +407,7 @@ def test_verify_float_overflow_exits_2(capsys, argv):
     ("list", "--config", "catmot.cfg"),
 ])
 def test_config_flags_only_on_verify(capsys, argv):
-    # only verify reads the layered config; elsewhere the flags are usage errors
+    # --n-max is verify's alone and --config is gone: both are usage errors here
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -410,7 +417,7 @@ def test_config_flags_only_on_verify(capsys, argv):
 # -- transform -------------------------------------------------------------------
 
 def test_transform_simple_pairing(capsys):
-    code, out, _ = run(capsys, "transform", "cat.eq5", "--n", "8", "--check-points", "64")
+    code, out, _ = run(capsys, "transform", "cat.eq5", "--n", "8")
     assert code == 0
     assert "(simple transform)" in out
     assert "mot.12a" in out and "pointwise" in out
@@ -462,33 +469,31 @@ def test_transform_n_limit_is_the_motzkin_limit(capsys, catalan_id):
     ("cat.eq3", "-5"),  # unpaired
 ])
 def test_transform_check_points_below_one_exits_2(capsys, catalan_id, points):
-    code, out, err = run(capsys, "transform", catalan_id, "--check-points", points)
-    assert code == 2
-    assert out == ""
-    assert err == ("catmot transform: error: check_points must be at least 1 "
-                   f"and at most 100000, got {points}\n")
+    # the sample count is fixed at 64: the flag is gone on every form
+    code, out, err = run_usage_error(capsys, "transform", catalan_id, "--check-points", points)
+    assert (code, out) == (2, "")
+    assert err == f"catmot: error: unrecognized arguments: --check-points {points}\n"
 
 
 def test_transform_check_points_above_the_cap_exits_2(capsys):
     # refused before any sample point is built or any integral runs, on a
     # pointwise, a value-only and the unpaired form alike
     for catalan_id in ("cat.eq5", "cat.eq2", "cat.eq3"):
-        code, out, err = run(capsys, "transform", catalan_id, "--check-points", "100001")
+        code, out, err = run_usage_error(capsys, "transform", catalan_id, "--check-points", "100001")
         assert (code, out) == (2, "")
-        assert err == ("catmot transform: error: check_points must be at least 1 "
-                       "and at most 100000, got 100001\n")
+        assert err == "catmot: error: unrecognized arguments: --check-points 100001\n"
 
 
 # -- lemma1 ----------------------------------------------------------------------
 
 def test_lemma1_even_instance(capsys):
-    code, out, _ = run(capsys, "lemma1", "2", "0", "--a", "3.14159265358979", "--tol", "1e-10")
+    code, out, _ = run(capsys, "lemma1", "2", "0", "--a", "3.14159265358979")
     assert code == 0
     assert "OK" in out
 
 
 def test_lemma1_odd_instance(capsys):
-    code, out, _ = run(capsys, "lemma1", "3", "2", "--a", "1.0", "--tol", "1e-10")
+    code, out, _ = run(capsys, "lemma1", "3", "2", "--a", "1.0")
     assert code == 0
     assert "-1" in out  # sign factor
 
@@ -514,10 +519,11 @@ def test_lemma1_a_whose_half_underflows_or_pi_multiple_overflows_exits_2(capsys,
 
 
 def test_lemma1_infinite_tol_exits_2(capsys):
-    # an infinite tolerance would accept any two sides
-    code, out, err = run(capsys, "lemma1", "1", "0", "--tol", "inf")
+    # the tolerance is fixed at 1e-10: no request can loosen it to accept any
+    # two sides (check_lemma1 still refuses an infinite one)
+    code, out, err = run_usage_error(capsys, "lemma1", "1", "0", "--tol", "inf")
     assert (code, out) == (2, "")
-    assert err == "catmot lemma1: error: tol must be positive and finite\n"
+    assert err == "catmot: error: unrecognized arguments: --tol inf\n"
 
 
 def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
@@ -686,47 +692,25 @@ def test_report_csv_schema():
 
 # -- configuration ------------------------------------------------------------------
 
-def test_config_precedence(tmp_path):
-    cfg = tmp_path / "catmot.conf"
-    cfg.write_text("# comment\nn_max=25\n", encoding="utf-8")
-    assert parse_config_file(str(cfg)) == {"n_max": 25}
-    assert load_settings(str(cfg), environ={}).n_max == 25
-
-    env = {ENV_PREFIX + "N_MAX": "40"}
-    assert load_settings(str(cfg), environ=env).n_max == 40  # env beats file
-    s = load_settings(str(cfg), environ=env, flag_overrides={"n_max": 50})
-    assert s.n_max == 50  # flag beats env
-
-    assert load_settings(environ={}) == Settings()
-
-
 def test_settings_hold_only_n_max():
     # the engines run at fixed settings: nothing else is configured or echoed
     assert Settings._fields == ("n_max",)
     assert Settings().echo() == {"n_max": "30"}
 
 
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.conf"
-    cfg.write_text("unknown_key=3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        parse_config_file(str(cfg))
-
-
-def test_config_file_flows_into_report(capsys, tmp_path):
-    cfg = tmp_path / "catmot.conf"
-    cfg.write_text("n_max=22\n", encoding="utf-8")
+def test_n_max_flag_flows_into_report(capsys):
     code, out, _ = run(capsys, "verify", "cat.eq9", "--n-range", "0..2",
-                       "--format", "json", "--config", str(cfg))
+                       "--format", "json", "--n-max", "22")
     assert code == 0
     assert json.loads(out)["config_echo"]["n_max"] == "22"
 
 
 def test_env_var_rejected_value(tmp_path, capsys, monkeypatch):
+    # n_max comes from the flag alone: the variable is refused, whatever it holds
     monkeypatch.setenv(ENV_PREFIX + "N_MAX", "not-a-number")
-    code, _, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
-    assert code == 2
-    assert "n_max" in err
+    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
+    assert (code, out) == (2, "")
+    assert err == "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'\n"
 
 
 @pytest.mark.parametrize("name", ["CATMOT_REL_TOLL", "CATMOT_MAX_SUBDIVISIONS"])
@@ -745,9 +729,7 @@ def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, cap
     argv = ["verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300"]
     monkeypatch.delenv(ENV_PREFIX + "REL_TOL", raising=False)
     if source == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--rel-tol", "1e-16"])
-        code, out, err = exc.value.code, *capsys.readouterr()
+        code, out, err = run_usage_error(capsys, *argv, "--rel-tol", "1e-16")
         message = "catmot: error: unrecognized arguments: --rel-tol 1e-16\n"
     elif source == "env":
         monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "1e-16")
@@ -757,8 +739,8 @@ def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, cap
     else:
         cfg = tmp_path / "catmot.conf"
         cfg.write_text("rel_tol = 1e-16\n", encoding="utf-8")
-        code, out, err = run(capsys, *argv, "--config", str(cfg))
-        message = "catmot verify: error: unknown config key 'rel_tol'\n"
+        code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
+        message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
     assert (code, out, err) == (2, "", message)
     # the fixed settings run, and the row converges
     code, out, err = run(capsys, *argv)
@@ -767,21 +749,25 @@ def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, cap
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
 def test_negative_n_max_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # a negative cap is the bad value itself, not a range that exceeds it
+    # a negative cap is the bad value itself, not a range that exceeds it;
+    # the flag is its one source, and the variable and the file are refused
     argv = ["verify", "all", "--n-range", "0..0"]
     monkeypatch.delenv(ENV_PREFIX + "N_MAX", raising=False)
     if source == "flag":
-        argv += ["--n-max", "-1"]
+        code, out, err = run(capsys, *argv, "--n-max", "-1")
+        message = "catmot verify: error: n_max must be nonnegative, got -1\n"
     elif source == "env":
         monkeypatch.setenv(ENV_PREFIX + "N_MAX", "-1")
+        code, out, err = run(capsys, *argv)
+        message = "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'\n"
     else:
         cfg = tmp_path / "catmot.conf"
         cfg.write_text("n_max = -1\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "catmot verify: error: n_max must be nonnegative, got -1\n"
+        code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
+        message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
+    assert (code, out, err) == (2, "", message)
     # the library refuses it too, and 0 is a valid cap
     with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
-        load_settings(environ={ENV_PREFIX + "N_MAX": "-1"})
-    assert load_settings(environ={ENV_PREFIX + "N_MAX": "0"}).n_max == 0
+        load_settings(-1, environ={})
+    assert load_settings(0, environ={}).n_max == 0
+    assert load_settings(environ={}) == Settings()

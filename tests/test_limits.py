@@ -3,8 +3,9 @@ finite, or is refused up front with exit 2 and one message.
 
 Requests are drawn near and past each measured limit (310 for a forced
 engine, 509 for the Catalan entries, 645 for the Motzkin entries and the
-transforms).  Every request runs in-process, so an uncaught exception fails
-the test.
+transforms, r + s = 20,000 for lemma1, the int-to-str digit limit for
+table).  Every request runs in-process, so an uncaught exception fails the
+test.
 """
 
 import csv
@@ -14,13 +15,16 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catmot import quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, list_representations
 from catmot.cli import main
+from catmot.exact import catalan, motzkin_oracle
 from catmot.transform import FORMS
+from exact_coeffs import wallis
 
 ENTRY_IDS = [rep.id for rep in list_representations()]
 LIMIT_MESSAGE = re.compile(r"\S+ takes n >= (\d+) and n <= (\d+) with the [a-z-]+ rule, got (-?\d+)")
@@ -132,3 +136,62 @@ def test_non_converged_rows_near_the_forced_limit_stay_finite(monkeypatch):
     assert len(rows) == 19
     assert any(not row["converged"] and row["rule"].endswith("[non-converged]") for row in rows)
     assert all(math.isfinite(row["estimate"]) and math.isfinite(row["rel_err"]) for row in rows)
+
+
+@st.composite
+def lemma1_requests(draw):
+    # r + s near 0 and near the 20,000 cap, on both sides of it; one of r
+    # and s small (or -1), so that most near-cap sides stay normal floats
+    total = draw(st.one_of(st.integers(0, 12), st.integers(19_990, 20_010)))
+    r = draw(st.one_of(st.integers(-1, 6), st.integers(total - 6, total + 1)))
+    argv = ["lemma1", str(r), str(total - r)]
+    a = draw(st.sampled_from([None, "1", "2.5", "0.3", "3.141592653589793",  # valid
+                              "0", "-1", "inf", "nan", "5e-324", "5.8e307", "1e-323", "x"]))
+    return argv if a is None else argv + ["--a", a]
+
+
+table_requests = st.builds(lambda n: ["table", str(n)], st.integers(-3, 100))
+
+
+def _run_catching_usage(argv):
+    """_run, with the parser's own refusals (a value it cannot convert) as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _lemma1_fields(out):
+    """label -> value text of every line of a lemma1 report."""
+    return dict(map(str.strip, line.split(" : ")) for line in out.splitlines())
+
+
+@given(st.one_of(lemma1_requests(), table_requests))
+@example(["lemma1", "3", "19997"])
+@example(["lemma1", "19997", "3", "--a", "2.5"])
+@example(["lemma1", "10000", "10000"])  # the exact side underflows
+@example(["table", "7153"])  # C(7153) has more than 4,300 digits
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_lemma1_and_table_print_exact_values_or_are_refused_up_front(argv):
+    code, out, err = _run_catching_usage(argv)
+    if code == 2:
+        assert out == "" and err.startswith(f"catmot {argv[0]}: error: ") and err.count("\n") == 1, err
+        return
+    assert code in (0, 1) and err == "", (code, err)
+    if argv[0] == "table":
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == int(argv[1]) + 1
+        assert rows == [[str(n), str(catalan(n)), str(motzkin_oracle(n))] for n in range(len(rows))]
+        return
+    fields = _lemma1_fields(out)
+    numbers = [float(text.split(" ")[0]) for label, text in fields.items() if label != "result"]
+    assert len(numbers) == 8 and all(map(math.isfinite, numbers)), out
+    r, s = int(argv[1]), int(argv[2])
+    a = float(argv[4]) if len(argv) > 3 else 1.0
+    exact = float(fields["exact over (0, a/2)"])
+    assert exact == pytest.approx(a / math.pi * wallis(r, s), rel=1e-14), out
+    assert float(fields["exact over (a/2, a)"]) == (-exact if r % 2 else exact)
+    assert fields["result"] == ("OK" if code == 0 else "MISMATCH")

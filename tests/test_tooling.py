@@ -129,3 +129,30 @@ def test_report_echo_holds_the_settings_and_the_request(capsys):
     echo = json.loads(capsys.readouterr().out)["config_echo"]
     request = ("selector", "n_range", "tol", "rule", "jobs", "format")
     assert sorted(echo) == sorted(Settings._fields + request)
+
+
+# every option of every command, each one a knob that a request can set: a
+# new or kept knob changes this reviewed list, and a retired one leaves it
+KNOBS = {
+    "catmot": ("--version",),
+    "list": ("--family", "--format"),
+    "verify": ("--n-range", "--tol", "--rule", "--format", "--out", "--jobs", "--n-max"),
+    "transform": ("--n",),
+    "lemma1": ("--a",),
+    "table": (),
+}
+
+
+def test_each_command_takes_only_the_listed_options():
+    import argparse
+
+    from catmot.cli import _build_parser
+
+    def options(parser):
+        return tuple(flag for action in parser._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help"))
+
+    parser = _build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"catmot": options(parser), **{name: options(p) for name, p in commands.choices.items()}}
+    assert found == KNOBS
