@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import catalan, catalan_numbers, motzkin, motzkin_numbers
-from .polys import phi_diff_over_square, psi_difference_over_square
+from .polys import phi_diff_over_square_3n, psi_difference_over_square_3n
 from .quadrature import (
     _EPS,
     QuadratureResult,
@@ -140,7 +140,7 @@ class Representation(NamedTuple):
         values = _EXACT_VALUES.get(self.family)
         if values is None:
             sequence = catalan_numbers() if self.family is Family.CATALAN else motzkin_numbers()
-            values = list(islice(sequence, _THETA_LIMIT[self.family] + 1))
+            values = list(islice(sequence, _N_LIMIT[self.family] + 1))
             # published whole: a thread that reads it never sees a partial list
             _EXACT_VALUES[self.family] = values
         if 0 <= n < len(values):
@@ -256,14 +256,14 @@ def _12f_integrand(n, x):
 
 
 def _13a_distance(n, da, db):
-    # (phi_{n+2} - phi_{n+1})(2 sqrt(x)) / x == 4 * phi_diff_over_square(n, 4x);
-    # scaling by powers of two keeps every Horner step bitwise the same
-    return 4.0 * phi_diff_over_square(n, 4.0 * da) / math.sqrt(da * db)
+    # (phi_{n+2} - phi_{n+1})(2 sqrt(x)) / x == 4 * phi_diff_over_square(n, 4x),
+    # over the 3^n that the prefactor holds
+    return 4.0 * phi_diff_over_square_3n(n, 4.0 * da) / math.sqrt(da * db)
 
 
 def _13b_distance(n, da, db):
     x = da - 1.0 if da <= db else 1.0 - db
-    return psi_difference_over_square(n, x) / math.sqrt(da * db)
+    return psi_difference_over_square_3n(n, x) / math.sqrt(da * db)
 
 
 _CATALOG: tuple[Representation, ...] = (
@@ -461,7 +461,7 @@ _CATALOG: tuple[Representation, ...] = (
         id="mot.13a",
         family=Family.MOTZKIN,
         n_min=0,
-        prefactor=lambda n: (Fraction(1, 4), -1),
+        prefactor=lambda n: (Fraction(3**n, 4), -1),  # the integrand is over 3^n
         domain=(0.0, 1.0),
         singularities=_ENDPOINT_TAGS,  # behaves like 1/sqrt(x) at 0: integrable, not removable
         statement=(
@@ -475,7 +475,7 @@ _CATALOG: tuple[Representation, ...] = (
         id="mot.13b",
         family=Family.MOTZKIN,
         n_min=0,
-        prefactor=lambda n: (Fraction(1, 2), -1),
+        prefactor=lambda n: (Fraction(3**n, 2), -1),  # the integrand is over 3^n
         domain=(-1.0, 1.0),
         # 0/0 at x = 0, limit 2/sqrt(1-x^2)
         singularities=_ENDPOINT_TAGS | {Singularity.REMOVABLE_INTERIOR},
@@ -524,16 +524,16 @@ def default_tolerance(rep: Representation) -> float:
     return 1e-11
 
 
-# The largest n every entry of a family takes, measured on the 19 entries
-# and the 9 transforms, not derived.  Under the theta rule cat.eq8's
-# prefactor 2^(2n+5) overflows at 510 and mot.13a/b go non-finite at 646;
-# under a forced tanh-sinh mot.13a's ~3^n/sqrt(d) integrand overflows near an
-# endpoint from 313, at level 5 of the 12 (at rel_tol 1e-11 and at 1e-15).
-_THETA_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
-_FORCED_LIMIT = 310
+# The largest n every entry of a family takes under either rule, measured on
+# the 19 entries and the 9 transforms, not derived: at the next n cat.eq8's
+# prefactor 2^(2n+5) and mot.12a's (1 + sqrt(x))^n near x = 4 overflow.
+# mot.13a and mot.13b hold their growth 3^n in the exact prefactor, so a
+# forced tanh-sinh stays finite near their endpoints; on the unscaled phi
+# transforms of cat.eq2 and cat.eq4 it overflows there from n = 315.
+_N_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 
-# family -> its exact values for n up to the theta limit, which bounds every
-# n that verify takes; filled by one pass of the exact recurrence
+# family -> its exact values for n up to its limit, which bounds every n
+# that verify takes; filled by one pass of the exact recurrence
 _EXACT_VALUES: dict[Family, list[int]] = {}
 
 
@@ -547,19 +547,22 @@ def _nodes(kind: int, n_nodes: int) -> tuple[float, ...]:
 def check_request(rep: Representation, n: int, rule: Optional[str] = None) -> str:
     """The rule that ``verify`` runs for (rep, n, rule).  Refuses with
     ValueError, before anything is integrated, an unknown rule, an n
-    outside n_min..the limit of that rule's float path, and the theta rule
-    on a copy of an entry (or of a transform's source) on another domain."""
+    outside n_min..the family's limit, the theta rule on a copy of an entry
+    on another domain, and a copy of a transform on another domain."""
     if rule is None:
         rule = _RULE_CHEBYSHEV
     elif rule not in VALID_RULE_OVERRIDES:
         raise ValueError(f"unknown rule override {rule!r}")
     # the sum is exact only where the entry states its substitution; elsewhere
-    # it is off with an ulp-sized estimate.  A transform's source precedes "->"
-    entry = _BY_ID.get(rep.id.partition("->")[0])
-    if rule == _RULE_CHEBYSHEV and entry is not None and rep.domain != entry.domain:
-        raise ValueError(f"{rep.id} has domain {rep.domain}, not the catalog's {entry.domain}: "
-                         "the chebyshev rule is exact only on the catalog domain")
-    limit = _THETA_LIMIT[rep.family] if rule == _RULE_CHEBYSHEV else _FORCED_LIMIT
+    # it is off with an ulp-sized estimate.  A transform's source precedes
+    # "->", and its integrand reads f at the ends of the source's domain
+    source_id, arrow, _ = rep.id.partition("->")
+    entry = _BY_ID.get(source_id)
+    if entry is not None and rep.domain != entry.domain and (arrow or rule == _RULE_CHEBYSHEV):
+        why = ("a transform is defined on its source's domain" if arrow
+               else "the chebyshev rule is exact only on the catalog domain")
+        raise ValueError(f"{rep.id} has domain {rep.domain}, not the catalog's {entry.domain}: {why}")
+    limit = _N_LIMIT[rep.family]
     if not rep.n_min <= n <= limit:
         raise ValueError(
             f"{rep.id} takes n >= {rep.n_min} and n <= {limit} with the {rule} rule, got {n}"
@@ -626,7 +629,7 @@ def verify(
 
     ``rule`` forces one of ``VALID_RULE_OVERRIDES``; by default the entry's
     substitution runs the exact Gauss-Chebyshev rule in theta, and
-    :func:`check_request` refuses an n past the rule's limit.  A forced
+    :func:`check_request` refuses an n past the family's limit.  A forced
     tanh-sinh runs at its defaults.  ``tol`` defaults to the
     singularity-class tolerance; a given one must be positive and finite.
     """

@@ -9,7 +9,9 @@ The Motzkin-from-Catalan transforms repeatedly need
 near t = 0 (or x = 0) the closed forms subtract nearly equal quantities;
 here every one of them is evaluated as a polynomial, each float coefficient
 one correctly rounded integer division (the tests hold the exact Fraction
-references), so small arguments accumulate same-sign terms only.
+references), so small arguments accumulate same-sign terms only.  The
+Motzkin entries 13a and 13b read the two difference kernels over 3^n, which
+keeps them finite wherever a float holds the exact prefactor's 3^n.
 """
 
 from __future__ import annotations
@@ -76,12 +78,18 @@ class PhiEvaluator:
         return s * horner(self._float_coeffs, s)
 
 
-def _phi_diff_floats(n: int) -> tuple[float, ...]:
-    """The coefficients d_j, j >= 1, of phi_{n+2} - phi_{n+1} in s = t^2 as
-    floats: d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1) reduces, by
-    C(m, i)/m = C(m-1, i-1)/i and Pascal's rule, to C(n, 2j-2)/j, one
-    correctly rounded integer division.  All d_j >= 0, and d_1 == 1."""
-    return tuple(c / j for j, c in enumerate(_binomials(n)[::2], start=1))
+def _phi_diff_floats(n: int, scale: int = 1) -> tuple[float, ...]:
+    """The coefficients d_j, j >= 1, of phi_{n+2} - phi_{n+1} in s = t^2,
+    over ``scale``, as floats: d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1)
+    reduces, by C(m, i)/m = C(m-1, i-1)/i and Pascal's rule, to C(n, 2j-2)/j,
+    so each is one correctly rounded integer division C(n, 2j-2)/(j*scale).
+    All d_j >= 0, and d_1 == 1."""
+    return tuple(c / (j * scale) for j, c in enumerate(_binomials(n)[::2], start=1))
+
+
+def _phi_diff_floats_3n(n: int) -> tuple[float, ...]:
+    """d_j / 3^n: mot.13a's kernel, whose growth 3^n its exact prefactor holds."""
+    return _phi_diff_floats(n, 3**n)
 
 
 def phi_diff_over_square(n: int, s: float) -> float:
@@ -93,12 +101,17 @@ def phi_diff_over_square(n: int, s: float) -> float:
     return horner(_float_coeffs(_phi_diff_floats, n), s)
 
 
-def _psi_diff_floats(n: int) -> tuple[float, ...]:
-    """The coefficients e_j, j = 2 .. n+2, of psi_{n+2} - psi_{n+1} in u = 2x
-    as floats: e_j = C(n+2,j)/(n+2) - C(n+1,j)/(n+1) reduces to C(n, j-2)/j
-    as d_j does.  e_1 is identically zero; dropping it removes the
-    catastrophic cancellation of the two-term closed form at small x."""
-    return tuple(c / j for j, c in enumerate(_binomials(n), start=2))
+def _psi_diff_floats(n: int, scale: int = 1) -> tuple[float, ...]:
+    """The coefficients e_j, j = 2 .. n+2, of psi_{n+2} - psi_{n+1} in u = 2x,
+    over ``scale``, as floats: e_j = C(n+2,j)/(n+2) - C(n+1,j)/(n+1) reduces
+    to C(n, j-2)/j as d_j does.  e_1 is identically zero; dropping it removes
+    the catastrophic cancellation of the two-term closed form at small x."""
+    return tuple(c / (j * scale) for j, c in enumerate(_binomials(n), start=2))
+
+
+def _psi_diff_floats_3n(n: int) -> tuple[float, ...]:
+    """e_j / 3^n: mot.13b's kernel, whose growth 3^n its exact prefactor holds."""
+    return _psi_diff_floats(n, 3**n)
 
 
 def psi_difference(n: int, x: float) -> float:
@@ -110,7 +123,13 @@ def psi_difference(n: int, x: float) -> float:
     return (u * u) * horner(_float_coeffs(_psi_diff_floats, n), u)
 
 
-def psi_difference_over_square(n: int, x: float) -> float:
-    """(psi_{n+2}(x) - psi_{n+1}(x)) / x^2, continuous at x = 0 (value 2)."""
+def phi_diff_over_square_3n(n: int, s: float) -> float:
+    """phi_diff_over_square(n, s) / 3^n, at most 1 for 0 <= s <= 4 whatever n
+    (the coefficients sum C(n, k) 2^k over even k there)."""
+    return horner(_float_coeffs(_phi_diff_floats_3n, n), s)
+
+
+def psi_difference_over_square_3n(n: int, x: float) -> float:
+    """(psi_{n+2}(x) - psi_{n+1}(x)) / (x^2 3^n), continuous at x = 0 (value 2/3^n)."""
     # u^2 / x^2 == 4 exactly in binary arithmetic, so divide it out up front
-    return 4.0 * horner(_float_coeffs(_psi_diff_floats, n), 2.0 * x)
+    return 4.0 * horner(_float_coeffs(_psi_diff_floats_3n, n), 2.0 * x)

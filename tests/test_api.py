@@ -49,7 +49,9 @@ REMOVED = {
     catmot.transform.CatalanForm: ("g", "g_distance", "domain", "semi_infinite", "n_max"),
     catmot.polys: ("psi_difference_naive", "phi_ratio_coeffs", "psi_diff_float_coeffs",
                    # the exact Fraction references live in tests/exact_coeffs.py
-                   "phi_diff_coeffs", "psi_diff_coeffs"),
+                   "phi_diff_coeffs", "psi_diff_coeffs",
+                   # mot.13b reads its kernel over 3^n
+                   "psi_difference_over_square"),
     # the Chebyshev rule integrates the entry's own integrand, with the node
     # count that the entry's substitution degree gives
     catmot.catalog: (
@@ -59,6 +61,8 @@ REMOVED = {
         "_select_rule",
         # rows share the theta nodes of a (kind, N), not a map's node table
         "_node_table",
+        # one limit per family bounds n under both rules
+        "_FORCED_LIMIT", "_THETA_LIMIT",
     ),
     # every substitution covers the domain once as theta runs over (0, pi),
     # and states its map once, as the node tables that tabulate gives

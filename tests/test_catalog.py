@@ -245,6 +245,38 @@ def test_default_rule_passes_at_large_n(rep_id):
         assert row.passed, (rep_id, n, row.rel_err, row.rule)
 
 
+def test_both_rules_pass_and_agree_up_to_the_family_limits():
+    # one limit per family bounds n under both rules: every catalog entry
+    # passes at each n of the spread under each rule, and the two agree
+    # within its class tolerance, up to 509 for the Catalan entries and 645
+    # for the Motzkin ones
+    spread = (0, 1, 2, 100, 250, 310, 311, 313, 400, 509, 510, 600, 645)
+    rows = 0
+    for rep in list_representations():
+        tol = default_tolerance(rep)
+        for n in (n for n in spread if rep.n_min <= n <= N_LIMITS[rep.family]):
+            theta, forced = verify(rep, n), verify(rep, n, rule="tanh-sinh")
+            assert theta.passed and forced.passed, (rep.id, n, theta.rel_err, forced.rel_err)
+            assert abs(theta.estimate - forced.estimate) <= tol * theta.exact, (rep.id, n)
+            rows += 1
+    assert rows == 11 * 10 - 1 + 8 * 13
+
+
+def test_forced_phi_transforms_fail_their_rows_past_314():
+    # the transforms keep their unscaled kernels: on the phi ones that reach
+    # f = 2 at a singular end, (phi_{n+2} - phi_{n+1})/f^2 ~ 3^n/n times
+    # g ~ 1/sqrt(d) overflows near that end under a forced tanh-sinh from
+    # n = 315.  Such a row fails, non-converged; it never passes or raises
+    for form_id in ("cat.eq2", "cat.eq4"):
+        derived = ENTRIES[f"{form_id}->motzkin"]
+        assert verify(derived, 314, rule="tanh-sinh").passed, form_id
+        for n in (315, 645):
+            row = verify(derived, n, rule="tanh-sinh")
+            assert not row.converged and not row.passed, (form_id, n)
+            assert row.rule.endswith("[non-converged]"), (form_id, n)
+            assert verify(derived, n).passed, (form_id, n)
+
+
 @pytest.mark.parametrize("rep_id", list(ENTRIES))
 def test_theta_rule_agrees_with_the_engine_the_tags_pick(rep_id):
     # forced tanh-sinh is the one cross-check; the tags pick the map it runs
@@ -351,7 +383,31 @@ def test_the_theta_rule_refuses_a_transform_copy_on_another_domain():
     assert str(refused.value).startswith(
         "cat.eq5->motzkin has domain (0.0, 1.0), not the catalog's (0.0, 4.0):"
     )
-    assert check_request(copy, 5, "tanh-sinh") == "tanh-sinh"
+    with pytest.raises(ValueError, match="a transform is defined on its source's domain$"):
+        check_request(copy, 5, "tanh-sinh")
+
+
+def test_the_forced_rule_refuses_a_transform_copy_on_another_domain():
+    # the derived integrand reads f at the source's ends, whatever the copy's
+    # domain: the forced engine spent 50,479 evaluations on this copy and
+    # returned a non-converged 5.374.  Refused before any evaluation
+    derived = motzkin_representation(get_form("cat.eq5"))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return derived.integrand(*args)
+
+    for rep in (derived, derived._replace(integrand=counted)):
+        with pytest.raises(ValueError) as refused:
+            verify(rep._replace(domain=(0.0, 1.0)), 5, rule="tanh-sinh")
+        assert str(refused.value) == (
+            "cat.eq5->motzkin has domain (0.0, 1.0), not the catalog's (0.0, 4.0): "
+            "a transform is defined on its source's domain"
+        )
+    assert calls == 0
+    assert verify(derived, 5, rule="tanh-sinh").passed
 
 
 def test_the_semi_infinite_tag_describes_the_domain():
@@ -500,8 +556,8 @@ def test_at_reads_the_integrand_through_the_domain():
 
 # -- the tabulated theta rule and the exact values that verify reads ----------
 
-# the largest n of each family under the theta rule (catalog.check_request)
-THETA_LIMITS = {Family.CATALAN: 509, Family.MOTZKIN: 645}
+# the largest n of each family under either rule (catalog.check_request)
+N_LIMITS = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 
 
 def _per_node_sum(rep: Representation, n: int, n_nodes: int) -> float:
@@ -527,7 +583,7 @@ def test_tabulated_theta_sum_matches_the_per_node_sum_bit_for_bit(rep_id):
 
     rep = ENTRIES[rep_id]
     sub = rep.substitution
-    for n in (*range(rep.n_min, 121), THETA_LIMITS[rep.family]):
+    for n in (*range(rep.n_min, 121), N_LIMITS[rep.family]):
         n_nodes = sub.degree(n) // 2 + 1
         for count in (n_nodes, n_nodes - 1):
             if count == 0:
@@ -537,8 +593,8 @@ def test_tabulated_theta_sum_matches_the_per_node_sum_bit_for_bit(rep_id):
 
 
 def _error_grid(rep: Representation) -> tuple[int, ...]:
-    """n from n_min to 100, every 7th n above it and the theta limit."""
-    limit = THETA_LIMITS[rep.family]
+    """n from n_min to 100, every 7th n above it and the family's limit."""
+    limit = N_LIMITS[rep.family]
     return (*range(rep.n_min, 101), *range(101, limit, 7), limit)
 
 
@@ -571,8 +627,8 @@ def test_exact_values_are_the_oracles_up_to_the_theta_limits():
 
     for family, exact in ((Family.CATALAN, catalan), (Family.MOTZKIN, motzkin)):
         rep = list_representations(family)[0]
-        values = [rep.exact_value(n) for n in range(THETA_LIMITS[family] + 1)]
-        assert values == [exact(n) for n in range(THETA_LIMITS[family] + 1)], family
+        values = [rep.exact_value(n) for n in range(N_LIMITS[family] + 1)]
+        assert values == [exact(n) for n in range(N_LIMITS[family] + 1)], family
     rep = get_representation("mot.12a")
     assert [rep.exact_value(n) for n in range(65)] == [motzkin_oracle(n) for n in range(65)]
     # past the limits, and below 0, the exact functions answer

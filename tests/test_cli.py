@@ -267,8 +267,8 @@ def test_rule_choices_are_the_catalogs():
 
 
 def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
-    # every entry takes n = 0..310 with a forced engine, none takes 311: no
-    # engine may run first
+    # every Catalan entry takes n = 0..509 with a forced engine, as with the
+    # default one, none takes 510: no engine may run first
     import catmot.catalog
 
     def engine_called(*args, **kwargs):
@@ -277,11 +277,11 @@ def test_verify_forced_rule_refused_before_any_row_runs(capsys, monkeypatch):
     for name in ("tanh_sinh", "chebyshev_sum_first", "chebyshev_sum_second"):
         monkeypatch.setattr(catmot.catalog, name, engine_called)
     code, out, err = run(capsys, "verify", "all", "--rule", "tanh-sinh",
-                         "--n-range", "0..311", "--n-max", "400")
+                         "--n-range", "0..510", "--n-max", "600")
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
-        "catmot verify: error: cat.eq2 takes n >= 0 and n <= 310 with the tanh-sinh rule, got 311"
+        "catmot verify: error: cat.eq2 takes n >= 0 and n <= 509 with the tanh-sinh rule, got 510"
     )
 
 

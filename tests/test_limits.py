@@ -1,11 +1,12 @@
 """The n-limit contract of the CLI: a request either runs, with every row
 finite, or is refused up front with exit 2 and one message.
 
-Requests are drawn near and past each measured limit (310 for a forced
-engine, 509 for the Catalan entries, 645 for the Motzkin entries and the
-transforms, r + s = 20,000 for lemma1, the int-to-str digit limit for
-table).  Every request runs in-process, so an uncaught exception fails the
-test.
+Requests are drawn near and past each measured limit (509 for the Catalan
+entries, 645 for the Motzkin entries and the transforms, under either rule;
+r + s = 20,000 for lemma1; the int-to-str digit limit for table), and at
+n 300..330, where a kernel that grows like 3^n overflows near an endpoint
+under a forced engine unless the exact prefactor holds that growth.  Every
+request runs in-process, so an uncaught exception fails the test.
 """
 
 import csv
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catmot import quadrature
-from catmot.catalog import VALID_RULE_OVERRIDES, list_representations
+from catmot.catalog import VALID_RULE_OVERRIDES, Family, list_representations
 from catmot.cli import main
 from catmot.exact import catalan, motzkin_oracle
 from catmot.transform import FORMS
@@ -84,7 +85,8 @@ def _row_values(fmt, out):
 @example(["verify", "cat.eq8", "--n-range", "510..510", "--n-max", "600"])
 @example(["verify", "cat.eq7", "--n-range", "512..512", "--n-max", "600", "--format", "json"])
 @example(["verify", "mot.13a", "--n-range", "646..646", "--n-max", "700"])
-@example(["verify", "mot.13a", "--rule", "tanh-sinh", "--n-range", "311..311", "--n-max", "400"])
+@example(["verify", "mot.13a", "--rule", "tanh-sinh", "--n-range", "645..645", "--n-max", "700"])
+@example(["verify", "cat.eq8", "--rule", "tanh-sinh", "--n-range", "510..510", "--n-max", "600"])
 @example(["transform", "cat.eq2", "--n", "646"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_a_request_runs_finite_or_is_refused_up_front(argv):
@@ -125,16 +127,23 @@ def test_theta_limits_hold_from_both_sides():
                        f" with the chebyshev rule, got {n}\n")
 
 
-def test_non_converged_rows_near_the_forced_limit_stay_finite(monkeypatch):
-    # at three levels the forced rows at the limit do not converge: they
-    # exit 1 with finite values, labelled, not refused and not raised
+def test_non_converged_rows_at_the_family_limits_stay_finite(monkeypatch):
+    # at three levels the forced rows at each family's limit do not converge:
+    # they exit 1 with finite values, labelled, not refused and not raised
     monkeypatch.setattr(quadrature, "_MAX_LEVELS", 3)
-    argv = ["verify", "all", "--rule", "tanh-sinh", "--n-range", "310..310", "--n-max", "310"]
-    code, out, err = _run(argv + ["--format", "json"])
-    assert (code, err) == (1, "")
-    rows = json.loads(out, parse_constant=_reject)["rows"]
-    assert len(rows) == 19
-    assert any(not row["converged"] and row["rule"].endswith("[non-converged]") for row in rows)
+    requests = [("all", 509)] + [(rep.id, 645) for rep in list_representations(Family.MOTZKIN)]
+    rows = []
+    for selector, n in requests:
+        argv = ["verify", selector, "--rule", "tanh-sinh", "--n-range", f"{n}..{n}", "--n-max", str(n)]
+        code, out, err = _run(argv + ["--format", "json"])
+        report = json.loads(out, parse_constant=_reject)
+        assert (code, err) == (0 if report["summary"]["failed"] == 0 else 1, "")
+        rows += report["rows"]
+    assert len(rows) == 19 + 8
+    assert any(not row["converged"] and row["rule"].endswith("[non-converged]")
+               for row in rows[:19])
+    assert any(not row["converged"] and row["rule"].endswith("[non-converged]")
+               for row in rows[19:])
     assert all(math.isfinite(row["estimate"]) and math.isfinite(row["rel_err"]) for row in rows)
 
 

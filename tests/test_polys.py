@@ -9,7 +9,7 @@ from catmot.polys import (
     half_power_sum,
     phi_diff_over_square,
     psi_difference,
-    psi_difference_over_square,
+    psi_difference_over_square_3n,
 )
 from exact_coeffs import phi_diff_coeffs, psi_diff_coeffs
 
@@ -84,14 +84,20 @@ def test_phi_diff_over_square_matches_closed_form():
 def test_float_coefficients_are_the_correctly_rounded_rationals():
     # one integer division per coefficient gives, bit for bit, float() of the
     # exact Fraction reference over each kernel's whole float range: phi up to
-    # n = 1037, psi up to n = 1038, far past the n that verify takes (645)
-    for exact, floats, n_max in (
-        (phi_diff_coeffs, polys._phi_diff_floats, 1037),
-        (psi_diff_coeffs, polys._psi_diff_floats, 1038),
+    # n = 1037, psi up to n = 1038, far past the n that verify takes (645).
+    # The builders over 3^n that mot.13a and mot.13b read give float(c / 3^n)
+    # for every n they take, as one correctly rounded division of the same rational
+    for exact, floats, floats_3n, n_max in (
+        (phi_diff_coeffs, polys._phi_diff_floats, polys._phi_diff_floats_3n, 1037),
+        (psi_diff_coeffs, polys._psi_diff_floats, polys._psi_diff_floats_3n, 1038),
     ):
         for n in range(n_max + 1):
-            reference = [float(c).hex() for c in exact(n)]
+            coeffs = exact(n)
+            reference = [float(c).hex() for c in coeffs]
             assert [c.hex() for c in floats(n)] == reference, (floats.__name__, n)
+            if n <= 645:
+                reference = [(c.numerator / (c.denominator * 3**n)).hex() for c in coeffs]
+                assert [c.hex() for c in floats_3n(n)] == reference, (floats_3n.__name__, n)
         # both paths overflow at the same n
         with pytest.raises(OverflowError):
             [float(c) for c in exact(n_max + 1)]
@@ -133,11 +139,11 @@ def test_psi_over_square_tracks_exact_value():
     # which is precisely where the two-term closed form collapses
     for n in (0, 5, 10, 20):
         for x in (1e-4, 1e-6, 1e-8):
-            exact = float(exact_psi_over_square(n, x))
-            got = psi_difference_over_square(n, x)
-            assert abs(got - exact) / exact <= 1e-13
+            exact = exact_psi_over_square(n, x)
+            got = psi_difference_over_square_3n(n, x)
+            assert abs(got - float(exact / 3**n)) / float(exact / 3**n) <= 1e-13
             ratio_form = psi_difference(n, x) / x**2
-            assert abs(ratio_form - exact) / exact <= 1e-13
+            assert abs(ratio_form - float(exact)) / float(exact) <= 1e-13
 
 
 def test_psi_deviation_from_limit_shrinks():
@@ -156,7 +162,7 @@ def test_naive_psi_fails_at_small_x():
         x = 1e-8
         exact = float(exact_psi_over_square(n, x))
         naive = psi_difference_naive(n, x) / x**2
-        stable = psi_difference_over_square(n, x)
+        stable = psi_difference_over_square_3n(n, x) * 3**n
         assert abs(naive - exact) / exact > 1e-4
         assert abs(stable - exact) / exact <= 1e-13
 

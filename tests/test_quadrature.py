@@ -194,9 +194,10 @@ def test_tanh_sinh_overflowed_sum_is_not_converged():
 
 @pytest.mark.parametrize("rep_id", ["mot.13a", "mot.13b"])
 def test_forced_engine_refuses_n_past_its_limit(rep_id):
-    # the ~3^n/sqrt(d) distance integrands overflow near an endpoint from
-    # n = 313 (mot.13a, at level 5): a forced engine takes n <= 310, and no
-    # n past it reaches the integrand
+    # the distance integrands are over 3^n, which the exact prefactor holds,
+    # so they stay finite near an endpoint: a forced engine takes n up to
+    # the Motzkin limit 645, as the theta rule does, and no n past it
+    # reaches the integrand
     rep = get_representation(rep_id)
     seen = set()
 
@@ -205,12 +206,12 @@ def test_forced_engine_refuses_n_past_its_limit(rep_id):
         return rep.integrand(n, da, db)
 
     counted = rep._replace(integrand=integrand)
-    row = verify(counted, 310, rule="tanh-sinh")
-    assert math.isfinite(row.estimate) and math.isfinite(row.rel_err)
-    for n in (311, 313, 314, 361):
-        with pytest.raises(ValueError, match=f"n <= 310 with the tanh-sinh rule, got {n}$"):
+    for n in (310, 311, 313, 645):
+        assert verify(counted, n, rule="tanh-sinh").passed, n
+    for n in (646, 647, 700):
+        with pytest.raises(ValueError, match=f"n <= 645 with the tanh-sinh rule, got {n}$"):
             verify(counted, n, rule="tanh-sinh")
-    assert seen == {310}
+    assert seen == {310, 311, 313, 645}
 
 
 # -- (0, +inf): tanh-sinh on x = u/(1 - u) -------------------------------------
@@ -371,14 +372,14 @@ def _assert_rel_tol_refused(bad_values):
         assert probe.calls == 0
 
 
-def test_quad_config_validation():
+def test_engines_refuse_a_rel_tol_that_is_not_positive_and_finite():
     # a rel_tol that is not a positive finite number is refused by every
     # engine before any evaluation; the level cap is fixed
     assert quadrature._MAX_LEVELS == 12
     _assert_rel_tol_refused((0.0, -1e-11, math.inf, -math.inf, math.nan))
 
 
-def test_quad_config_refuses_rel_tol_below_the_floor():
+def test_engines_refuse_a_rel_tol_below_the_floor():
     # below the measured floor some forced row cannot converge: refused up
     # front, while the floor itself runs (Gauss-Kronrod's estimate never drops
     # below 50 eps |value|, so it does not converge there)
