@@ -525,11 +525,10 @@ def default_tolerance(rep: Representation) -> float:
 
 
 # The largest n every entry of a family takes under either rule, measured on
-# the 19 entries and the 9 transforms, not derived: at the next n cat.eq8's
-# prefactor 2^(2n+5) and mot.12a's (1 + sqrt(x))^n near x = 4 overflow.
-# mot.13a and mot.13b hold their growth 3^n in the exact prefactor, so a
-# forced tanh-sinh stays finite near their endpoints; on the unscaled phi
-# transforms of cat.eq2 and cat.eq4 it overflows there from n = 315.
+# the 19 entries and the 9 transforms: cat.eq8's prefactor 2^(2n+5) overflows
+# at 510; the Motzkin entries overflow from 647, and 645 stays as published.
+# A forced tanh-sinh stays finite near mot.13a's and mot.13b's endpoints, but
+# not near those of the unscaled phi transforms of cat.eq2 and cat.eq4 from 315
 _N_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 
 # family -> its exact values for n up to its limit, which bounds every n

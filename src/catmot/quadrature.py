@@ -33,14 +33,11 @@ _HALF_PI = math.pi / 2.0
 # the double-exponential level cap: level L runs to t_max, about 6.2 * 2**L
 # evaluations, so a sum that never converges stops after about 50k of them
 _MAX_LEVELS = 12
-# the smallest rel_tol: near the double epsilon no level difference meets
-# it.  Measured on the 10,777 forced catalog rows (19 entries, n_min..the
-# family limits, 12 levels): up to n = 310 all converge at 1e-15 and 5e-16,
-# and at 4e-16 cat.eq6 (n = 275, 276) and mot.12d (n = 303) do not.  Larger
-# n need more: 112 rows do not converge at 1e-15 (cat.eq6 at 6 n in
-# 492..505, cat.eq8 at 106 in 401..509), 352 at 5e-16, 454 at 4e-16, 7 at
-# 2e-15 and none at 4e-15.  Such a row reports that it did not converge;
-# verify's forced rows run at the default 1e-11
+# the smallest rel_tol: near the double epsilon no level difference meets it.
+# Of the 10,777 forced catalog rows (n_min..the family limits, 12 levels), all
+# with n <= 310 converge at 1e-15 and 5e-16; over all n, 112 do not at 1e-15
+# (cat.eq6 and cat.eq8 from n = 401), 352 at 5e-16, 454 at 4e-16, 7 at 2e-15
+# and none at 4e-15.  verify's forced rows run at the default 1e-11
 _MIN_REL_TOL = 1e-15
 # the Gauss-Kronrod subdivision budget, in intervals
 _MAX_SUBDIVISIONS = 2000

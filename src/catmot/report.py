@@ -77,12 +77,8 @@ class Report:
             }
             for r in self.rows
         ]
-        obj = {
-            "tool_version": self.tool_version,
-            "config_echo": self.config_echo,
-            "summary": self.summary,
-            "rows": rows,
-        }
+        obj = {"tool_version": self.tool_version, "config_echo": self.config_echo,
+               "summary": self.summary, "rows": rows}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     # -- markdown ----------------------------------------------------------

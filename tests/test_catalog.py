@@ -389,8 +389,8 @@ def test_the_theta_rule_refuses_a_transform_copy_on_another_domain():
 
 def test_the_forced_rule_refuses_a_transform_copy_on_another_domain():
     # the derived integrand reads f at the source's ends, whatever the copy's
-    # domain: the forced engine spent 50,479 evaluations on this copy and
-    # returned a non-converged 5.374.  Refused before any evaluation
+    # domain: integrated anyway, this copy takes 50,479 evaluations and stops
+    # non-converged at 5.374.  Refused before any evaluation
     derived = motzkin_representation(get_form("cat.eq5"))
     calls = 0
 
