@@ -71,7 +71,7 @@ class Substitution(NamedTuple):
     # column per argument: x, or the endpoint distances x - a and b - x on an
     # endpoint-singular entry; and |dx/dtheta| at every node.  The domain and
     # the tags are read from rep; check_request refuses the theta rule on a
-    # copy on another domain, which only the forced rule integrates
+    # copy on another domain, which the forced rule integrates if not a transform
     tabulate: Callable[[Representation, Sequence[float]], NodeTable]
     kind: int  # 1: midpoint nodes; 2: interior nodes, for the sin^2 forms
     degree: Callable[[int], int]
