@@ -256,8 +256,8 @@ def _12f_integrand(n, x):
 
 
 def _13a_distance(n, da, db):
-    # (phi_{n+2} - phi_{n+1})(2 sqrt(x)) / x == 4 * phi_diff_over_square(n, 4x),
-    # over the 3^n that the prefactor holds
+    # (phi_{n+2} - phi_{n+1})(t) / x == 4 (phi_{n+2} - phi_{n+1})(t) / t^2 with
+    # t = 2 sqrt(x), read over the 3^n that the prefactor holds
     return 4.0 * phi_diff_over_square_3n(n, 4.0 * da) / math.sqrt(da * db)
 
 
@@ -526,9 +526,7 @@ def default_tolerance(rep: Representation) -> float:
 
 # The largest n every entry of a family takes under either rule, measured on
 # the 19 entries and the 9 transforms: cat.eq8's prefactor 2^(2n+5) overflows
-# at 510; the Motzkin entries overflow from 647, and 645 stays as published.
-# A forced tanh-sinh stays finite near mot.13a's and mot.13b's endpoints, but
-# not near those of the unscaled phi transforms of cat.eq2 and cat.eq4 from 315
+# at 510; the Motzkin entries overflow from 647, and 645 stays as published
 _N_LIMIT = {Family.CATALAN: 509, Family.MOTZKIN: 645}
 
 # family -> its exact values for n up to its limit, which bounds every n

@@ -9,9 +9,10 @@ The Motzkin-from-Catalan transforms repeatedly need
 near t = 0 (or x = 0) the closed forms subtract nearly equal quantities;
 here every one of them is evaluated as a polynomial, each float coefficient
 one correctly rounded integer division (the tests hold the exact Fraction
-references), so small arguments accumulate same-sign terms only.  The
-Motzkin entries 13a and 13b read the two difference kernels over 3^n, which
-keeps them finite wherever a float holds the exact prefactor's 3^n.
+references), so small arguments accumulate same-sign terms only.  Every
+Motzkin kernel, of a transform or of the entries 13a and 13b, is read over
+3^n, its growth where |t| = 2 (|x| = 1): the exact prefactor holds the 3^n,
+so each kernel stays finite wherever a float holds that prefactor.
 """
 
 from __future__ import annotations
@@ -44,15 +45,17 @@ def _binomials(m: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def even_binomial_coeffs(n: int) -> tuple[int, ...]:
-    """Coefficients of (1/2)*((1+t)^n + (1-t)^n) as a polynomial in s = t^2:
-    C(n, 0), C(n, 2), ..., C(n, 2*floor(n/2))."""
-    return _binomials(n)[::2]
+def _half_power_floats_3n(n: int) -> tuple[float, ...]:
+    """The coefficients of (1/2)*((1+t)^n + (1-t)^n) in s = t^2, over 3^n:
+    C(n, 0)/3^n, C(n, 2)/3^n, ..., each one correctly rounded division."""
+    scale = 3**n
+    return tuple(c / scale for c in _binomials(n)[::2])
 
 
-def half_power_sum(n: int, s: float) -> float:
-    """(1/2)*((1+t)^n + (1-t)^n) as a function of s = t^2 (s >= 0)."""
-    return horner(_float_coeffs(even_binomial_coeffs, n), s)
+def half_power_sum_3n(n: int, s: float) -> float:
+    """(1/2)*((1+t)^n + (1-t)^n) / 3^n as a function of s = t^2 (s >= 0),
+    at most 1 for s <= 4 whatever n."""
+    return horner(_float_coeffs(_half_power_floats_3n, n), s)
 
 
 class PhiEvaluator:
@@ -78,27 +81,14 @@ class PhiEvaluator:
         return s * horner(self._float_coeffs, s)
 
 
-def _phi_diff_floats(n: int, scale: int = 1) -> tuple[float, ...]:
-    """The coefficients d_j, j >= 1, of phi_{n+2} - phi_{n+1} in s = t^2,
-    over ``scale``, as floats: d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1)
-    reduces, by C(m, i)/m = C(m-1, i-1)/i and Pascal's rule, to C(n, 2j-2)/j,
-    so each is one correctly rounded integer division C(n, 2j-2)/(j*scale).
-    All d_j >= 0, and d_1 == 1."""
-    return tuple(c / (j * scale) for j, c in enumerate(_binomials(n)[::2], start=1))
-
-
 def _phi_diff_floats_3n(n: int) -> tuple[float, ...]:
-    """d_j / 3^n: mot.13a's kernel, whose growth 3^n its exact prefactor holds."""
-    return _phi_diff_floats(n, 3**n)
-
-
-def phi_diff_over_square(n: int, s: float) -> float:
-    """(phi_{n+2} - phi_{n+1}) / t^2 evaluated at s = t^2.
-
-    Continuous at s = 0 with value 1 (the d_1 coefficient), which is the
-    analytic limit used when the transform's f vanishes.
-    """
-    return horner(_float_coeffs(_phi_diff_floats, n), s)
+    """The coefficients d_j, j >= 1, of phi_{n+2} - phi_{n+1} in s = t^2,
+    over 3^n, as floats: d_j = 2*C(n+2,2j)/(n+2) - 2*C(n+1,2j)/(n+1)
+    reduces, by C(m, i)/m = C(m-1, i-1)/i and Pascal's rule, to C(n, 2j-2)/j,
+    so each is one correctly rounded integer division C(n, 2j-2)/(j*3^n).
+    All d_j >= 0, and d_1 == 1."""
+    scale = 3**n
+    return tuple(c / (j * scale) for j, c in enumerate(_binomials(n)[::2], start=1))
 
 
 def _psi_diff_floats(n: int, scale: int = 1) -> tuple[float, ...]:
@@ -124,8 +114,10 @@ def psi_difference(n: int, x: float) -> float:
 
 
 def phi_diff_over_square_3n(n: int, s: float) -> float:
-    """phi_diff_over_square(n, s) / 3^n, at most 1 for 0 <= s <= 4 whatever n
-    (the coefficients sum C(n, k) 2^k over even k there)."""
+    """(phi_{n+2} - phi_{n+1}) / (t^2 3^n) evaluated at s = t^2, at most 1
+    for 0 <= s <= 4 whatever n (the coefficients sum C(n, k) 2^k over even k
+    there).  Continuous at s = 0 with value 1/3^n (the d_1 coefficient), the
+    analytic limit used when the transform's f vanishes."""
     return horner(_float_coeffs(_phi_diff_floats_3n, n), s)
 
 

@@ -12,9 +12,10 @@ the corresponding Motzkin integrand is
 
 with phi_m(t) = ((1+t)^m + (1-t)^m - 2)/m.  Both kernels are evaluated as
 even-power polynomial sums in s = f(x)^2 (each float coefficient the exact
-one correctly rounded), so they stay accurate where f vanishes; at a zero
-of f the phi kernel equals its analytic limit g(x) exactly, because the
-leading coefficient of the difference polynomial in f^2 is 1.
+one correctly rounded), so they stay accurate where f vanishes.  Each grows
+like 3^n where |f| = 2, so, as for mot.13a and mot.13b, it is read over 3^n
+with the 3^n in the exact prefactor; at a zero of f the phi kernel is 1/3^n
+exactly, because the difference polynomial in f^2 leads with 1.
 
 A registration table gives f and the flavor of each eligible Catalan
 catalog entry.  A transform is a Motzkin entry derived from the source
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .catalog import Family, Representation, check_request, get_representation, verify
-from .polys import half_power_sum, phi_diff_over_square
+from .polys import half_power_sum_3n, phi_diff_over_square_3n
 from . import quadrature
 
 _PI = math.pi
@@ -66,12 +67,16 @@ class ComparisonMode(Enum):
 
 
 def motzkin_representation(form: CatalanForm) -> Representation:
-    """The transform of a form as a Motzkin entry with prefactor 1, whose
-    integrand takes what the source entry's integrand takes: x, or the
-    endpoint distances.  Its id is not a catalog id."""
-    kernel = phi_diff_over_square if form.has_inverse_n_plus_1 else half_power_sum
+    """The transform of a form as a Motzkin entry with prefactor 3^n times
+    the source's power of pi, whose integrand (the kernel over 3^n, times g)
+    takes what the source entry's integrand takes: x, or the endpoint
+    distances.  Its id is not a catalog id."""
+    kernel = phi_diff_over_square_3n if form.has_inverse_n_plus_1 else half_power_sum_3n
     source = get_representation(form.id)
-    g_scale = source.prefactor_float(0)
+    # g keeps the source's rational at n = 0, a power of two and so an exact
+    # float: times 3^n in the prefactor, cat.eq6's 4 overflows at 645, cat.eq8's 32 from 643
+    rational, pi_power = source.prefactor(0)
+    g_scale = float(rational)
     lo, hi = source.domain
     if source.endpoint_singular:
         def integrand(n: int, da: float, db: float) -> float:
@@ -89,7 +94,7 @@ def motzkin_representation(form: CatalanForm) -> Representation:
     return source._replace(
         id=f"{form.id}->motzkin",
         family=Family.MOTZKIN,
-        prefactor=lambda n: (Fraction(1), 0),
+        prefactor=lambda n: (Fraction(3**n), pi_power),
         integrand=integrand,
         substitution=source.substitution._replace(degree=lambda n: source_degree(n // 2)),
     )
@@ -172,12 +177,12 @@ def transform_deviation(
     check_request(derived, n)  # refuses an n past the Motzkin limit up front
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
-        scale = rep.prefactor_float(n)
+        lhs_scale, rhs_scale = derived.prefactor_float(n), rep.prefactor_float(n)
         derived_at, rep_at = derived.at(n), rep.at(n)
         worst = 0.0
         for x in _sample_points(derived, check_points):
-            lhs = derived_at(x)
-            rhs = scale * rep_at(x)
+            lhs = lhs_scale * derived_at(x)
+            rhs = rhs_scale * rep_at(x)
             denom = max(abs(lhs), abs(rhs))
             if denom > 0.0:
                 worst = max(worst, abs(lhs - rhs) / denom)

@@ -1,7 +1,6 @@
 """Exact references that the runtime's floats are checked against: the
-rational coefficients of the transform kernels' difference polynomials,
-whose floats ``catmot.polys`` evaluates, and the Wallis integral behind
-``lemma1``."""
+coefficients of the transform kernels' polynomials, whose floats over 3^n
+``catmot.polys`` evaluates, and the Wallis integral behind ``lemma1``."""
 
 import math
 from fractions import Fraction
@@ -13,6 +12,12 @@ def _binomial_row(m: int) -> list[int]:
     for k in range(m + 1):
         row.append(row[-1] * (m - k) // (k + 1))
     return row
+
+
+def even_binomial_coeffs(n: int) -> tuple[int, ...]:
+    """Coefficients of (1/2)*((1+t)^n + (1-t)^n) as a polynomial in s = t^2:
+    C(n, 0), C(n, 2), ..., C(n, 2*floor(n/2))."""
+    return tuple(_binomial_row(n)[: n + 1 : 2])
 
 
 def phi_diff_coeffs(n: int) -> tuple[Fraction, ...]:

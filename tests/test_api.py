@@ -51,7 +51,11 @@ REMOVED = {
                    # the exact Fraction references live in tests/exact_coeffs.py
                    "phi_diff_coeffs", "psi_diff_coeffs",
                    # mot.13b reads its kernel over 3^n
-                   "psi_difference_over_square"),
+                   "psi_difference_over_square",
+                   # every Motzkin kernel is read over 3^n, the transforms' too;
+                   # the integer reference lives in tests/exact_coeffs.py
+                   "phi_diff_over_square", "half_power_sum", "even_binomial_coeffs",
+                   "_phi_diff_floats"),
     # the Chebyshev rule integrates the entry's own integrand, with the node
     # count that the entry's substitution degree gives
     catmot.catalog: (

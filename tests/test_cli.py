@@ -33,6 +33,47 @@ def run_usage_error(capsys, *argv):
     return exc.value.code, *capsys.readouterr()
 
 
+# -- retired inputs --------------------------------------------------------------
+
+# Retired inputs, each with the one stderr line that refuses it with exit 2
+# and an empty stdout: (argv, environment, stderr).  A retired flag, the
+# --config flag among them, is a usage error; verify refuses a set CATMOT_*
+# variable.  "{config}" stands for a file that holds every retired config
+# key.  Retiring another knob adds a row here, and the older tombstone tests
+# below move into it.
+RETIRED = {
+    # the level cap is fixed at 12: each double-exponential level runs to
+    # t_max, and level 16 alone is ~0.4M evaluations, so no request raises it
+    "max-levels": (("verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17"), {},
+                   "catmot: error: unrecognized arguments: --max-levels 17"),
+    # lemma1's tolerance is fixed at 1e-10: no request can loosen it to accept
+    # any two sides (check_lemma1 still refuses an infinite one)
+    "lemma1-tol": (("lemma1", "1", "0", "--tol", "inf"), {},
+                   "catmot: error: unrecognized arguments: --tol inf"),
+    # no key is read from a file any more: the flag itself is refused
+    "config-file": (("verify", "cat.eq9", "--n-range", "2..2", "--config", "{config}"), {},
+                    "catmot: error: unrecognized arguments: --config {config}"),
+    # n_max comes from the flag alone: the variable is refused, whatever it holds
+    "env-n-max": (("verify", "cat.eq9", "--n-range", "0..1"), {"CATMOT_N_MAX": "not-a-number"},
+                  "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'"),
+}
+RETIRED_KEYS = "abs_tol=0\nrel_tol=1e-16\nmax_levels=5\nmax_subdivisions=2000\nn_max=-1\n"
+
+
+@pytest.mark.parametrize("name", list(RETIRED))
+def test_retired_input_is_refused(capsys, monkeypatch, tmp_path, name):
+    argv, environ, message = RETIRED[name]
+    config = tmp_path / "catmot.conf"
+    config.write_text(RETIRED_KEYS, encoding="utf-8")
+    for variable, value in environ.items():
+        monkeypatch.setenv(variable, value)
+    try:
+        code = main([arg.format(config=config) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, *capsys.readouterr()) == (2, "", message.format(config=config) + "\n")
+
+
 # -- start-up ------------------------------------------------------------------
 
 # every request is a fresh process: modules that only some commands need, or
@@ -249,16 +290,6 @@ def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, 
         assert (code, out, err) == (2, "", message)
 
 
-def test_removed_config_key_is_refused(capsys, tmp_path):
-    # no key is read from a file any more: the --config flag itself is refused
-    cfg = tmp_path / "catmot.conf"
-    cfg.write_text("max_subdivisions=2000\n", encoding="utf-8")
-    argv = ["verify", "cat.eq9", "--n-range", "2..2", "--config", str(cfg)]
-    code, out, err = run_usage_error(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"catmot: error: unrecognized arguments: --config {cfg}\n"
-
-
 def test_rule_choices_are_the_catalogs():
     # the parser spells the rules out so that building it imports no catalog
     from catmot.cli import _RULES
@@ -348,16 +379,6 @@ def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
     assert (code, out) == (2, "")
     assert err == f"catmot verify: error: unknown environment variable '{ENV_PREFIX}REL_TOL'\n"
-
-
-def test_verify_max_levels_above_cap_exits_2(capsys):
-    # the level cap is fixed at 12: each double-exponential level runs to
-    # t_max, and level 16 alone is ~0.4M evaluations, so no request raises it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17"])
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
-    assert err == "catmot: error: unrecognized arguments: --max-levels 17\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -516,14 +537,6 @@ def test_lemma1_a_whose_half_underflows_or_pi_multiple_overflows_exits_2(capsys,
     code, out, err = run(capsys, "lemma1", "3", "2", "--a", a)
     assert (code, out) == (2, "")
     assert err.startswith("catmot lemma1: error: a must have a/2 > 0 and pi*a finite")
-
-
-def test_lemma1_infinite_tol_exits_2(capsys):
-    # the tolerance is fixed at 1e-10: no request can loosen it to accept any
-    # two sides (check_lemma1 still refuses an infinite one)
-    code, out, err = run_usage_error(capsys, "lemma1", "1", "0", "--tol", "inf")
-    assert (code, out) == (2, "")
-    assert err == "catmot: error: unrecognized arguments: --tol inf\n"
 
 
 def test_lemma1_integrates_each_side_once(capsys, monkeypatch):
@@ -703,14 +716,6 @@ def test_n_max_flag_flows_into_report(capsys):
                        "--format", "json", "--n-max", "22")
     assert code == 0
     assert json.loads(out)["config_echo"]["n_max"] == "22"
-
-
-def test_env_var_rejected_value(tmp_path, capsys, monkeypatch):
-    # n_max comes from the flag alone: the variable is refused, whatever it holds
-    monkeypatch.setenv(ENV_PREFIX + "N_MAX", "not-a-number")
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
-    assert (code, out) == (2, "")
-    assert err == "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'\n"
 
 
 @pytest.mark.parametrize("name", ["CATMOT_REL_TOLL", "CATMOT_MAX_SUBDIVISIONS"])

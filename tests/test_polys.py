@@ -6,12 +6,12 @@ import pytest
 from catmot import polys
 from catmot.polys import (
     PhiEvaluator,
-    half_power_sum,
-    phi_diff_over_square,
+    half_power_sum_3n,
+    phi_diff_over_square_3n,
     psi_difference,
     psi_difference_over_square_3n,
 )
-from exact_coeffs import phi_diff_coeffs, psi_diff_coeffs
+from exact_coeffs import even_binomial_coeffs, phi_diff_coeffs, psi_diff_coeffs
 
 
 def phi_direct(m, t):
@@ -59,16 +59,16 @@ def test_phi_diff_leading_coefficient_is_one():
 
 
 def test_phi_diff_over_square_limit():
-    # value at s = 0 is the analytic limit, exactly
+    # value at s = 0 is the analytic limit over 3^n, exactly
     for n in (0, 3, 11, 25):
-        assert phi_diff_over_square(n, 0.0) == 1.0
+        assert phi_diff_over_square_3n(n, 0.0) == 1 / 3**n
 
 
 def test_phi_diff_over_square_matches_rationals():
     for n in (0, 2, 9):
         s = Fraction(3, 7)
         exact = sum(d * s**j for j, d in enumerate(phi_diff_coeffs(n), start=1)) / s
-        got = phi_diff_over_square(n, float(s))
+        got = phi_diff_over_square_3n(n, float(s)) * 3**n
         assert got == pytest.approx(float(exact), rel=1e-14)
 
 
@@ -77,39 +77,39 @@ def test_phi_diff_over_square_matches_closed_form():
     for n in range(41):
         for t in (0.25, 0.5, 1.0, 1.5):
             direct = phi_direct(n + 2, t) - phi_direct(n + 1, t)
-            got = phi_diff_over_square(n, t * t) * t * t
+            got = phi_diff_over_square_3n(n, t * t) * 3**n * t * t
             assert abs(got - direct) <= 1e-12 * abs(direct), (n, t)
 
 
 def test_float_coefficients_are_the_correctly_rounded_rationals():
     # one integer division per coefficient gives, bit for bit, float() of the
-    # exact Fraction reference over each kernel's whole float range: phi up to
-    # n = 1037, psi up to n = 1038, far past the n that verify takes (645).
-    # The builders over 3^n that mot.13a and mot.13b read give float(c / 3^n)
-    # for every n they take, as one correctly rounded division of the same rational
-    for exact, floats, floats_3n, n_max in (
-        (phi_diff_coeffs, polys._phi_diff_floats, polys._phi_diff_floats_3n, 1037),
-        (psi_diff_coeffs, polys._psi_diff_floats, polys._psi_diff_floats_3n, 1038),
+    # exact reference: the unscaled psi builder that criterion 7's
+    # psi_difference reads over its whole float range, up to n = 1038, far
+    # past the n that verify takes (645), and the builders over 3^n that
+    # every Motzkin kernel reads, float(c / 3^n), for every n they take
+    for n in range(1038 + 1):
+        reference = [float(c).hex() for c in psi_diff_coeffs(n)]
+        assert [c.hex() for c in polys._psi_diff_floats(n)] == reference, n
+    # both paths overflow at the same n
+    with pytest.raises(OverflowError):
+        [float(c) for c in psi_diff_coeffs(1039)]
+    with pytest.raises(OverflowError):
+        polys._psi_diff_floats(1039)
+    for exact, floats_3n in (
+        (phi_diff_coeffs, polys._phi_diff_floats_3n),
+        (psi_diff_coeffs, polys._psi_diff_floats_3n),
+        (even_binomial_coeffs, polys._half_power_floats_3n),
     ):
-        for n in range(n_max + 1):
-            coeffs = exact(n)
-            reference = [float(c).hex() for c in coeffs]
-            assert [c.hex() for c in floats(n)] == reference, (floats.__name__, n)
-            if n <= 645:
-                reference = [(c.numerator / (c.denominator * 3**n)).hex() for c in coeffs]
-                assert [c.hex() for c in floats_3n(n)] == reference, (floats_3n.__name__, n)
-        # both paths overflow at the same n
-        with pytest.raises(OverflowError):
-            [float(c) for c in exact(n_max + 1)]
-        with pytest.raises(OverflowError):
-            floats(n_max + 1)
+        for n in range(645 + 1):
+            reference = [float(Fraction(c) / 3**n).hex() for c in exact(n)]
+            assert [c.hex() for c in floats_3n(n)] == reference, (floats_3n.__name__, n)
 
 
 def test_half_power_sum_matches_direct():
     for n in (0, 1, 2, 7, 16):
         for t in (0.0, 0.3, 1.0, 1.7):
             direct = 0.5 * ((1.0 + t) ** n + (1.0 - t) ** n)
-            assert half_power_sum(n, t * t) == pytest.approx(direct, rel=1e-13)
+            assert half_power_sum_3n(n, t * t) * 3**n == pytest.approx(direct, rel=1e-13)
 
 
 def test_psi_diff_linear_coefficient_dropped():

@@ -1,10 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from catmot.catalog import VerificationRow, get_representation, list_representations, verify
 from catmot.exact import catalan, motzkin
-from catmot.polys import even_binomial_coeffs
 from catmot.transform import (
     FORMS,
     PAIRS,
@@ -15,7 +15,7 @@ from catmot.transform import (
     motzkin_representation,
     transform_deviation,
 )
-from exact_coeffs import phi_diff_coeffs, wallis
+from exact_coeffs import even_binomial_coeffs, phi_diff_coeffs, wallis
 
 _PI = math.pi
 
@@ -56,57 +56,68 @@ def test_forms_match_their_source_representations():
                 assert lhs == pytest.approx(rhs, rel=1e-12), (cid, n, x)
 
 
+def test_sources_rational_at_n_0_is_a_power_of_two():
+    # g carries it, so its float is exact, and g's roundings are the catalog's
+    for cid in FORMS:
+        rational, _ = get_representation(cid).prefactor(0)
+        for part in (rational.numerator, rational.denominator):
+            assert part > 0 and part & (part - 1) == 0, (cid, rational)
+        assert Fraction(float(rational)) == rational, cid
+
+
 def test_trivial_order_is_the_source_entry_at_n_0():
-    # both kernels are exactly 1 at n = 0, so the generated integrand is g
-    # as the catalog computes it, bit for bit
+    # both kernels are exactly 1 at n = 0, so the generated integrand times
+    # its prefactor is g as the catalog computes it, bit for bit
     for cid, form in FORMS.items():
-        integrand = motzkin_representation(form).at(0)
+        derived = motzkin_representation(form)
+        scale, integrand = derived.prefactor_float(0), derived.at(0)
         rep = get_representation(cid)
         for x in _interior_points(rep, (0.01, 0.15, 0.3, 0.5, 0.62, 0.85, 0.99)):
-            assert integrand(x) == _g(cid, x), (cid, x)
+            assert scale * integrand(x) == _g(cid, x), (cid, x)
 
 
 def test_transform_simple_trivial_order():
-    integrand = motzkin_representation(FORMS["cat.eq9"]).integrand
+    derived = motzkin_representation(FORMS["cat.eq9"])
     for x in (-0.6, 0.0, 0.4):
-        assert integrand(0, x) == _g("cat.eq9", x)
+        assert derived.prefactor_float(0) * derived.integrand(0, x) == _g("cat.eq9", x)
 
 
 def test_transform_simple_hand_value():
     # f = 2x, g = (2/pi) sqrt(1-x^2), n = 1, x = 0.5:
     # (1/2)((1+1)^1 + 0^1) g = g = (2/pi) sqrt(0.75)
-    integrand = motzkin_representation(FORMS["cat.eq9"]).integrand
+    derived = motzkin_representation(FORMS["cat.eq9"])
     expected = 2.0 / _PI * math.sqrt(0.75)
-    assert integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
+    assert derived.prefactor_float(1) * derived.integrand(1, 0.5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
-        integrand = motzkin_representation(FORMS[cid]).at(0)
+        derived = motzkin_representation(FORMS[cid])
         for x in (0.3, 0.62):
-            assert integrand(x) == pytest.approx(_g(cid, x), rel=1e-15)
+            assert derived.prefactor_float(0) * derived.at(0)(x) == pytest.approx(_g(cid, x), rel=1e-15)
 
 
 def test_transform_phi_hand_value():
     # f = 2x, g = 1/(pi sqrt(1-x^2)), n = 1, x = 0.5: phi_3(1) - phi_2(1) = 1,
-    # divided by f^2 = 1, so the integrand equals g = 1/(pi sqrt(0.75))
-    integrand = motzkin_representation(FORMS["cat.eq2"]).at(1)
+    # divided by f^2 = 1, so the integrand times its prefactor equals g = 1/(pi sqrt(0.75))
+    derived = motzkin_representation(FORMS["cat.eq2"])
     expected = 1.0 / (_PI * math.sqrt(0.75))
-    assert integrand(0.5) == pytest.approx(expected, rel=1e-15)
+    assert derived.prefactor_float(1) * derived.at(1)(0.5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_transform_phi_value_at_interior_zero_of_f():
-    # the difference polynomial in f^2 has leading coefficient 1, so the
-    # integrand equals g exactly where f vanishes
+    # the difference polynomial in f^2 has leading coefficient 1, so where f
+    # vanishes the kernel is exactly 1/3^n and the integrand g/3^n
     # f = 2x vanishes at x = 0
     rep = motzkin_representation(FORMS["cat.eq2"])
     for n in (1, 6, 19):
-        assert rep.at(n)(0.0) == _g("cat.eq2", 0.0)
-    # f = 2 cos x vanishes at x = pi/2
-    integrand = motzkin_representation(FORMS["cat.eq3"]).integrand
+        assert rep.at(n)(0.0) == (1 / 3**n) * rep.at(0)(0.0)
+    # f = 2 cos x vanishes at x = pi/2, where its float is 1.2e-16
+    derived = motzkin_representation(FORMS["cat.eq3"])
     x0 = _PI / 2.0
     for n in (2, 11):
-        assert integrand(n, x0) == pytest.approx(_g("cat.eq3", x0), rel=1e-15)
+        got = derived.prefactor_float(n) * derived.integrand(n, x0)
+        assert got == pytest.approx(_g("cat.eq3", x0), rel=1e-15)
 
 
 def test_unknown_ids_raise_lookup_errors():
