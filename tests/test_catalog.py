@@ -250,10 +250,7 @@ def test_both_rules_pass_and_agree_up_to_the_family_limits():
     # one limit per family bounds n under both rules: every catalog entry and
     # every transform passes at each n of the spread under each rule, with a
     # finite rel_err, and the two agree within its class tolerance, up to 509
-    # for the Catalan entries and 645 for the Motzkin ones.  Every Motzkin
-    # kernel is read over 3^n, so none overflows near an endpoint: the phi
-    # transforms of cat.eq2 and cat.eq4 failed forced rows from n = 315, with
-    # rel_err inf, and nan at 600 and 645, while they kept unscaled kernels
+    # for the Catalan entries and 645 for the Motzkin ones
     spread = (0, 1, 2, 100, 250, 310, 311, 313, 314, 315, 400, 500, 509, 510, 600, 645)
     rows = 0
     for rep in ENTRIES.values():
@@ -265,6 +262,22 @@ def test_both_rules_pass_and_agree_up_to_the_family_limits():
             assert abs(theta.estimate - forced.estimate) <= tol * theta.exact, (rep.id, n)
             rows += 1
     assert rows == 11 * 13 - 1 + (8 + 9) * 16
+
+
+def test_forced_phi_transforms_pass_their_rows_past_314():
+    # every Motzkin kernel is read over 3^n, so none overflows near an end:
+    # while the transforms kept unscaled kernels, (phi_{n+2} - phi_{n+1})/f^2
+    # ~ 3^n/n times g ~ 1/sqrt(d) overflowed near the singular end where
+    # f = 2, and the forced rows of the cat.eq2 and cat.eq4 transforms failed
+    # from n = 315, non-converged with rel_err inf, and nan at 600 and 645
+    for form_id in ("cat.eq2", "cat.eq4"):
+        derived = ENTRIES[f"{form_id}->motzkin"]
+        for n in (314, 315, 400, 500, 600, 645):
+            row = verify(derived, n, rule="tanh-sinh")
+            assert math.isfinite(row.estimate) and math.isfinite(row.rel_err), (form_id, n)
+            assert row.converged and row.passed, (form_id, n, row.rel_err)
+            assert not row.rule.endswith("[non-converged]"), (form_id, n)
+            assert verify(derived, n).passed, (form_id, n)
 
 
 @pytest.mark.parametrize("rep_id", list(ENTRIES))
