@@ -13,7 +13,7 @@ import pytest
 from catmot import __version__, quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
-from catmot.config import ENV_PREFIX, Settings, load_settings
+from catmot.config import Settings, load_settings
 from catmot.exact import motzkin, motzkin_oracle
 from catmot.report import CSV_HEADER, Report
 from catmot.transform import get_form, motzkin_representation
@@ -35,27 +35,86 @@ def run_usage_error(capsys, *argv):
 
 # -- retired inputs --------------------------------------------------------------
 
-# Retired inputs, each with the one stderr line that refuses it with exit 2
-# and an empty stdout: (argv, environment, stderr).  A retired flag, the
-# --config flag among them, is a usage error; verify refuses a set CATMOT_*
-# variable.  "{config}" stands for a file that holds every retired config
-# key.  Retiring another knob adds a row here, and the older tombstone tests
-# below move into it.
+# Every retired input, each with the one stderr line that refuses it with
+# exit 2 and an empty stdout: (argv, environment, stderr).  A retired flag,
+# --config among them, is a usage error, and so is a retired rule; verify
+# refuses a set CATMOT_* variable, whatever it holds.  "{config}" stands for
+# a file that holds every retired config key.  Retiring another knob adds a
+# row here.
+EQ9 = ("verify", "cat.eq9", "--n-range", "2..2")
+EQ9_01 = ("verify", "cat.eq9", "--n-range", "0..1")
+# a forced row that converges at the fixed rel_tol; none is sure to below 1e-15
+EQ6_284 = ("verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300")
 RETIRED = {
-    # the level cap is fixed at 12: each double-exponential level runs to
-    # t_max, and level 16 alone is ~0.4M evaluations, so no request raises it
+    # tanh-sinh is the one forced cross-check: Gauss-Kronrod, its subdivision
+    # budget and exp-sinh are gone
+    "gauss-kronrod": ((*EQ9, "--rule", "gauss-kronrod"), {},
+                      "catmot verify: error: argument --rule: invalid choice: 'gauss-kronrod' "
+                      "(choose from 'chebyshev', 'tanh-sinh')"),
+    "exp-sinh": ((*EQ9, "--rule", "exp-sinh"), {},
+                 "catmot verify: error: argument --rule: invalid choice: 'exp-sinh' "
+                 "(choose from 'chebyshev', 'tanh-sinh')"),
+    "max-subdivisions": ((*EQ9, "--max-subdivisions", "10"), {},
+                         "catmot: error: unrecognized arguments: --max-subdivisions 10"),
+    # every engine test is relative, and a forced tanh-sinh runs at its fixed
+    # rel_tol and level cap: no request sets any of them, from a flag or a variable
+    "abs-tol": ((*EQ9, "--abs-tol", "0"), {},
+                "catmot: error: unrecognized arguments: --abs-tol 0"),
+    "rel-tol": ((*EQ9, "--rel-tol", "1e-3"), {},
+                "catmot: error: unrecognized arguments: --rel-tol 1e-3"),
+    "rel-tol-inf": ((*EQ9_01, "--rel-tol", "inf"), {},
+                    "catmot: error: unrecognized arguments: --rel-tol inf"),
+    "rel-tol-nan": ((*EQ9_01, "--rel-tol", "nan"), {},
+                    "catmot: error: unrecognized arguments: --rel-tol nan"),
+    "rel-tol-below-the-floor": ((*EQ6_284, "--rel-tol", "1e-16"), {},
+                                "catmot: error: unrecognized arguments: --rel-tol 1e-16"),
+    # each double-exponential level runs to t_max, and level 16 alone is
+    # ~0.4M evaluations: the cap is fixed at 12
     "max-levels": (("verify", "cat.eq3", "--n-range", "1..1", "--max-levels", "17"), {},
                    "catmot: error: unrecognized arguments: --max-levels 17"),
+    "max-levels-5": ((*EQ9, "--max-levels", "5"), {},
+                     "catmot: error: unrecognized arguments: --max-levels 5"),
+    "env-abs-tol": (EQ9, {"CATMOT_ABS_TOL": "0"},
+                    "catmot verify: error: unknown environment variable 'CATMOT_ABS_TOL'"),
+    "env-rel-tol": (EQ9, {"CATMOT_REL_TOL": "1e-3"},
+                    "catmot verify: error: unknown environment variable 'CATMOT_REL_TOL'"),
+    "env-rel-tol-inf": (EQ9_01, {"CATMOT_REL_TOL": "inf"},
+                        "catmot verify: error: unknown environment variable 'CATMOT_REL_TOL'"),
+    "env-rel-tol-below-the-floor": (EQ6_284, {"CATMOT_REL_TOL": "1e-16"},
+                                    "catmot verify: error: unknown environment variable 'CATMOT_REL_TOL'"),
+    "env-max-levels": (EQ9, {"CATMOT_MAX_LEVELS": "5"},
+                       "catmot verify: error: unknown environment variable 'CATMOT_MAX_LEVELS'"),
+    # n_max comes from the flag alone
+    "env-n-max": (EQ9_01, {"CATMOT_N_MAX": "not-a-number"},
+                  "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'"),
+    "env-n-max-negative": (("verify", "all", "--n-range", "0..0"), {"CATMOT_N_MAX": "-1"},
+                           "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'"),
+    # no key is read from a file any more: the flag itself is refused, on
+    # every command
+    "config-file": ((*EQ9, "--config", "{config}"), {},
+                    "catmot: error: unrecognized arguments: --config {config}"),
+    "config-on-transform": (("transform", "cat.eq5", "--config", "catmot.cfg"), {},
+                            "catmot: error: unrecognized arguments: --config catmot.cfg"),
+    "config-on-list": (("list", "--config", "catmot.cfg"), {},
+                       "catmot: error: unrecognized arguments: --config catmot.cfg"),
+    # transform samples a fixed 64 points, on a pointwise, a value-only and
+    # the unpaired form alike
+    "check-points-cat.eq5-0": (("transform", "cat.eq5", "--check-points", "0"), {},
+                               "catmot: error: unrecognized arguments: --check-points 0"),
+    "check-points-cat.eq2-0": (("transform", "cat.eq2", "--check-points", "0"), {},
+                               "catmot: error: unrecognized arguments: --check-points 0"),
+    "check-points-cat.eq3--5": (("transform", "cat.eq3", "--check-points", "-5"), {},
+                                "catmot: error: unrecognized arguments: --check-points -5"),
+    "check-points-cat.eq5-100001": (("transform", "cat.eq5", "--check-points", "100001"), {},
+                                    "catmot: error: unrecognized arguments: --check-points 100001"),
+    "check-points-cat.eq2-100001": (("transform", "cat.eq2", "--check-points", "100001"), {},
+                                    "catmot: error: unrecognized arguments: --check-points 100001"),
+    "check-points-cat.eq3-100001": (("transform", "cat.eq3", "--check-points", "100001"), {},
+                                    "catmot: error: unrecognized arguments: --check-points 100001"),
     # lemma1's tolerance is fixed at 1e-10: no request can loosen it to accept
     # any two sides (check_lemma1 still refuses an infinite one)
     "lemma1-tol": (("lemma1", "1", "0", "--tol", "inf"), {},
                    "catmot: error: unrecognized arguments: --tol inf"),
-    # no key is read from a file any more: the flag itself is refused
-    "config-file": (("verify", "cat.eq9", "--n-range", "2..2", "--config", "{config}"), {},
-                    "catmot: error: unrecognized arguments: --config {config}"),
-    # n_max comes from the flag alone: the variable is refused, whatever it holds
-    "env-n-max": (("verify", "cat.eq9", "--n-range", "0..1"), {"CATMOT_N_MAX": "not-a-number"},
-                  "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'"),
 }
 RETIRED_KEYS = "abs_tol=0\nrel_tol=1e-16\nmax_levels=5\nmax_subdivisions=2000\nn_max=-1\n"
 
@@ -254,42 +313,6 @@ def test_verify_rule_override_flag(capsys):
     assert "tanh-sinh" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "cat.eq9", "--n-range", "2..2", "--rule", "gauss-kronrod"),
-    ("verify", "cat.eq9", "--n-range", "2..2", "--max-subdivisions", "10"),
-])
-def test_removed_gauss_kronrod_options_are_usage_errors(capsys, argv):
-    # tanh-sinh is the one forced cross-check; its subdivision budget is gone too
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("source", ["flag", "env", "file"])
-def test_removed_abs_tol_is_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # every engine test is relative, and a forced tanh-sinh runs at its fixed
-    # rel_tol and level cap: no request set any of the three
-    argv = ["verify", "cat.eq9", "--n-range", "2..2"]
-    for name, value in (("abs_tol", "0"), ("rel_tol", "1e-3"), ("max_levels", "5")):
-        if source == "flag":
-            flag = "--" + name.replace("_", "-")
-            code, out, err = run_usage_error(capsys, *argv, flag, value)
-            message = f"catmot: error: unrecognized arguments: {flag} {value}\n"
-        elif source == "env":
-            variable = ENV_PREFIX + name.upper()
-            monkeypatch.setenv(variable, value)
-            code, out, err = run(capsys, *argv)
-            monkeypatch.delenv(variable)
-            message = f"catmot verify: error: unknown environment variable '{variable}'\n"
-        else:  # the config file is gone with its flag, whatever it holds
-            cfg = tmp_path / "catmot.conf"
-            cfg.write_text(f"{name}={value}\n", encoding="utf-8")
-            code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
-            message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
-        assert (code, out, err) == (2, "", message)
-
-
 def test_rule_choices_are_the_catalogs():
     # the parser spells the rules out so that building it imports no catalog
     from catmot.cli import _RULES
@@ -328,6 +351,13 @@ def test_verify_forced_tanh_sinh_passes_every_row(capsys):
     assert all(row.endswith(",true") and ",tanh-sinh[level=" in row for row in rows)
 
 
+def test_verify_forced_row_converges_at_the_fixed_settings(capsys):
+    # the forced engine runs at its fixed rel_tol and level cap, which no
+    # request changes (see RETIRED)
+    code, out, err = run(capsys, *EQ6_284)
+    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
+
+
 @pytest.mark.parametrize("raw", ["3..", "..5", "a..b", "3...5", "1e2", "5..3", ""])
 def test_verify_malformed_n_range_exits_2(capsys, raw):
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", raw)
@@ -362,23 +392,6 @@ def test_verify_runs_every_row_on_the_calling_thread(capsys, monkeypatch):
     assert report["config_echo"]["jobs"] == "4"
     assert len(threads) == len(report["rows"]) > 0
     assert set(threads) == {threading.get_ident()}
-
-
-@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--rel-tol", "nan")])
-def test_verify_non_finite_tolerance_exits_2(capsys, flag, value):
-    # the engines run at a fixed rel_tol: no value of the flag is taken
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "cat.eq9", "--n-range", "0..1", flag, value])
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
-    assert err == f"catmot: error: unrecognized arguments: {flag} {value}\n"
-
-
-def test_verify_non_finite_tolerance_from_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "inf")
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1")
-    assert (code, out) == (2, "")
-    assert err == f"catmot verify: error: unknown environment variable '{ENV_PREFIX}REL_TOL'\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -419,20 +432,6 @@ def test_verify_float_overflow_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith(f"catmot {argv[0]}: error:")
     assert err.count("\n") == 1 and "(34," not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("table", "3", "--n-max", "6"),
-    ("transform", "cat.eq5", "--config", "catmot.cfg"),
-    ("lemma1", "2", "0", "--n-max", "6"),
-    ("list", "--config", "catmot.cfg"),
-])
-def test_config_flags_only_on_verify(capsys, argv):
-    # --n-max is verify's alone and --config is gone: both are usage errors here
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
 
 
 # -- transform -------------------------------------------------------------------
@@ -482,27 +481,6 @@ def test_transform_n_limit_is_the_motzkin_limit(capsys, catalan_id):
     code, out, err = run(capsys, "transform", catalan_id, "--n", "646")
     assert (code, out) == (2, "")
     assert f"{catalan_id}->motzkin takes n >= 0 and n <= 645" in err
-
-
-@pytest.mark.parametrize("catalan_id, points", [
-    ("cat.eq5", "0"),  # pointwise pair
-    ("cat.eq2", "0"),  # value-only pair
-    ("cat.eq3", "-5"),  # unpaired
-])
-def test_transform_check_points_below_one_exits_2(capsys, catalan_id, points):
-    # the sample count is fixed at 64: the flag is gone on every form
-    code, out, err = run_usage_error(capsys, "transform", catalan_id, "--check-points", points)
-    assert (code, out) == (2, "")
-    assert err == f"catmot: error: unrecognized arguments: --check-points {points}\n"
-
-
-def test_transform_check_points_above_the_cap_exits_2(capsys):
-    # refused before any sample point is built or any integral runs, on a
-    # pointwise, a value-only and the unpaired form alike
-    for catalan_id in ("cat.eq5", "cat.eq2", "cat.eq3"):
-        code, out, err = run_usage_error(capsys, "transform", catalan_id, "--check-points", "100001")
-        assert (code, out) == (2, "")
-        assert err == "catmot: error: unrecognized arguments: --check-points 100001\n"
 
 
 # -- lemma1 ----------------------------------------------------------------------
@@ -653,7 +631,8 @@ def _json_reference(report: Report) -> str:
 
 
 def test_report_json_is_the_indented_encoding():
-    # the rows go through the C encoder, with only their boundaries rewritten
+    # to_json is one json.dumps(indent=2, sort_keys=True) of the fields below,
+    # byte for byte, on odd floats and on strings that JSON must escape
     def row(rep_id="cat.eq2", n=3, estimate=5.0, rule="gauss-chebyshev-1[N=4]"):
         return VerificationRow(rep_id, n, 5, estimate, 0.0, 4, rule, True, True)
 
@@ -720,58 +699,26 @@ def test_n_max_flag_flows_into_report(capsys):
 
 @pytest.mark.parametrize("name", ["CATMOT_REL_TOLL", "CATMOT_MAX_SUBDIVISIONS"])
 def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
-    # a misspelt or retired variable exits 2, as the same key in a config file does
+    # a misspelt or retired variable exits 2
     monkeypatch.setenv(name, "1e-3" if name.endswith("TOLL") else "10")
     code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "2..2")
     assert (code, out) == (2, "")
     assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "file"])
-def test_rel_tol_below_the_floor_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # no forced row is sure to converge below 1e-15, and no request sets
-    # rel_tol at all: refused before any row runs
-    argv = ["verify", "cat.eq6", "--rule", "tanh-sinh", "--n-range", "284..284", "--n-max", "300"]
-    monkeypatch.delenv(ENV_PREFIX + "REL_TOL", raising=False)
-    if source == "flag":
-        code, out, err = run_usage_error(capsys, *argv, "--rel-tol", "1e-16")
-        message = "catmot: error: unrecognized arguments: --rel-tol 1e-16\n"
-    elif source == "env":
-        monkeypatch.setenv(ENV_PREFIX + "REL_TOL", "1e-16")
-        code, out, err = run(capsys, *argv)
-        monkeypatch.delenv(ENV_PREFIX + "REL_TOL")
-        message = f"catmot verify: error: unknown environment variable '{ENV_PREFIX}REL_TOL'\n"
-    else:
-        cfg = tmp_path / "catmot.conf"
-        cfg.write_text("rel_tol = 1e-16\n", encoding="utf-8")
-        code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
-        message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
-    assert (code, out, err) == (2, "", message)
-    # the fixed settings run, and the row converges
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "") and out.splitlines()[1].endswith(",true")
+def test_n_max_is_verify_only(capsys):
+    # verify's one setting: the other commands take no --n-max
+    for argv in (("table", "3", "--n-max", "6"), ("lemma1", "2", "0", "--n-max", "6")):
+        assert run_usage_error(capsys, *argv) == (
+            2, "", "catmot: error: unrecognized arguments: --n-max 6\n"
+        )
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "file"])
-def test_negative_n_max_refused_from_every_source(source, tmp_path, capsys, monkeypatch):
-    # a negative cap is the bad value itself, not a range that exceeds it;
-    # the flag is its one source, and the variable and the file are refused
-    argv = ["verify", "all", "--n-range", "0..0"]
-    monkeypatch.delenv(ENV_PREFIX + "N_MAX", raising=False)
-    if source == "flag":
-        code, out, err = run(capsys, *argv, "--n-max", "-1")
-        message = "catmot verify: error: n_max must be nonnegative, got -1\n"
-    elif source == "env":
-        monkeypatch.setenv(ENV_PREFIX + "N_MAX", "-1")
-        code, out, err = run(capsys, *argv)
-        message = "catmot verify: error: unknown environment variable 'CATMOT_N_MAX'\n"
-    else:
-        cfg = tmp_path / "catmot.conf"
-        cfg.write_text("n_max = -1\n", encoding="utf-8")
-        code, out, err = run_usage_error(capsys, *argv, "--config", str(cfg))
-        message = f"catmot: error: unrecognized arguments: --config {cfg}\n"
-    assert (code, out, err) == (2, "", message)
-    # the library refuses it too, and 0 is a valid cap
+def test_negative_n_max_is_refused(capsys):
+    # a negative cap is the bad value itself, not a range that exceeds it,
+    # from the flag and from the library alike; 0 is a valid cap
+    code, out, err = run(capsys, "verify", "all", "--n-range", "0..0", "--n-max", "-1")
+    assert (code, out, err) == (2, "", "catmot verify: error: n_max must be nonnegative, got -1\n")
     with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
         load_settings(-1, environ={})
     assert load_settings(0, environ={}).n_max == 0
