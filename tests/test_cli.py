@@ -39,8 +39,8 @@ def run_usage_error(capsys, *argv):
 # exit 2 and an empty stdout: (argv, environment, stderr).  A retired flag,
 # --config among them, is a usage error, and so is a retired rule; verify
 # refuses a set CATMOT_* variable, whatever it holds.  "{config}" stands for
-# a file that holds every retired config key.  Retiring another knob adds a
-# row here.
+# a file that holds every retired config key, "{abs_tol}" and the like for one
+# that holds that key alone.  Retiring another knob adds a row here.
 EQ9 = ("verify", "cat.eq9", "--n-range", "2..2")
 EQ9_01 = ("verify", "cat.eq9", "--n-range", "0..1")
 # a forced row that converges at the fixed rel_tol; none is sure to below 1e-15
@@ -93,6 +93,16 @@ RETIRED = {
     # every command
     "config-file": ((*EQ9, "--config", "{config}"), {},
                     "catmot: error: unrecognized arguments: --config {config}"),
+    "config-file-abs-tol": ((*EQ9, "--config", "{abs_tol}"), {},
+                            "catmot: error: unrecognized arguments: --config {abs_tol}"),
+    "config-file-rel-tol": ((*EQ9, "--config", "{rel_tol}"), {},
+                            "catmot: error: unrecognized arguments: --config {rel_tol}"),
+    "config-file-max-levels": ((*EQ9, "--config", "{max_levels}"), {},
+                               "catmot: error: unrecognized arguments: --config {max_levels}"),
+    "config-file-rel-tol-below-the-floor": ((*EQ6_284, "--config", "{rel_tol}"), {},
+                                            "catmot: error: unrecognized arguments: --config {rel_tol}"),
+    "config-file-n-max-negative": (("verify", "all", "--n-range", "0..0", "--config", "{n_max}"), {},
+                                   "catmot: error: unrecognized arguments: --config {n_max}"),
     "config-on-transform": (("transform", "cat.eq5", "--config", "catmot.cfg"), {},
                             "catmot: error: unrecognized arguments: --config catmot.cfg"),
     "config-on-list": (("list", "--config", "catmot.cfg"), {},
@@ -122,15 +132,20 @@ RETIRED_KEYS = "abs_tol=0\nrel_tol=1e-16\nmax_levels=5\nmax_subdivisions=2000\nn
 @pytest.mark.parametrize("name", list(RETIRED))
 def test_retired_input_is_refused(capsys, monkeypatch, tmp_path, name):
     argv, environ, message = RETIRED[name]
-    config = tmp_path / "catmot.conf"
-    config.write_text(RETIRED_KEYS, encoding="utf-8")
+    files = {"config": (tmp_path / "catmot.conf", RETIRED_KEYS)}
+    for line in RETIRED_KEYS.splitlines():
+        key = line.partition("=")[0]
+        files[key] = (tmp_path / f"{key}.conf", line + "\n")
+    for path, text in files.values():
+        path.write_text(text, encoding="utf-8")
+    paths = {key: path for key, (path, _) in files.items()}
     for variable, value in environ.items():
         monkeypatch.setenv(variable, value)
     try:
-        code = main([arg.format(config=config) for arg in argv])
+        code = main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:
         code = exc.code
-    assert (code, *capsys.readouterr()) == (2, "", message.format(config=config) + "\n")
+    assert (code, *capsys.readouterr()) == (2, "", message.format(**paths) + "\n")
 
 
 # -- start-up ------------------------------------------------------------------
@@ -706,12 +721,12 @@ def test_unknown_env_var_is_refused(capsys, monkeypatch, name):
     assert err == f"catmot verify: error: unknown environment variable {name!r}\n"
 
 
-def test_n_max_is_verify_only(capsys):
+@pytest.mark.parametrize("argv", [("table", "3"), ("lemma1", "2", "0")], ids=["table", "lemma1"])
+def test_n_max_is_verify_only(capsys, argv):
     # verify's one setting: the other commands take no --n-max
-    for argv in (("table", "3", "--n-max", "6"), ("lemma1", "2", "0", "--n-max", "6")):
-        assert run_usage_error(capsys, *argv) == (
-            2, "", "catmot: error: unrecognized arguments: --n-max 6\n"
-        )
+    assert run_usage_error(capsys, *argv, "--n-max", "6") == (
+        2, "", "catmot: error: unrecognized arguments: --n-max 6\n"
+    )
 
 
 def test_negative_n_max_is_refused(capsys):
