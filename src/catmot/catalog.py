@@ -26,7 +26,7 @@ from itertools import islice, repeat
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import catalan, catalan_numbers, motzkin, motzkin_numbers
+from .exact import catalan_numbers, motzkin_numbers
 from .polys import phi_diff_over_square_3n, psi_difference_over_square_3n
 from .quadrature import (
     _EPS,
@@ -137,15 +137,16 @@ class Representation(NamedTuple):
         return float(rational) / _PI if pi_power == -1 else float(rational)
 
     def exact_value(self, n: int) -> int:
+        limit = _N_LIMIT[self.family]
+        if not 0 <= n <= limit:
+            raise ValueError(f"{self.family.value} values are tabulated for n in 0..{limit}, got {n}")
         values = _EXACT_VALUES.get(self.family)
         if values is None:
             sequence = catalan_numbers() if self.family is Family.CATALAN else motzkin_numbers()
-            values = list(islice(sequence, _N_LIMIT[self.family] + 1))
+            values = list(islice(sequence, limit + 1))
             # published whole: a thread that reads it never sees a partial list
             _EXACT_VALUES[self.family] = values
-        if 0 <= n < len(values):
-            return values[n]
-        return catalan(n) if self.family is Family.CATALAN else motzkin(n)
+        return values[n]
 
     @property
     def semi_infinite(self) -> bool:

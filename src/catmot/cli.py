@@ -31,8 +31,8 @@ if TYPE_CHECKING:
 # Besides the theta rule, tanh-sinh is the one forced cross-check
 _RULES = ("chebyshev", "tanh-sinh")
 
-# the fixed settings of transform's pointwise samples and lemma1's relative tolerance
-_CHECK_POINTS, _LEMMA1_TOL = 64, 1e-10
+# lemma1's fixed relative tolerance
+_LEMMA1_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -151,15 +151,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .config import load_settings
     from .report import Report
 
-    settings = load_settings(args.n_max)
+    n_max = load_settings(args.n_max)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     explicit_range = args.n_range is not None
     lo, hi = _parse_n_range(args.n_range if explicit_range else "0..20")
-    if hi > settings.n_max:
-        raise ValueError(
-            f"n range {lo}..{hi} exceeds configured n_max={settings.n_max}"
-        )
+    if hi > n_max:
+        raise ValueError(f"n range {lo}..{hi} exceeds configured n_max={n_max}")
     if args.selector == "all":
         reps = list_representations()
     else:
@@ -179,25 +177,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for rep in reps
         if n >= rep.n_min
     ]
-    echo = settings.echo()
-    echo.update(
-        {
-            "selector": args.selector,
-            "n_range": f"{lo}..{hi}",
-            "tol": "class-default" if args.tol is None else str(args.tol),
-            "rule": args.rule or "auto",
-            "jobs": str(args.jobs),
-            "format": args.format,
-        }
-    )
-    report = Report(tool_version=__version__, config_echo=echo, rows=tuple(rows))
+    echo = {
+        "n_max": str(n_max),
+        "selector": args.selector,
+        "n_range": f"{lo}..{hi}",
+        "tol": "class-default" if args.tol is None else str(args.tol),
+        "rule": args.rule or "auto",
+        "jobs": str(args.jobs),
+        "format": args.format,
+    }
+    report = Report(config_echo=echo, rows=tuple(rows))
     _emit(report.render(args.format), args.out)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from .catalog import verify
-    from .transform import PAIRS, ComparisonMode, get_form, motzkin_representation, transform_deviation
+    from .transform import (
+        CHECK_POINTS, PAIRS, ComparisonMode, get_form, motzkin_representation, transform_deviation,
+    )
 
     form = get_form(args.catalan_id)
     flavor = "phi" if form.has_inverse_n_plus_1 else "simple"
@@ -214,10 +212,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
         out.append(f"rel deviation: {dev:.3e} (threshold {limit:g})")
     else:
         motzkin_id, mode = pairing
-        dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n, _CHECK_POINTS)
+        dev = transform_deviation(args.catalan_id, motzkin_id, mode, args.n)
         limit = mode.tolerance
         what = (
-            f"max deviation over {_CHECK_POINTS} interior points"
+            f"max deviation over {CHECK_POINTS} interior points"
             if mode is ComparisonMode.POINTWISE
             else "integral value deviation"
         )

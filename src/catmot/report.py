@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import __version__
+
 if TYPE_CHECKING:  # annotations only: rendering a report loads no catalog
     from .catalog import VerificationRow
 
@@ -31,9 +33,7 @@ def _cells(r: VerificationRow) -> tuple[str, ...]:
 
 
 class Report:
-    def __init__(self, tool_version: str, config_echo: dict[str, str],
-                 rows: tuple[VerificationRow, ...] = ()):
-        self.tool_version = tool_version
+    def __init__(self, config_echo: dict[str, str], rows: tuple[VerificationRow, ...] = ()):
         self.config_echo = config_echo
         self.rows = tuple(sorted(rows, key=lambda r: (r.rep_id, r.n)))
 
@@ -77,7 +77,7 @@ class Report:
             }
             for r in self.rows
         ]
-        obj = {"tool_version": self.tool_version, "config_echo": self.config_echo,
+        obj = {"tool_version": __version__, "config_echo": self.config_echo,
                "summary": self.summary, "rows": rows}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

@@ -22,9 +22,10 @@ catalog entry.  A transform is a Motzkin entry derived from the source
 entry (g is its prefactor times its integrand at n = 0, since f^0 = 1) that
 ``verify`` integrates with the source's substitution in theta.
 Consistency checks confirm that the generated integrands reproduce the
-Motzkin catalog entries, pointwise where the catalog entry is the direct
-transform output and in integral value where it was derived with an extra
-u = -x symmetrization.
+Motzkin catalog entries: pointwise where the catalog entry is the direct
+transform output, at the first-kind nodes of the source's own theta map,
+and in integral value where it was derived with an extra u = -x
+symmetrization.
 """
 
 from __future__ import annotations
@@ -145,16 +146,9 @@ def get_form(catalan_id: str) -> CatalanForm:
         ) from None
 
 
+# the command line's pointwise samples, and the most that the library takes:
 # 10**5 points take 0.3 s at n = 5 and 2 s at n = 645
-_MAX_CHECK_POINTS = 100_000
-
-
-def _sample_points(source: Representation, count: int) -> list[float]:
-    lo, hi = source.domain
-    if source.semi_infinite:
-        # map (0,1) midpoints through lo + u/(1-u) to cover (lo, inf)
-        return [lo + u / (1.0 - u) for u in ((i + 0.5) / count for i in range(count))]
-    return [lo + (hi - lo) * (i + 0.5) / count for i in range(count)]
+CHECK_POINTS, _MAX_CHECK_POINTS = 64, 100_000
 
 
 def transform_deviation(
@@ -162,13 +156,15 @@ def transform_deviation(
     motzkin_id: str,
     mode: ComparisonMode,
     n: int,
-    check_points: int = 64,
+    check_points: int = CHECK_POINTS,
 ) -> float:
     """Relative deviation between the transform of the registered form and
-    the Motzkin catalog entry: maximum over sample points (pointwise mode)
-    or between integral values (value-only mode, inf when either integral
-    did not converge, since two wrong values may agree).  ``check_points``
-    must be in 1..100,000 in either mode."""
+    the Motzkin catalog entry: maximum over the arguments (x, or the endpoint
+    distances) that the derived entry's theta map gives at ``check_points``
+    first-kind nodes, for a pair that shares domain and endpoint form
+    (pointwise mode), or between integral values (value-only mode, inf when
+    either integral did not converge, since two wrong values may agree).
+    ``check_points`` must be in 1..100,000 in either mode."""
     if not 1 <= check_points <= _MAX_CHECK_POINTS:
         raise ValueError(
             f"check_points must be at least 1 and at most {_MAX_CHECK_POINTS}, got {check_points}"
@@ -177,12 +173,17 @@ def transform_deviation(
     check_request(derived, n)  # refuses an n past the Motzkin limit up front
     rep = get_representation(motzkin_id)
     if mode is ComparisonMode.POINTWISE:
+        if (derived.domain, derived.endpoint_singular) != (rep.domain, rep.endpoint_singular):
+            raise ValueError(
+                f"{derived.id} and {motzkin_id} differ in domain or endpoint form: "
+                f"{derived.domain} and {rep.domain}; compare them by value"
+            )
+        columns, _ = derived.substitution.tabulate(derived, quadrature.chebyshev_nodes(1, check_points))
         lhs_scale, rhs_scale = derived.prefactor_float(n), rep.prefactor_float(n)
-        derived_at, rep_at = derived.at(n), rep.at(n)
         worst = 0.0
-        for x in _sample_points(derived, check_points):
-            lhs = lhs_scale * derived_at(x)
-            rhs = rhs_scale * rep_at(x)
+        for args in zip(*columns):
+            lhs = lhs_scale * derived.integrand(n, *args)
+            rhs = rhs_scale * rep.integrand(n, *args)
             denom = max(abs(lhs), abs(rhs))
             if denom > 0.0:
                 worst = max(worst, abs(lhs - rhs) / denom)
@@ -244,6 +245,7 @@ def check_lemma1(r: int, s: int, a: float, tol: float) -> Lemma1Check:
 
 
 __all__ = [
+    "CHECK_POINTS",
     "CatalanForm",
     "ComparisonMode",
     "FORMS",

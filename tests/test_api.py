@@ -43,6 +43,8 @@ REMOVED = {
         "adaptive_gk",
         # transform_deviation refuses a sample count outside 1..100,000 itself
         "check_point_count",
+        # the pointwise check samples the derived entry's own theta map
+        "_sample_points",
     ),
     # g, its distance form and the domain come from the source catalog entry;
     # the n a transform takes is the derived Motzkin entry's
@@ -67,6 +69,8 @@ REMOVED = {
         "_node_table",
         # one limit per family bounds n under both rules
         "_FORCED_LIMIT", "_THETA_LIMIT",
+        # exact_value reads its one table and refuses an n outside it
+        "catalan", "motzkin",
     ),
     # every substitution covers the domain once as theta runs over (0, pi),
     # and states its map once, as the node tables that tabulate gives
@@ -79,12 +83,13 @@ REMOVED = {
                                     # Gauss-Kronrod no longer runs under verify
                                     "split_points"),
     catmot.report.Report: ("from_json",),
-    # verify takes the rule, and the engines run at fixed settings: every
-    # convergence test is relative, and only lemma1 sets its own rel_tol
-    catmot.config.Settings: ("max_subdivisions", "abs_tol", "rel_tol", "max_levels", "quad_config"),
-    # n_max comes from the --n-max flag alone: no config file, no variable
-    catmot.config: ("parse_config_file", "_parse_value", "_FIELD_TYPES", "_env_overrides"),
-    catmot.cli: ("_settings_from_args",),
+    # n_max comes from the --n-max flag alone: no config file, no variable;
+    # it is verify's one setting, an int that load_settings returns, and the
+    # engines run at fixed settings
+    catmot.config: ("parse_config_file", "_parse_value", "_FIELD_TYPES", "_env_overrides",
+                    "Settings"),
+    # transform owns its sample count, CHECK_POINTS
+    catmot.cli: ("_settings_from_args", "_CHECK_POINTS"),
 }
 
 

@@ -681,10 +681,12 @@ def test_exact_values_are_the_oracles_up_to_the_theta_limits():
         assert values == [exact(n) for n in range(N_LIMITS[family] + 1)], family
     rep = get_representation("mot.12a")
     assert [rep.exact_value(n) for n in range(65)] == [motzkin_oracle(n) for n in range(65)]
-    # past the limits, and below 0, the exact functions answer
-    assert get_representation("cat.eq2").exact_value(600) == catalan(600)
-    with pytest.raises(ValueError):
-        rep.exact_value(-1)
+    # past the limits, and below 0, there is no value to read
+    for family, n in ((Family.CATALAN, 510), (Family.CATALAN, -1), (Family.MOTZKIN, 646)):
+        with pytest.raises(ValueError) as refused:
+            list_representations(family)[-1].exact_value(n)
+        limit = N_LIMITS[family]
+        assert str(refused.value) == f"{family.value} values are tabulated for n in 0..{limit}, got {n}"
 
 
 def test_rows_from_threads_equal_the_serial_rows(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from catmot import __version__, quadrature
 from catmot.catalog import VALID_RULE_OVERRIDES, VerificationRow, get_representation, verify
 from catmot.cli import main
-from catmot.config import Settings, load_settings
+from catmot.config import load_settings
 from catmot.exact import motzkin, motzkin_oracle
 from catmot.report import CSV_HEADER, Report
 from catmot.transform import get_form, motzkin_representation
@@ -284,9 +284,11 @@ def test_verify_markdown(capsys):
 
 
 def test_verify_unknown_id_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "cat.eq99")
-    assert code == 2
-    assert "unknown representation" in err
+    ids = ("cat.eq2, cat.eq3, cat.eq4, cat.eq5, cat.eq6, cat.eq7, cat.eq8, cat.eq9, cat.eq10, "
+           "cat.conc1, cat.conc2, mot.12a, mot.12b, mot.12c, mot.12d, mot.12e, mot.12f, mot.13a, mot.13b")
+    assert run(capsys, "verify", "cat.eq99") == (
+        2, "", f"catmot verify: error: unknown representation 'cat.eq99'; valid ids: {ids}\n"
+    )
 
 
 def test_verify_range_above_n_max_exits_2(capsys):
@@ -310,9 +312,10 @@ def test_verify_explicit_range_below_n_min_exits_2(capsys):
 
 def test_verify_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "report.csv"
-    code, _, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--out", str(target))
-    assert code == 2
-    assert "error" in err
+    assert run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--out", str(target)) == (
+        2, "", f"catmot verify: error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    )
+    assert not target.parent.exists()
 
 
 def test_verify_failure_exit_code(capsys):
@@ -419,10 +422,9 @@ def test_verify_tol_must_be_positive_and_finite(capsys, tol):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_jobs_below_one_exits_2(capsys, jobs):
-    code, out, err = run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--jobs", jobs)
-    assert code == 2
-    assert out == ""
-    assert "--jobs" in err
+    assert run(capsys, "verify", "cat.eq9", "--n-range", "0..1", "--jobs", jobs) == (
+        2, "", f"catmot verify: error: --jobs must be at least 1, got {jobs}\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -484,8 +486,10 @@ def test_transform_unpaired_form_checks_exact_value(capsys):
 
 
 def test_transform_unknown_form_exits_2(capsys):
-    code, _, err = run(capsys, "transform", "cat.conc1")
-    assert code == 2
+    forms = "cat.eq2, cat.eq3, cat.eq4, cat.eq5, cat.eq6, cat.eq7, cat.eq8, cat.eq9, cat.eq10"
+    assert run(capsys, "transform", "cat.conc1") == (
+        2, "", f"catmot transform: error: no registered Catalan form for 'cat.conc1'; registered: {forms}\n"
+    )
 
 
 @pytest.mark.parametrize("catalan_id", ["cat.eq9", "cat.eq4"])  # simple and phi kernels
@@ -513,8 +517,9 @@ def test_lemma1_odd_instance(capsys):
 
 
 def test_lemma1_invalid_a_exits_2(capsys):
-    code, _, err = run(capsys, "lemma1", "0", "0", "--a", "-1.0")
-    assert code == 2
+    assert run(capsys, "lemma1", "0", "0", "--a", "-1.0") == (
+        2, "", "catmot lemma1: error: a must be positive and finite\n"
+    )
 
 
 @pytest.mark.parametrize("a", ["inf", "nan"])
@@ -602,13 +607,13 @@ def _small_report():
     with mock.patch.object(quadrature, "_MAX_LEVELS", 3):
         rows.append(verify(get_representation("cat.eq9"), 2, rule="tanh-sinh"))
     assert rows[-1].rule == "tanh-sinh[level=3][non-converged]"
-    return Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=tuple(rows))
+    return Report(config_echo={"n_max": "30"}, rows=tuple(rows))
 
 
 def test_report_json_round_trip():
     report = _small_report()
     obj = json.loads(report.to_json())
-    assert obj["tool_version"] == report.tool_version
+    assert obj["tool_version"] == __version__
     assert obj["config_echo"] == report.config_echo
     assert obj["summary"] == report.summary
     assert [
@@ -630,7 +635,7 @@ def test_report_json_round_trip():
 def _json_reference(report: Report) -> str:
     """The report through the pure-Python encoder, the one indent=2 selects."""
     obj = {
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "config_echo": report.config_echo,
         "summary": report.summary,
         "rows": [
@@ -653,18 +658,16 @@ def test_report_json_is_the_indented_encoding():
 
     odd = 'a"b\\c\nd},\n      {e \u00e9\u2211 "rows": []'
     reports = [
-        Report(tool_version=__version__, config_echo={}),
-        Report(tool_version=__version__, config_echo={"n_max": "30"}),
-        Report(tool_version=__version__, config_echo={"n_max": "30"}, rows=(row(),)),
+        Report(config_echo={}),
+        Report(config_echo={"n_max": "30"}),
+        Report(config_echo={"n_max": "30"}, rows=(row(),)),
         Report(
-            tool_version=__version__,
             config_echo={"n_max": "30"},
             rows=tuple(row(n=n, estimate=x) for n, x in enumerate(
                 (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 0.1)
             )),
         ),
         Report(
-            tool_version=odd,
             config_echo={"selector": odd, odd: "x", "rule": "auto"},
             rows=(row(rep_id=odd), row(rule=odd), row(rep_id=odd, rule=odd, n=4)),
         ),
@@ -699,10 +702,13 @@ def test_report_csv_schema():
 
 # -- configuration ------------------------------------------------------------------
 
-def test_settings_hold_only_n_max():
-    # the engines run at fixed settings: nothing else is configured or echoed
-    assert Settings._fields == ("n_max",)
-    assert Settings().echo() == {"n_max": "30"}
+def test_settings_hold_only_n_max(capsys):
+    # the engines run at fixed settings: the one setting is the int n_max,
+    # and verify echoes it
+    assert load_settings(environ={}) == 30
+    code, out, _ = run(capsys, "verify", "cat.eq9", "--n-range", "0..0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config_echo"]["n_max"] == "30"
 
 
 def test_n_max_flag_flows_into_report(capsys):
@@ -736,5 +742,4 @@ def test_negative_n_max_is_refused(capsys):
     assert (code, out, err) == (2, "", "catmot verify: error: n_max must be nonnegative, got -1\n")
     with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
         load_settings(-1, environ={})
-    assert load_settings(0, environ={}).n_max == 0
-    assert load_settings(environ={}) == Settings()
+    assert load_settings(0, environ={}) == 0

@@ -79,8 +79,13 @@ def test_runtime_imports_only_the_standard_library():
 TEST_ONLY_ALLOWED = {
     # acceptance criterion 7 imports it
     "psi_difference",
-    # criterion 1's independent Motzkin oracle
+    # criterion 1's independent Motzkin oracle, and the recurrence's n-th term
+    # that it checks; verify reads the recurrence's table instead
     "motzkin_oracle",
+    "motzkin",
+    # the closed form C(2n, n)/(n + 1), the independent oracle that the tests
+    # check catalan_numbers() against
+    "catalan",
     # perfbench/tracer.py reads it eagerly for its polys.coeff span
     "PhiEvaluator",
     # perfbench/tracer.py's quadrature.exp_sinh span wraps it
@@ -123,12 +128,11 @@ def test_report_echo_holds_the_settings_and_the_request(capsys):
     # the echo carries what configures a run and nothing else: a value that
     # no longer exists cannot linger in it
     from catmot.cli import main
-    from catmot.config import Settings
 
     assert main(["verify", "cat.eq9", "--n-range", "0..1", "--format", "json"]) == 0
     echo = json.loads(capsys.readouterr().out)["config_echo"]
     request = ("selector", "n_range", "tol", "rule", "jobs", "format")
-    assert sorted(echo) == sorted(Settings._fields + request)
+    assert sorted(echo) == sorted(("n_max", *request))
 
 
 # every option of every command, each one a knob that a request can set: a

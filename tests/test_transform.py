@@ -5,11 +5,11 @@ import pytest
 
 from catmot.catalog import VerificationRow, get_representation, list_representations, verify
 from catmot.exact import catalan, motzkin
+from catmot.quadrature import chebyshev_nodes
 from catmot.transform import (
     FORMS,
     PAIRS,
     ComparisonMode,
-    _sample_points,
     check_lemma1,
     get_form,
     motzkin_representation,
@@ -185,7 +185,8 @@ def test_consistency_examples():
 
 def test_consistency_all_pairs():
     for cid, (mid, mode) in PAIRS.items():
-        for n in (0, 1, 5, 10, 20):
+        # up to the Motzkin limit, near which the pointwise readings peak (cat.eq5: 1.34e-13 at 642)
+        for n in (0, 1, 5, 10, 20, 100, 322, 642, 645):
             assert transform_deviation(cid, mid, mode, n) <= mode.tolerance, (cid, mid, n)
 
 
@@ -196,29 +197,86 @@ def test_pointwise_requires_samples():
 
 @pytest.mark.parametrize("points", [0, -5, 100_001, 10**9])
 def test_check_points_outside_the_cap_refused_in_every_mode(monkeypatch, points):
-    # the command line's rule: refused up front, before any point or integral
+    # the command line's rule: refused up front, before any node is tabulated
+    # or any integral taken
+    import catmot.quadrature
     import catmot.transform
 
     def unreachable(*args):
         raise AssertionError("integrated a refused request")
 
     monkeypatch.setattr(catmot.transform, "verify", unreachable)
-    monkeypatch.setattr(catmot.transform, "_sample_points", unreachable)
+    monkeypatch.setattr(catmot.quadrature, "chebyshev_nodes", unreachable)
     for cid, (mid, mode) in (("cat.eq5", PAIRS["cat.eq5"]), ("cat.eq2", PAIRS["cat.eq2"])):
         with pytest.raises(ValueError) as refused:
             transform_deviation(cid, mid, mode, 2, points)
         assert str(refused.value) == f"check_points must be at least 1 and at most 100000, got {points}"
 
 
-def test_pointwise_samples_are_cell_midpoints():
-    # count equal cells: a finite domain is sampled at their midpoints, and
-    # (0, inf) at the images of the midpoints in u under x = u/(1 - u)
-    finite, semi_infinite = get_representation("cat.eq9"), get_representation("cat.eq6")
-    assert _sample_points(finite, 1) == [0.0]
-    assert _sample_points(finite, 4) == [-0.75, -0.25, 0.25, 0.75]
-    assert _sample_points(semi_infinite, 1) == [1.0]
-    # each one correctly rounded division: 1/8 / 7/8, 3/8 / 5/8, ...
-    assert _sample_points(semi_infinite, 4) == [1 / 7, 3 / 5, 5 / 3, 7.0]
+# each pointwise form's theta map, written out: the endpoint distances
+# 4 cos^2(theta/2) and 4 sin^2(theta/2) on (0, 4), and so on; x elsewhere
+THETA_MAPS = {
+    "cat.eq4": lambda t: (math.cos(t / 2) ** 2, math.sin(t / 2) ** 2),
+    "cat.eq5": lambda t: (4 * math.cos(t / 2) ** 2, 4 * math.sin(t / 2) ** 2),
+    "cat.eq6": lambda t: (math.tan(t / 2),),
+    "cat.eq7": lambda t: (t / _PI,),
+    "cat.eq8": lambda t: (math.tan(t / 4),),
+}
+
+
+def test_pointwise_samples_are_the_theta_map_columns(monkeypatch):
+    # both integrands take, in node order, the arguments that the derived
+    # entry's own theta map gives at the first-kind nodes: the endpoint
+    # distances on cat.eq4 and cat.eq5, x on the others
+    import catmot.transform
+
+    def recording(side, rep):
+        def integrand(n, *args):
+            calls[side].append((n, args))
+            return rep.integrand(n, *args)
+        return rep._replace(integrand=integrand)
+
+    pointwise = {cid for cid, (_, mode) in PAIRS.items() if mode is ComparisonMode.POINTWISE}
+    assert pointwise == set(THETA_MAPS)
+    # built before the patches below, which the derived entries' sources would read
+    derived_entries = {cid: motzkin_representation(get_form(cid)) for cid in THETA_MAPS}
+    monkeypatch.setattr(catmot.transform, "motzkin_representation",
+                        lambda form: recording("transform", derived_entries[form.id]))
+    monkeypatch.setattr(catmot.transform, "get_representation",
+                        lambda rep_id: recording("entry", get_representation(rep_id)))
+    for catalan_id, theta_map in THETA_MAPS.items():
+        motzkin_id, mode = PAIRS[catalan_id]
+        derived = derived_entries[catalan_id]
+        for points in (1, 4, 64):
+            calls = {"transform": [], "entry": []}
+            transform_deviation(catalan_id, motzkin_id, mode, 7, points)
+            thetas = chebyshev_nodes(1, points)
+            columns, _ = derived.substitution.tabulate(derived, thetas)
+            expected = [(7, args) for args in zip(*columns)]
+            assert calls["transform"] == calls["entry"] == expected, (catalan_id, points)
+            for (_, args), theta in zip(expected, thetas):
+                assert args == pytest.approx(theta_map(theta), rel=1e-15, abs=1e-300), catalan_id
+
+
+def test_pointwise_pair_on_another_domain_or_endpoint_form_is_refused(monkeypatch):
+    # cat.eq5 lives on (0, 4) with endpoint distances, mot.12c on (0, 1) with
+    # x; compared pointwise they are refused before any node is tabulated
+    import catmot.quadrature
+
+    def unreachable(*args):
+        raise AssertionError("tabulated a refused pair")
+
+    monkeypatch.setattr(catmot.quadrature, "chebyshev_nodes", unreachable)
+    for cid, mid in (("cat.eq5", "mot.12c"), ("cat.eq7", "mot.13a"), ("cat.eq4", "mot.12c")):
+        with pytest.raises(ValueError) as refused:
+            transform_deviation(cid, mid, ComparisonMode.POINTWISE, 5)
+        derived, rep = motzkin_representation(get_form(cid)), get_representation(mid)
+        assert str(refused.value) == (
+            f"{cid}->motzkin and {mid} differ in domain or endpoint form: "
+            f"{derived.domain} and {rep.domain}; compare them by value"
+        )
+    # by value the same pair is two integrals of M(n) and agrees
+    assert transform_deviation("cat.eq5", "mot.12c", ComparisonMode.VALUE_ONLY, 5) <= 1e-10
 
 
 @pytest.mark.parametrize("catalan_id, motzkin_id", [
