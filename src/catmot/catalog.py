@@ -5,8 +5,7 @@ Every entry is a self-describing descriptor: an exact-rational prefactor
 singularity tags and a substitution x(theta).  The domain and the endpoint
 tags set the tolerance class; under either rule the endpoint tags also say
 whether the integrand takes x or the endpoint distances (x - a, b - x),
-which keep full precision where it blows up; ``at(n)`` gives it as a
-function of x either way.  Under the substitution,
+which keep full precision where it blows up.  Under the substitution,
 integrand times Jacobian is a polynomial in cos(theta) of known degree, on
 some entries times sin(theta)^2, which the default Gauss-Chebyshev rule in
 theta integrates exactly.
@@ -123,14 +122,6 @@ class Representation(NamedTuple):
     singularities: frozenset[Singularity]
     statement: str
     substitution: Substitution
-
-    def at(self, n: int) -> Callable[[float], float]:
-        """The integrand at n as a function of x."""
-        f = self.integrand
-        if self.endpoint_singular:
-            a, b = self.domain
-            return lambda x: f(n, x - a, b - x)
-        return lambda x: f(n, x)
 
     def prefactor_float(self, n: int) -> float:
         rational, pi_power = self.prefactor(n)
@@ -612,7 +603,7 @@ def _integrate(rep: Representation, n: int, rule: str) -> tuple[float, Quadratur
     if rep.endpoint_singular:
         result = tanh_sinh(None, lo, hi, singular=lambda da, db: rep.integrand(n, da, db))
     else:
-        result = tanh_sinh(rep.at(n), lo, hi)
+        result = tanh_sinh(lambda x: rep.integrand(n, x), lo, hi)
     estimate = rep.prefactor_float(n) * result.value
     return estimate, result
 

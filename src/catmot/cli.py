@@ -17,6 +17,8 @@ non-convergence, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -37,6 +39,9 @@ _LEMMA1_TOL = 1e-10
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# at exit, live objects join the permanent generation: shutdown's collections skip them
+atexit.register(gc.freeze)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -81,7 +81,9 @@ REMOVED = {
                                     # the theta rule reads tabulated nodes
                                     "at_theta",
                                     # Gauss-Kronrod no longer runs under verify
-                                    "split_points"),
+                                    "split_points",
+                                    # the forced rule reads an x-form integrand itself
+                                    "at"),
     catmot.report.Report: ("from_json",),
     # n_max comes from the --n-max flag alone: no config file, no variable;
     # it is verify's one setting, an int that load_settings returns, and the

@@ -12,7 +12,6 @@ from catmot.catalog import (
     Family,
     Representation,
     Singularity,
-    Substitution,
     check_request,
     default_tolerance,
     get_representation,
@@ -22,6 +21,7 @@ from catmot.catalog import (
 from catmot.exact import catalan, motzkin
 from catmot.quadrature import chebyshev_nodes, tanh_sinh
 from catmot.transform import FORMS, get_form, motzkin_representation
+from x_form import x_form
 
 # the 19 catalog entries and the 9 derived transforms
 ENTRIES = {
@@ -129,7 +129,7 @@ def test_even_integrands():
         half = rep.domain[1]
         for n in (0, 1, 4):
             for x in (0.1 * half, 0.45 * half, 0.9 * half):
-                assert rep.at(n)(x) == rep.at(n)(-x)
+                assert x_form(rep, n)(x) == x_form(rep, n)(-x)
 
 
 def test_eq4_eq5_estimates_agree():
@@ -313,7 +313,7 @@ def test_a_half_line_copy_integrates_its_own_domain():
     rep = get_representation("cat.eq6")
     shifted = rep._replace(domain=(1.0, math.inf))
     for n in (3, 10):
-        head = rep.prefactor_float(n) * tanh_sinh(rep.at(n), 0.0, 1.0).value
+        head = rep.prefactor_float(n) * tanh_sinh(lambda x: rep.integrand(n, x), 0.0, 1.0).value
         expected = verify(rep, n, rule="tanh-sinh").estimate - head
         row = verify(shifted, n, rule="tanh-sinh")
         assert row.converged and abs(row.estimate - expected) <= 1e-12 * expected, n
@@ -456,7 +456,7 @@ def test_integrands_finite_inside_domain():
             xs = [lo + (hi - lo) * t for t in (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6)]
         for n in (rep.n_min, rep.n_min + 5, 20):
             for x in xs:
-                value = rep.at(n)(x)
+                value = x_form(rep, n)(x)
                 assert math.isfinite(value), (rep.id, n, x)
 
 
@@ -570,38 +570,6 @@ def test_integrand_takes_endpoint_distances_exactly_on_endpoint_singular_entries
         params = inspect.signature(rep.integrand).parameters.values()
         positional = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
         assert len(positional) == (3 if rep.endpoint_singular else 2), rep.id
-    for rep in singular:
-        a, b = rep.domain
-        for n in (rep.n_min, rep.n_min + 3):
-            for x in (a + (b - a) * t for t in (1e-9, 0.2, 0.5, 0.7, 1.0 - 1e-9)):
-                assert rep.at(n)(x) == rep.integrand(n, x - a, b - x), (rep.id, n, x)
-
-
-def test_at_reads_the_integrand_through_the_domain():
-    base = dict(
-        id="test.entry",
-        family=Family.CATALAN,
-        n_min=0,
-        prefactor=lambda n: (Fraction(1), 0),
-        domain=(0.0, 1.0),
-        statement="",
-        substitution=Substitution(
-            lambda rep, thetas: ((list(thetas),), [1.0] * len(thetas)), 1, lambda n: n
-        ),
-    )
-    plain = Representation(
-        **base, integrand=lambda n, x: n + x, singularities=frozenset({Singularity.SMOOTH})
-    )
-    assert plain.at(3)(0.25) == 3.25
-    rep = Representation(
-        **base,
-        integrand=lambda n, da, db: da * 10.0 + db,
-        singularities=frozenset({Singularity.LEFT_ENDPOINT_ALGEBRAIC}),
-    )
-    assert rep.at(0)(0.25) == 0.25 * 10.0 + 0.75
-    # the distances follow a copy's domain
-    wider = rep._replace(domain=(0.0, 2.0))
-    assert wider.at(0)(0.25) == 0.25 * 10.0 + 1.75
 
 
 # -- the tabulated theta rule and the exact values that verify reads ----------

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -183,6 +184,45 @@ def test_startup_loads_no_dataclass_or_json_machinery():
     lines = proc.stdout.splitlines()
     assert lines[:3] == ["[] []", f"catmot {__version__}", "[] []"]
     assert (len(lines), lines[-2].split(), lines[-1]) == (11, ["5", "42", "21"], "[] []")
+
+
+# -- at exit -------------------------------------------------------------------
+
+# registered before catmot.cli's exit hook, so it runs after it: exit handlers
+# run last in, first out
+EXIT_CHECK = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+from catmot.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("table", "5"), ("table", "-1")])
+def test_a_process_freezes_what_is_alive_at_exit(capsys, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_CHECK, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "frozen at exit: True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("verify", "cat.eq9", "--n-range", "2..2"),
+    ("transform", "cat.eq5"),
+    ("lemma1", "2", "3"),
+    ("table", "5"),
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(list(argv)) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # -- list ----------------------------------------------------------------------

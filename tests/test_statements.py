@@ -19,6 +19,7 @@ import re
 import pytest
 
 from catmot.catalog import Family, list_representations
+from x_form import x_form
 
 _TOKEN = re.compile(r"\s*(\d+|[a-z]+|[-+*/^(),])")
 _FUNCTIONS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin}
@@ -161,7 +162,7 @@ def test_printed_statement_is_the_checked_integral(rep):
     assert domain == rep.domain
     bound = _AGREEMENT.get(rep.id, 1e-14)
     for n in range(rep.n_min, 9):
-        checked, scale = rep.at(n), rep.prefactor_float(n)
+        checked, scale = x_form(rep, n), rep.prefactor_float(n)
         for x in _interior_points(domain):
             want = scale * checked(x)
             assert abs(stated(n, x) - want) <= bound * abs(want), (n, x)

@@ -16,6 +16,7 @@ from catmot.transform import (
     transform_deviation,
 )
 from exact_coeffs import even_binomial_coeffs, phi_diff_coeffs, wallis
+from x_form import x_form
 
 _PI = math.pi
 
@@ -32,7 +33,7 @@ def test_registry_contents():
 def _g(cid, x):
     # g of a form: its source entry at n = 0, where f^(2n) = 1
     rep = get_representation(cid)
-    return rep.prefactor_float(0) * rep.at(0)(x)
+    return rep.prefactor_float(0) * x_form(rep, 0)(x)
 
 
 def _interior_points(rep, fractions):
@@ -52,7 +53,7 @@ def test_forms_match_their_source_representations():
             flavor_factor = n + 1 if form.has_inverse_n_plus_1 else 1
             for x in _interior_points(rep, (0.15, 0.5, 0.85)):
                 lhs = form.f(x) ** (2 * n) * _g(cid, x)
-                rhs = flavor_factor * rep.prefactor_float(n) * rep.at(n)(x)
+                rhs = flavor_factor * rep.prefactor_float(n) * x_form(rep, n)(x)
                 assert lhs == pytest.approx(rhs, rel=1e-12), (cid, n, x)
 
 
@@ -70,7 +71,7 @@ def test_trivial_order_is_the_source_entry_at_n_0():
     # its prefactor is g as the catalog computes it, bit for bit
     for cid, form in FORMS.items():
         derived = motzkin_representation(form)
-        scale, integrand = derived.prefactor_float(0), derived.at(0)
+        scale, integrand = derived.prefactor_float(0), x_form(derived, 0)
         rep = get_representation(cid)
         for x in _interior_points(rep, (0.01, 0.15, 0.3, 0.5, 0.62, 0.85, 0.99)):
             assert scale * integrand(x) == _g(cid, x), (cid, x)
@@ -94,7 +95,7 @@ def test_transform_phi_trivial_order():
     for cid in ("cat.eq2", "cat.eq4"):
         derived = motzkin_representation(FORMS[cid])
         for x in (0.3, 0.62):
-            assert derived.prefactor_float(0) * derived.at(0)(x) == pytest.approx(_g(cid, x), rel=1e-15)
+            assert derived.prefactor_float(0) * x_form(derived, 0)(x) == pytest.approx(_g(cid, x), rel=1e-15)
 
 
 def test_transform_phi_hand_value():
@@ -102,7 +103,7 @@ def test_transform_phi_hand_value():
     # divided by f^2 = 1, so the integrand times its prefactor equals g = 1/(pi sqrt(0.75))
     derived = motzkin_representation(FORMS["cat.eq2"])
     expected = 1.0 / (_PI * math.sqrt(0.75))
-    assert derived.prefactor_float(1) * derived.at(1)(0.5) == pytest.approx(expected, rel=1e-15)
+    assert derived.prefactor_float(1) * x_form(derived, 1)(0.5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_transform_phi_value_at_interior_zero_of_f():
@@ -111,7 +112,7 @@ def test_transform_phi_value_at_interior_zero_of_f():
     # f = 2x vanishes at x = 0
     rep = motzkin_representation(FORMS["cat.eq2"])
     for n in (1, 6, 19):
-        assert rep.at(n)(0.0) == (1 / 3**n) * rep.at(0)(0.0)
+        assert x_form(rep, n)(0.0) == (1 / 3**n) * x_form(rep, 0)(0.0)
     # f = 2 cos x vanishes at x = pi/2, where its float is 1.2e-16
     derived = motzkin_representation(FORMS["cat.eq3"])
     x0 = _PI / 2.0
